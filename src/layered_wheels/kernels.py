@@ -1,30 +1,280 @@
-"""Backend selector for the compute kernels.
+"""Compute kernels: exact clique / independent set search, bounded
+chordless-cycle scan, and exact treewidth on tiny graphs.
 
-Prefers the compiled extension (``_kernels_cy``) and falls back to the
-pure-Python implementation.  Set ``LWHEEL_KERNELS=py`` (or ``cy``) to force
-a backend; forcing ``cy`` raises if the extension is missing.
+All kernels take ``(n, adj)`` where ``adj`` is a sequence of neighbor
+containers indexed by vertex.  They are plain Python; ``BACKEND`` names
+the implementation for run records.
 """
 
 from __future__ import annotations
 
-import os
+BACKEND = "py"
 
-_forced = os.environ.get("LWHEEL_KERNELS", "").strip().lower()
 
-if _forced == "py":
-    from . import _kernels_py as _impl
-elif _forced == "cy":
-    from . import _kernels_cy as _impl
-elif _forced:
-    raise ImportError("LWHEEL_KERNELS must be 'py' or 'cy', got %r" % _forced)
-else:
-    try:
-        from . import _kernels_cy as _impl
-    except ImportError:
-        from . import _kernels_py as _impl
+def _degeneracy_order(n, adj):
+    """Vertices in a smallest-last (degeneracy) order, plus the degeneracy."""
+    deg = [len(adj[v]) for v in range(n)]
+    removed = [False] * n
+    buckets = {}
+    for v in range(n):
+        buckets.setdefault(deg[v], set()).add(v)
+    order = []
+    degeneracy = 0
+    for _ in range(n):
+        d = 0
+        while d not in buckets or not buckets[d]:
+            d += 1
+        v = min(buckets[d])
+        buckets[d].discard(v)
+        degeneracy = max(degeneracy, d)
+        removed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not removed[u]:
+                buckets[deg[u]].discard(u)
+                deg[u] -= 1
+                buckets.setdefault(deg[u], set()).add(u)
+    return order, degeneracy
 
-BACKEND = _impl.BACKEND
-max_clique = _impl.max_clique
-max_independent_set = _impl.max_independent_set
-shortest_hole = _impl.shortest_hole
-treewidth_exact = _impl.treewidth_exact
+
+def _clique_bitset(masks, cand_mask, best_size):
+    """Largest clique within cand_mask (bitset Tomita search with greedy
+    coloring bound); returns a vertex list, or [] if none beats best_size."""
+    best = []
+
+    def color_sort(p):
+        order = []
+        colors = []
+        uncolored = p
+        color = 0
+        while uncolored:
+            color += 1
+            q = uncolored
+            while q:
+                b = q & -q
+                v = b.bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                uncolored &= ~b
+                q &= ~(masks[v] | b)
+        return order, colors
+
+    def expand(r, p):
+        nonlocal best
+        order, colors = color_sort(p)
+        for idx in range(len(order) - 1, -1, -1):
+            v = order[idx]
+            if len(r) + colors[idx] <= max(len(best), best_size):
+                return
+            r.append(v)
+            p2 = p & masks[v]
+            if p2:
+                expand(r, p2)
+            elif len(r) > max(len(best), best_size):
+                best = list(r)
+            r.pop()
+            p &= ~(1 << v)
+
+    expand([], cand_mask)
+    return best
+
+
+def max_clique(n, adj):
+    """An exact maximum clique, as a sorted vertex list.
+
+    Decomposes along a degeneracy order so only tiny local subproblems are
+    searched; suitable for large sparse graphs with small cliques.
+    """
+    if n == 0:
+        return []
+    adjsets = [set(a) for a in adj]
+    order, _ = _degeneracy_order(n, adj)
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    best = [order[0]]
+    for v in order:
+        cand = [u for u in adjsets[v] if rank[u] > rank[v]]
+        if len(cand) + 1 <= len(best):
+            continue
+        local = {u: i for i, u in enumerate(cand)}
+        masks = [0] * len(cand)
+        for u in cand:
+            m = 0
+            for w in adjsets[u]:
+                if w in local:
+                    m |= 1 << local[w]
+            masks[local[u]] = m
+        sub = _clique_bitset(masks, (1 << len(cand)) - 1, len(best) - 1)
+        if len(sub) + 1 > len(best):
+            best = [v] + [cand[i] for i in sub]
+    return sorted(best)
+
+
+def max_independent_set(n, adj):
+    """An exact maximum independent set (clique in the complement), as a
+    sorted vertex list.  Meant for small graphs (a few hundred vertices)."""
+    if n == 0:
+        return []
+    full = (1 << n) - 1
+    masks = [0] * n
+    for v in range(n):
+        m = 0
+        for u in adj[v]:
+            m |= 1 << u
+        masks[v] = (~(m | (1 << v))) & full
+    best = _clique_bitset(masks, full, 0)
+    return sorted(best)
+
+
+def shortest_hole(n, adj, bound):
+    """Length of a shortest chordless cycle of length in [4, bound], or None.
+
+    Exhaustive DFS over chordless paths anchored at their minimum vertex;
+    the depth cap keeps it polynomial for fixed bound.
+    """
+    if bound < 4:
+        return None
+    adjsets = [set(a) for a in adj]
+    best = None
+
+    for s in range(n):
+        limit = bound if best is None else best - 1
+        if limit < 4:
+            break
+        # path[0] == s is the minimum vertex of any cycle reported here
+        stack = [(s, iter(sorted(adjsets[s])))]
+        path = [s]
+        on_path = {s}
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w <= s or w in on_path:
+                    continue
+                nb = adjsets[w]
+                if len(path) == 1:
+                    # first edge of the path; nothing to close or chord yet
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append((w, iter(sorted(nb))))
+                    advanced = True
+                    break
+                # chord against any internal path vertex (not the tip)
+                if any(x in nb for x in path[1:-1]):
+                    continue
+                if s in nb:
+                    k = len(path) + 1
+                    if k >= 4 and path[1] < w and (best is None or k < best):
+                        best = k
+                        limit = best - 1
+                    # w sees s: extending past w would leave a chord
+                    continue
+                if len(path) + 1 < limit:
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append((w, iter(sorted(nb))))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                on_path.discard(path.pop())
+        if best == 4:
+            break
+    return best
+
+
+def _treewidth_decide(n, masks, k, memo_failed):
+    """Can the graph be fully eliminated with fill-degree <= k at each step?"""
+    full = (1 << n) - 1
+
+    def rec(remaining, cur):
+        cnt = bin(remaining).count("1")
+        if cnt <= k + 1:
+            return True
+        if remaining in memo_failed:
+            return False
+        live = remaining
+        # safe reductions: simplicial vertices of degree <= k, and (for
+        # k >= 2) the series rule for vertices of degree <= 2
+        while live:
+            b = live & -live
+            v = b.bit_length() - 1
+            live &= ~b
+            nbv = cur[v] & remaining
+            d = bin(nbv).count("1")
+            if d > k:
+                continue
+            if d <= 2 and k >= 2:
+                if d == 2:
+                    lo = nbv & -nbv
+                    u1 = lo.bit_length() - 1
+                    u2 = (nbv & ~lo).bit_length() - 1
+                    nxt = list(cur)
+                    nxt[u1] |= 1 << u2
+                    nxt[u2] |= 1 << u1
+                    return rec(remaining & ~b, nxt)
+                return rec(remaining & ~b, cur)
+            simplicial = True
+            m = nbv
+            while m:
+                bb = m & -m
+                u = bb.bit_length() - 1
+                m &= ~bb
+                if (nbv & ~cur[u]) & ~bb:
+                    simplicial = False
+                    break
+            if simplicial:
+                return rec(remaining & ~b, cur)
+        cands = []
+        live = remaining
+        while live:
+            b = live & -live
+            v = b.bit_length() - 1
+            live &= ~b
+            nbv = cur[v] & remaining
+            d = bin(nbv).count("1")
+            if d <= k:
+                fill = 0
+                m = nbv
+                while m:
+                    bb = m & -m
+                    u = bb.bit_length() - 1
+                    m &= ~bb
+                    fill += bin(nbv & ~cur[u] & ~bb).count("1")
+                cands.append((fill // 2, d, v, nbv))
+        cands.sort()
+        for _, _, v, nbv in cands:
+            nxt = list(cur)
+            m = nbv
+            while m:
+                bb = m & -m
+                u = bb.bit_length() - 1
+                m &= ~bb
+                nxt[u] = cur[u] | (nbv & ~bb)
+            if rec(remaining & ~(1 << v), nxt):
+                return True
+        memo_failed.add(remaining)
+        return False
+
+    return rec(full, list(masks))
+
+
+def treewidth_exact(n, adj):
+    """Exact treewidth by search over elimination orderings with memoized
+    dead states.  Only for small graphs (n <= 32)."""
+    if n > 32:
+        raise ValueError("treewidth_exact is limited to 32 vertices, got %d" % n)
+    if n == 0:
+        return 0
+    masks = [0] * n
+    for v in range(n):
+        for u in adj[v]:
+            masks[v] |= 1 << u
+    if not any(masks):
+        return 0
+    _, lb = _degeneracy_order(n, adj)
+    for k in range(lb, n):
+        if _treewidth_decide(n, masks, k, set()):
+            return k
+    return n - 1

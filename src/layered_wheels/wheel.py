@@ -35,8 +35,19 @@ class SizeCapError(RuntimeError):
     """The next layer would push the prefix past the vertex budget."""
 
 
-class UnknownVertexError(KeyError):
-    pass
+class UnknownVertexError(ValueError):
+    """A (layer, pos) location or global id outside the prefix."""
+
+
+# what indexing, unpacking and parsing a malformed JSON prefix can raise
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def _field_error(where, field, exc):
+    """A ValueError naming the JSON field that is missing or malformed."""
+    if isinstance(exc, KeyError):
+        return ValueError("%s has no field %s" % (where, exc))
+    return ValueError("%s field %r: %s" % (where, field, exc))
 
 
 @dataclass
@@ -83,11 +94,10 @@ class WheelPrefix:
         return len(self.up)
 
     def vid(self, layer, pos):
-        if not 1 <= layer <= self.num_layers:
-            raise UnknownVertexError((layer, pos))
-        size = self.layer_sizes[layer - 1]
-        if not 0 <= pos < size:
-            raise UnknownVertexError((layer, pos))
+        if not (1 <= layer <= self.num_layers
+                and 0 <= pos < self.layer_sizes[layer - 1]):
+            raise UnknownVertexError("no vertex %r in the prefix"
+                                     % ((layer, pos),))
         return self.offsets[layer - 1] + pos
 
     def loc(self, g):
@@ -96,7 +106,8 @@ class WheelPrefix:
 
     def layer_of(self, g):
         if not 0 <= g < self.n_vertices:
-            raise UnknownVertexError(g)
+            raise UnknownVertexError("no vertex with id %r in the prefix"
+                                     % (g,))
         lo, hi = 0, self.num_layers - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -264,24 +275,44 @@ class WheelPrefix:
 
     @classmethod
     def from_json_obj(cls, obj):
-        f = parse_f_spec(obj["f_spec"])
-        prefix = cls(obj["ell"], f)
-        prefix.layer_sizes = [int(s) for s in obj["layers"]]
+        """Parse the object written by ``to_json_obj``.
+
+        A missing field or a wrongly shaped entry raises ValueError naming
+        the field.
+        """
+        field = "f_spec"
+        try:
+            f = parse_f_spec(obj[field])
+            field = "ell"
+            prefix = cls(obj[field], f)
+            field = "layers"
+            prefix.layer_sizes = [int(s) for s in obj[field]]
+            field = "vertices"
+            vertices = obj[field]
+            n = len(vertices)
+        except _MALFORMED as exc:
+            raise _field_error("prefix", field, exc) from None
         off = 0
         for s in prefix.layer_sizes:
             prefix.offsets.append(off)
             off += s
-        if len(obj["vertices"]) != off:
+        if n != off:
             raise ValueError("vertex list does not match layer sizes")
         prefix.up = [[] for _ in range(off)]
         prefix.parent = [-1] * off
         prefix.span = [None] * off
-        for g, rec in enumerate(obj["vertices"]):
-            if prefix.loc(g) != (rec["layer"], rec["pos"]):
-                raise ValueError("vertices out of order at index %d" % g)
-            prefix.up[g] = [prefix.vid(*w) for w in rec["up"]]
-            if rec["parent"] is not None:
-                prefix.parent[g] = prefix.vid(*rec["parent"])
+        for g, rec in enumerate(vertices):
+            field = "layer"
+            try:
+                if prefix.loc(g) != (rec["layer"], rec["pos"]):
+                    raise ValueError("vertices out of order at index %d" % g)
+                field = "up"
+                prefix.up[g] = [prefix.vid(*w) for w in rec[field]]
+                field = "parent"
+                if rec[field] is not None:
+                    prefix.parent[g] = prefix.vid(*rec[field])
+            except _MALFORMED as exc:
+                raise _field_error("vertex %d" % g, field, exc) from None
         prefix._recover_spans()
         return prefix
 

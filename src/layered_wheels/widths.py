@@ -280,10 +280,10 @@ def ta_lower_bound_certified(prefix, transversal=None):
 
 def width_report(prefix):
     """All certified bounds for one prefix, formula inputs included."""
-    omega, _ = structure.clique_number_exact(prefix)
     tw_lo, lo_cert = tw_lower_bound_minor(prefix)
-    tw_up = tw_upper_bound_formula(prefix.ell, prefix.f, omega)
     ta_lo, ta_cert = ta_lower_bound_certified(prefix)
+    omega = ta_cert.data["omega"]
+    tw_up = tw_upper_bound_formula(prefix.ell, prefix.f, omega)
     F1 = prefix.f.cumulative()(omega + 1)
     return WidthReport(tw_lo, lo_cert, tw_up, "formula", ta_lo, ta_cert,
                        (prefix.ell, omega, F1))
@@ -380,11 +380,11 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
             rows.append(row)
             ok = False
             continue
-        omega, cert = structure.clique_number_exact(prefix)
         ta_lo, ta_cert = ta_lower_bound_certified(prefix)
+        omega = ta_cert.data["omega"]
         tw_up = tw_upper_bound_formula(ell, f, omega)
-        good = (cert.verdict and ta_cert.verdict and ta_lo >= c
-                and tw_up != INF)
+        # ta_cert.verdict includes the clique certificate's verdict
+        good = ta_cert.verdict and ta_lo >= c and tw_up != INF
         row.update(n=prefix.n_vertices, omega=omega, ta_lower=ta_lo,
                    tw_upper=tw_up if tw_up != INF else "inf",
                    certified=good, status="ok" if good else "FAIL")

@@ -105,6 +105,23 @@ def test_verify_mutated_fails(tmp_path, capsys):
     assert not json.loads(out)["passed"]
 
 
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda obj: obj["vertices"][5].update(up=[[9, 9]]), "'up'"),
+    (lambda obj: obj.pop("ell"), "'ell'"),
+    (lambda obj: obj["vertices"][5].update(parent=[1]), "'parent'"),
+], ids=["unknown-up-vertex", "missing-ell", "short-parent"])
+def test_verify_malformed_json_is_an_error(tmp_path, capsys, mutate, field):
+    f = tmp_path / "p.json"
+    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "3",
+        "--out", str(f))
+    obj = json.loads(f.read_text())
+    mutate(obj)
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--in", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and field in err
+
 def test_separate_all_with_decomposition(tmp_path, capsys):
     f = tmp_path / "p.json"
     run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "4",

@@ -4,15 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from layered_wheels import _kernels_py as kpy
 from layered_wheels import build_prefix, kernels, parse_f_spec
-
-try:
-    from layered_wheels import _kernels_cy as kcy
-except ImportError:
-    kcy = None
-
-BACKENDS = [kpy] + ([kcy] if kcy is not None else [])
 
 
 def random_graph(rng, n, p):
@@ -31,6 +23,11 @@ def cycle(n):
 
 def complete(n):
     return [[j for j in range(n) if j != i] for i in range(n)]
+
+
+def complement(n, adj):
+    return [[j for j in range(n) if j != i and j not in adj[i]]
+            for i in range(n)]
 
 
 # -- brute-force oracles --------------------------------------------------
@@ -99,102 +96,91 @@ def oracle_treewidth(n, adj):
     return max(0, dp(0)) if n else 0
 
 
-# -- parity and oracle tests ----------------------------------------------
+# -- oracle tests ---------------------------------------------------------
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_clique_against_brute_force(impl):
+def test_clique_against_brute_force():
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(0, 9)
         adj = random_graph(rng, n, rng.random())
-        got = impl.max_clique(n, adj)
+        got = kernels.max_clique(n, adj)
         adjsets = [set(a) for a in adj]
         assert all(v in adjsets[u]
                    for u, v in itertools.combinations(got, 2))
         assert len(got) == oracle_max_clique_size(n, adj)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_independent_set_against_complement_clique(impl):
+def test_independent_set_against_complement_clique():
     rng = random.Random(4)
     for _ in range(30):
         n = rng.randint(0, 9)
         adj = random_graph(rng, n, rng.random())
-        comp = [[j for j in range(n) if j != i and j not in adj[i]]
-                for i in range(n)]
-        got = impl.max_independent_set(n, adj)
+        comp = complement(n, adj)
+        got = kernels.max_independent_set(n, adj)
         assert all(v not in adj[u]
                    for u, v in itertools.combinations(got, 2))
         assert len(got) == oracle_max_clique_size(n, comp)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_shortest_hole_against_brute_force(impl):
+def test_shortest_hole_against_brute_force():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(4, 8)
         adj = random_graph(rng, n, rng.uniform(0.2, 0.7))
-        assert impl.shortest_hole(n, adj, 7) == oracle_shortest_hole(n, adj, 7)
+        assert (kernels.shortest_hole(n, adj, 7)
+                == oracle_shortest_hole(n, adj, 7))
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_shortest_hole_known_graphs(impl):
-    assert impl.shortest_hole(5, cycle(5), 10) == 5
-    assert impl.shortest_hole(4, complete(4), 10) is None
-    assert impl.shortest_hole(6, cycle(6), 5) is None  # bound too low
+def test_shortest_hole_known_graphs():
+    assert kernels.shortest_hole(5, cycle(5), 10) == 5
+    assert kernels.shortest_hole(4, complete(4), 10) is None
+    assert kernels.shortest_hole(6, cycle(6), 5) is None  # bound too low
     petersen = [[1, 4, 5], [0, 2, 6], [1, 3, 7], [2, 4, 8], [0, 3, 9],
                 [0, 7, 8], [1, 8, 9], [2, 5, 9], [3, 5, 6], [4, 6, 7]]
-    assert impl.shortest_hole(10, petersen, 10) == 5
+    assert kernels.shortest_hole(10, petersen, 10) == 5
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_treewidth_against_subset_dp(impl):
+def test_treewidth_against_subset_dp():
     rng = random.Random(6)
     for _ in range(30):
         n = rng.randint(1, 9)
         adj = random_graph(rng, n, rng.uniform(0.1, 0.8))
-        assert impl.treewidth_exact(n, adj) == oracle_treewidth(n, adj)
+        assert kernels.treewidth_exact(n, adj) == oracle_treewidth(n, adj)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_treewidth_known_graphs(impl):
+def test_treewidth_known_graphs():
     for ell in (4, 5, 6, 8):
-        assert impl.treewidth_exact(ell, cycle(ell)) == 2
-    assert impl.treewidth_exact(4, complete(4)) == 3
-    assert impl.treewidth_exact(0, []) == 0
-    assert impl.treewidth_exact(3, [[], [], []]) == 0
+        assert kernels.treewidth_exact(ell, cycle(ell)) == 2
+    assert kernels.treewidth_exact(4, complete(4)) == 3
+    assert kernels.treewidth_exact(0, []) == 0
+    assert kernels.treewidth_exact(3, [[], [], []]) == 0
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_treewidth_size_limit(impl):
+def test_treewidth_size_limit():
     with pytest.raises(ValueError):
-        impl.treewidth_exact(33, [[] for _ in range(33)])
+        kernels.treewidth_exact(33, [[] for _ in range(33)])
 
 
-@pytest.mark.skipif(kcy is None, reason="compiled extension not built")
-def test_backend_parity_on_prefixes():
-    p = build_prefix(5, parse_f_spec("cap:3"), 4, size_cap=10 ** 4)
-    n, adj = p.n_vertices, p.adjacency()
-    assert kpy.max_clique(n, adj) == kcy.max_clique(n, adj)
-    assert kpy.shortest_hole(n, adj, 7) == kcy.shortest_hole(n, adj, 7)
-    small = build_prefix(4, parse_f_spec("cap:3"), 3)
-    assert (kpy.treewidth_exact(small.n_vertices, small.adjacency())
-            == kcy.treewidth_exact(small.n_vertices, small.adjacency()))
-
-
-@pytest.mark.skipif(kcy is None, reason="compiled extension not built")
-def test_backend_parity_wide_bitsets():
-    # masks wider than any machine word
+def test_clique_and_independent_set_on_wide_bitsets():
+    # bitsets wider than a machine word; the degeneracy-order clique search
+    # and the full-bitset independent-set search must agree on complements
     rng = random.Random(7)
     for _ in range(10):
         n = rng.randint(65, 80)
         adj = random_graph(rng, n, 0.1)
-        assert kpy.max_clique(n, adj) == kcy.max_clique(n, adj)
-        assert (kpy.max_independent_set(n, adj)
-                == kcy.max_independent_set(n, adj))
+        comp = complement(n, adj)
+        clique = kernels.max_clique(n, adj)
+        stable = kernels.max_independent_set(n, adj)
+        assert all(v in adj[u] for u, v in itertools.combinations(clique, 2))
+        assert all(v not in adj[u]
+                   for u, v in itertools.combinations(stable, 2))
+        assert len(clique) == len(kernels.max_independent_set(n, comp))
+        assert len(stable) == len(kernels.max_clique(n, comp))
 
 
-def test_selector_exposes_some_backend():
-    assert kernels.BACKEND in ("py", "cy")
-    assert kernels.max_clique(3, [[1], [0, 2], [1]]) == [0, 1] or \
-        kernels.max_clique(3, [[1], [0, 2], [1]]) == [1, 2]
+def test_kernels_on_prefix():
+    p = build_prefix(5, parse_f_spec("cap:3"), 4, size_cap=10 ** 4)
+    n, adj = p.n_vertices, p.adjacency()
+    assert n == 215
+    assert len(kernels.max_clique(n, adj)) == 3
+    assert kernels.shortest_hole(n, adj, 7) == 5

@@ -180,6 +180,22 @@ def test_demo_conjecture85_flags_infinite_formula():
     assert not rep["all_certified"]
 
 
+
+def test_omega_computed_once_per_prefix(monkeypatch, prefix_68):
+    calls = []
+    exact = S.clique_number_exact
+
+    def counted(prefix, *args, **kwargs):
+        calls.append(prefix)
+        return exact(prefix, *args, **kwargs)
+
+    monkeypatch.setattr(S, "clique_number_exact", counted)
+    rep = W.demo_conjecture85("poly:2", 4, 1, 10 ** 4)
+    assert len(calls) == len(rep["rows"]) == 1
+    calls.clear()
+    W.width_report(prefix_68)
+    assert calls == [prefix_68]
+
 def test_demo_hajebi_small_and_reproducible():
     a = W.demo_hajebi(2, 5, 3, 5, 10 ** 4, seed=1)
     b = W.demo_hajebi(2, 5, 3, 5, 10 ** 4, seed=1)
