@@ -19,6 +19,10 @@ from .wheel import (SizeCapError, WheelPrefix, build_prefix,
 
 # -- export formats -------------------------------------------------------
 
+# graph6 stores six bits per byte, offset by 63
+_G6_OFFSET = bytes((b + 63) % 256 for b in range(256))
+
+
 def to_graph6(n, edges):
     """Standard graph6 encoding of the underlying undirected graph."""
     if n <= 62:
@@ -27,23 +31,14 @@ def to_graph6(n, edges):
         head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     else:
         raise ValueError("graph6 export supports at most 258047 vertices")
-    present = set()
+    # bit k = j(j-1)/2 + i stands for the pair i < j, most significant first
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for (u, v) in edges:
         if u != v:
-            present.add((min(u, v), max(u, v)))
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for p in range(0, len(bits), 6):
-        val = 0
-        for b in bits[p:p + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return "".join(chr(c) for c in head + body) + "\n"
+            i, j = (u, v) if u < v else (v, u)
+            k = j * (j - 1) // 2 + i
+            body[k // 6] |= 32 >> (k % 6)
+    return (bytes(head) + body.translate(_G6_OFFSET)).decode("ascii") + "\n"
 
 
 def to_dot(prefix):
@@ -129,7 +124,7 @@ def cmd_verify(args):
         rng = random.Random(args.seed)
         bad = 0
         for _ in range(chordal_n):
-            Y = {rng.choice(list(prefix.layer_range(l)))
+            Y = {rng.choice(prefix.layer_range(l))
                  for l in range(1, prefix.num_layers + 1)}
             if not structure.transversal_chordality_check(prefix, Y).verdict:
                 bad += 1

@@ -8,32 +8,48 @@ the implementation for run records.
 
 from __future__ import annotations
 
+import heapq
+
 BACKEND = "py"
 
 
 def _degeneracy_order(n, adj):
-    """Vertices in a smallest-last (degeneracy) order, plus the degeneracy."""
+    """Vertices in a smallest-last (degeneracy) order, plus the degeneracy.
+
+    Each step removes the smallest id among the vertices of least remaining
+    degree.  A vertex enters the min-heap of ids for every degree it takes;
+    the pointer d never exceeds the least remaining degree, so an entry left
+    at a higher degree surfaces only after its vertex is removed, and is
+    then skipped.  O(m log n).
+    """
     deg = [len(adj[v]) for v in range(n)]
     removed = [False] * n
-    buckets = {}
+    # filled in ascending id order, so every bucket is already a heap
+    heaps = [[] for _ in range(max(deg, default=0) + 1)]
     for v in range(n):
-        buckets.setdefault(deg[v], set()).add(v)
+        heaps[deg[v]].append(v)
     order = []
     degeneracy = 0
+    d = 0
     for _ in range(n):
-        d = 0
-        while d not in buckets or not buckets[d]:
-            d += 1
-        v = min(buckets[d])
-        buckets[d].discard(v)
+        heap = heaps[d]
+        while not heap or removed[heap[0]]:
+            if heap:
+                heapq.heappop(heap)
+            else:
+                d += 1
+                heap = heaps[d]
+        v = heapq.heappop(heap)
         degeneracy = max(degeneracy, d)
         removed[v] = True
         order.append(v)
         for u in adj[v]:
             if not removed[u]:
-                buckets[deg[u]].discard(u)
-                deg[u] -= 1
-                buckets.setdefault(deg[u], set()).add(u)
+                du = deg[u] - 1
+                deg[u] = du
+                heapq.heappush(heaps[du], u)
+                if du < d:
+                    d = du
     return order, degeneracy
 
 

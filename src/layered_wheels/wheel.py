@@ -82,6 +82,7 @@ class WheelPrefix:
         self.parent = []
         self.span = []
         self._adj = None
+        self._layer = None         # _layer[g] = layer of g (built on use)
 
     # -- indexing ---------------------------------------------------------
 
@@ -108,14 +109,11 @@ class WheelPrefix:
         if not 0 <= g < self.n_vertices:
             raise UnknownVertexError("no vertex with id %r in the prefix"
                                      % (g,))
-        lo, hi = 0, self.num_layers - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.offsets[mid] <= g:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
+        if self._layer is None:
+            self._layer = [layer
+                           for layer, size in enumerate(self.layer_sizes, 1)
+                           for _ in range(size)]
+        return self._layer[g]
 
     def layer_range(self, layer):
         start = self.offsets[layer - 1]
@@ -248,6 +246,7 @@ class WheelPrefix:
                     self.span.append(None)
                     g += 1
         self._adj = None
+        self._layer = None
 
     # -- serialization ----------------------------------------------------
 
@@ -322,24 +321,19 @@ class WheelPrefix:
 
     def _recover_spans(self):
         # spans are contiguous and follow the parent order (rule on descendant
-        # paths); boundaries sit where the expected next parent appears
+        # paths): each span runs from its parent's first child to the next
+        # parent's first child, the last one to the end of the layer
         for layer in range(1, self.num_layers):
-            parents = list(self.layer_range(layer))
-            nxt = list(self.layer_range(layer + 1))
-            starts = {}
+            parents = self.layer_range(layer)
+            nxt = self.layer_range(layer + 1)
+            first = {}
             for u in nxt:
                 p = self.parent[u]
-                if p >= 0 and p not in starts:
-                    starts[p] = u
-            bounds = sorted(starts.get(v, None) for v in parents
-                            if starts.get(v) is not None)
-            for v in parents:
-                if v not in starts:
-                    continue
-                s = starts[v]
-                later = [b for b in bounds if b > s]
-                end = later[0] if later else nxt[-1] + 1
-                self.span[v] = (s, end - s)
+                if p in parents and p not in first:
+                    first[p] = u
+            starts = sorted(first.values())
+            for s, end in zip(starts, starts[1:] + [nxt.stop]):
+                self.span[self.parent[s]] = (s, end - s)
 
 
 def build_first_layer(ell, f=None):

@@ -52,19 +52,26 @@ def test_graph6_c4():
     assert to_graph6(4, [(0, 1), (1, 2), (2, 3), (0, 3)]) == "Cl\n"
 
 
-def test_graph6_matches_prefix_edges(tmp_path, capsys):
+@pytest.mark.parametrize("t", [2, 4], ids=["n12", "n68"])  # n68: 4-byte header
+def test_graph6_matches_prefix_edges(tmp_path, capsys, t):
     out = tmp_path / "p.g6"
-    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "2",
+    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", str(t),
         "--out", str(out), "--format", "graph6")
-    p = build_prefix(4, parse_f_spec("cap:3"), 2)
+    p = build_prefix(4, parse_f_spec("cap:3"), t)
+    n = p.n_vertices
     line = out.read_text().strip()
-    assert line[0] == chr(p.n_vertices + 63)
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    assert line.startswith(head)
     bits = []
-    for ch in line[1:]:
+    for ch in line[len(head):]:
         bits.extend((ord(ch) - 63) >> (5 - i) & 1 for i in range(6))
+    assert len(bits) == -(-n * (n - 1) // 12) * 6
     edges = set()
     pos = 0
-    for j in range(1, p.n_vertices):
+    for j in range(1, n):
         for i in range(j):
             if bits[pos]:
                 edges.add((i, j))

@@ -3,6 +3,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layered_wheels import build_prefix, kernels, parse_f_spec
 
@@ -96,7 +97,87 @@ def oracle_treewidth(n, adj):
     return max(0, dp(0)) if n else 0
 
 
+def reference_degeneracy_order(n, adj):
+    """The O(n^2) smallest-last order: each step scans for the least
+    nonempty degree bucket and takes its smallest id."""
+    deg = [len(adj[v]) for v in range(n)]
+    removed = [False] * n
+    buckets = {}
+    for v in range(n):
+        buckets.setdefault(deg[v], set()).add(v)
+    order = []
+    degeneracy = 0
+    for _ in range(n):
+        d = 0
+        while d not in buckets or not buckets[d]:
+            d += 1
+        v = min(buckets[d])
+        buckets[d].discard(v)
+        degeneracy = max(degeneracy, d)
+        removed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not removed[u]:
+                buckets[deg[u]].discard(u)
+                deg[u] -= 1
+                buckets.setdefault(deg[u], set()).add(u)
+    return order, degeneracy
+
+
+@st.composite
+def graphs(draw):
+    """Adjacency lists of simple graphs, weighted toward equal degrees."""
+    n = draw(st.integers(0, 24))
+    kind = draw(st.sampled_from(
+        ["random", "edgeless", "matching", "complete", "cycles", "cliques"]))
+    pairs = set()
+    if kind == "random" and n > 1:
+        p = draw(st.floats(0, 1))
+        seed = draw(st.integers(0, 2 ** 32))
+        rng = random.Random(seed)
+        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p}
+    elif kind == "matching":
+        pairs = {(i, i + 1) for i in range(0, n - 1, 2)}
+    elif kind == "complete":
+        pairs = set(itertools.combinations(range(n), 2))
+    elif kind in ("cycles", "cliques"):
+        # disjoint equal parts: every vertex has the same degree
+        k = draw(st.integers(3, 6))
+        for s in range(0, n - k + 1, k):
+            part = range(s, s + k)
+            if kind == "cycles":
+                pairs |= {tuple(sorted((part[i], part[(i + 1) % k])))
+                          for i in range(k)}
+            else:
+                pairs |= set(itertools.combinations(part, 2))
+    adj = [set() for _ in range(n)]
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
+    perm = draw(st.permutations(range(n)))
+    return [sorted(perm[u] for u in adj[perm.index(v)]) for v in range(n)]
+
+
 # -- oracle tests ---------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_degeneracy_order_matches_reference(adj):
+    n = len(adj)
+    assert (kernels._degeneracy_order(n, adj)
+            == reference_degeneracy_order(n, adj))
+
+
+def test_max_clique_witness_pinned():
+    # the witness depends on the degeneracy order's tie-break
+    p = build_prefix(4, parse_f_spec("cap:3"), 6)
+    n, adj = p.n_vertices, p.adjacency()
+    assert n == 444
+    assert kernels.max_clique(n, adj) == [12, 68, 174]
+    assert kernels._degeneracy_order(n, adj) == reference_degeneracy_order(
+        n, adj)
+
 
 def test_clique_against_brute_force():
     rng = random.Random(3)

@@ -11,7 +11,8 @@ from layered_wheels import (
     parse_f_spec,
     verify_rules,
 )
-from layered_wheels.wheel import SizeCapError, up_closed_neighborhood
+from layered_wheels.wheel import (SizeCapError, UnknownVertexError,
+                                  up_closed_neighborhood)
 
 
 def test_layer_sizes_ell4_cap3():
@@ -77,12 +78,33 @@ def test_extend_layer_does_not_mutate_input():
     assert q.num_layers == 3
 
 
-def test_json_round_trip_byte_identical():
-    p = build_prefix(4, parse_f_spec("cap:3"), 4)
+@pytest.mark.parametrize("ell,fs,t,n", [
+    (4, "cap:3", 4, 68),
+    (6, "cap:4", 6, 8718),
+    (4, "cap:3", 11, 54124),   # scale guard for span recovery
+], ids=["n68", "n8718", "n54124"])
+def test_json_round_trip_byte_identical(ell, fs, t, n):
+    p = build_prefix(ell, parse_f_spec(fs), t)
+    assert p.n_vertices == n
     text = p.to_json()
     q = WheelPrefix.from_json(text)
     assert q.to_json() == text
     assert q.span == p.span and q.parent == p.parent and q.up == p.up
+    for layer in range(1, q.num_layers + 1):
+        assert all(q.layer_of(g) == layer for g in q.layer_range(layer))
+
+
+def test_layer_of_bounds_and_extend():
+    p = build_prefix(4, parse_f_spec("cap:3"), 3)
+    n = p.n_vertices
+    for g in (-1, n):
+        with pytest.raises(UnknownVertexError):
+            p.layer_of(g)
+    assert p.layer_of(n - 1) == 3
+    p._extend(10 ** 4)   # in place: the layer index must be rebuilt
+    assert p.n_vertices > n
+    assert all(p.layer_of(g) == 4 for g in p.layer_range(4))
+    assert p.loc(n) == (4, 0)
 
 
 def test_size_cap_enforced():
