@@ -9,6 +9,7 @@ a function explicitly deals in (layer, pos) pairs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import kernels
@@ -106,9 +107,6 @@ class Separation:
     @property
     def order(self):
         return len(self.A & self.B)
-
-    def restrict(self, X):
-        return Separation(self.A & X, self.B & X)
 
     def stats(self, X):
         AX, BX = self.A & X, self.B & X
@@ -345,30 +343,46 @@ def _forward_segment(prefix, a, b):
     return [start + (pa + d) % size for d in range(length)]
 
 
-def build_AB(prefix, P, Q):
+def build_AB(prefix, P, Q, X=None):
     """The separation (A(P,Q), B(P,Q)) over layers 1..m, where m is the
-    common truncation layer of the two paths."""
+    common truncation layer of the two paths, restricted to X.
+
+    X is a sorted vertex sequence (all vertices when None); members above
+    layer m lie on neither side.  Beyond the base segment's up-closure the
+    cost is O(|X|), not O(n): layers 1..i are one slice of X, and a vertex
+    of a later layer j lies on the forward segment p_j..q_j exactly when its
+    cyclic offset from p_j is at most that of q_j.
+    """
     if P.start_layer != Q.start_layer:
         raise ValueError("paths start in different layers (%d vs %d)"
                          % (P.start_layer, Q.start_layer))
     if P.truncation_layer != Q.truncation_layer:
         raise ValueError("paths end in different layers (%d vs %d)"
                          % (P.truncation_layer, Q.truncation_layer))
+    if X is None:
+        X = range(prefix.n_vertices)
     i = P.start_layer
     m = P.truncation_layer
-    A = set()
-    B = set()
+    closure = set()
     for u in _forward_segment(prefix, P.vertices[0], Q.vertices[0]):
-        A.add(u)
-        A.update(prefix.up[u])
-    for j in range(1, i + 1):
-        B.update(prefix.layer_range(j))
+        closure.add(u)
+        closure.update(prefix.up[u])
+    hi = bisect_left(X, prefix.offsets[i - 1] + prefix.layer_sizes[i - 1])
+    B = list(X[:hi])
+    A = [x for x in B if x in closure]
     for j in range(i + 1, m + 1):
+        size = prefix.layer_sizes[j - 1]
+        lo, hi = hi, bisect_left(X, prefix.offsets[j - 1] + size)
         pj = P.vertices[j - i]
         qj = Q.vertices[j - i]
-        fw = set(_forward_segment(prefix, pj, qj))
-        A.update(fw)
-        B.update({pj, qj} | (set(prefix.layer_range(j)) - fw))
+        span = (qj - pj) % size
+        for x in X[lo:hi]:
+            if (x - pj) % size <= span:
+                A.append(x)
+                if x == pj or x == qj:
+                    B.append(x)
+            else:
+                B.append(x)
     return Separation(frozenset(A), frozenset(B))
 
 
@@ -415,21 +429,24 @@ class FairSeparation:
     base_layer: int
 
 
-def fair_separation_initial(prefix, X, cache=None):
+def fair_separation_initial(prefix, X, cache=None, order=None):
     """A fair separation from the augmenting paths out of two fixed
-    non-adjacent first-layer vertices (positions 0 and 2)."""
+    non-adjacent first-layer vertices (positions 0 and 2), restricted to X.
+    ``order`` is X sorted, when the caller already has it."""
     if prefix.ell < 4:
         raise ValueError("ell >= 4 required")
     xset = X.vertices if isinstance(X, TargetSet) else X
     n = len(xset)
     cache = {} if cache is None else cache
+    if order is None:
+        order = sorted(xset)
     p = prefix.vid(1, 0)
     q = prefix.vid(1, 2)
     P = augmenting_path(prefix, p, X, cache)
     Q = augmenting_path(prefix, q, X, cache)
     for (first, second) in ((P, Q), (Q, P)):
-        sep = build_AB(prefix, first, second)
-        if 3 * len(sep.A & xset) >= n:
+        sep = build_AB(prefix, first, second, order)
+        if 3 * len(sep.A) >= n:
             return FairSeparation(sep, first, second, 1)
     raise ProgressError("neither orientation is fair; impossible for "
                         "disjoint paths")
@@ -482,15 +499,14 @@ def balanced_separation(prefix, X):
                                         True, True, 0)
 
     cache = {}
-    fair = fair_separation_initial(prefix, X, cache)
+    order = sorted(xset)
+    fair = fair_separation_initial(prefix, X, cache, order)
     P, Q, i = fair.P, fair.Q, fair.base_layer
     sep = fair.sep
     iterations = 0
     monitor = None
     while True:
-        AX = sep.A & xset
-        BX = sep.B & xset
-        if 3 * len(AX - BX) <= 2 * n:
+        if 3 * len(sep.A - sep.B) <= 2 * n:
             break
         iterations += 1
         p1 = P.vertices[1]
@@ -508,7 +524,7 @@ def balanced_separation(prefix, X):
         if not parented:
             P, Q = P.drop_first(), Q.drop_first()
             i += 1
-            sep = build_AB(prefix, P, Q)
+            sep = build_AB(prefix, P, Q, order)
             continue
         u = parented[0]
         v = prefix.parent[u]
@@ -519,16 +535,15 @@ def balanced_separation(prefix, X):
                          [first_aug] + tail.arc_augmenting)
         chosen = None
         for (first, second) in ((P, R), (R, Q)):
-            cand = build_AB(prefix, first, second)
-            if 3 * len(cand.A & xset) >= n:
+            cand = build_AB(prefix, first, second, order)
+            if 3 * len(cand.A) >= n:
                 chosen = (first, second, cand)
                 break
         if chosen is None:
             raise ProgressError("reroute produced no fair candidate")
         P, Q, sep = chosen
     aug_ok = P.tail_augmenting() and Q.tail_augmenting()
-    rsep = sep.restrict(frozenset(xset))
-    st = rsep.stats(frozenset(xset))
-    balanced = 3 * st["A_only"] <= 2 * n and 3 * st["B_only"] <= 2 * n
-    return BalancedSeparationResult(rsep, n, k, rsep.order, bound, aug_ok,
+    balanced = (3 * len(sep.A - sep.B) <= 2 * n
+                and 3 * len(sep.B - sep.A) <= 2 * n)
+    return BalancedSeparationResult(sep, n, k, sep.order, bound, aug_ok,
                                     balanced, iterations)

@@ -34,11 +34,15 @@ class TreeDecomposition:
     def validate(self, vertices, graph_edges):
         """The three decomposition axioms, checked structurally."""
         nodes = range(len(self.bags))
-        covered = set().union(*self.bags) if self.bags else set()
-        if not set(vertices) <= covered:
+        holds = {}                   # holds[v] = indices of the bags with v
+        for i, bag in enumerate(self.bags):
+            for v in bag:
+                holds.setdefault(v, set()).add(i)
+        if not all(v in holds for v in vertices):
             return False
+        empty = frozenset()
         for (u, v) in graph_edges:
-            if not any(u in b and v in b for b in self.bags):
+            if not holds.get(u, empty) & holds.get(v, empty):
                 return False
         # tree shape: connected and acyclic on the node set
         if len(self.edges) != len(self.bags) - 1:
@@ -58,20 +62,17 @@ class TreeDecomposition:
         if len(seen) != len(self.bags):
             return False
         # per-vertex bag sets induce subtrees
-        for v in set(vertices) | covered:
-            holds = {i for i in nodes if v in self.bags[i]}
-            if not holds:
-                continue
-            root = next(iter(holds))
+        for mine in holds.values():
+            root = next(iter(mine))
             reach = {root}
             stack = [root]
             while stack:
                 i = stack.pop()
                 for j in nbr[i]:
-                    if j in holds and j not in reach:
+                    if j in mine and j not in reach:
                         reach.add(j)
                         stack.append(j)
-            if reach != holds:
+            if reach != mine:
                 return False
         return True
 
@@ -177,7 +178,8 @@ def decomposition_from_separators(prefix, X):
     Each node's bag is its anchor (inherited boundary) plus the separator;
     recursion stops on cliques, parts of <= 5 vertices, or when a split
     makes no progress (single bag fallback).  Only validity is guaranteed;
-    the width is whatever the recursion achieves.
+    the width is whatever the recursion achieves.  A TargetSet X serves as
+    the root's target set as it is, so its clique number is not recomputed.
     """
     xset = frozenset(X.vertices if isinstance(X, structure.TargetSet) else X)
     if not xset:
@@ -197,12 +199,13 @@ def decomposition_from_separators(prefix, X):
             edges.append((parent, idx))
         return idx
 
-    def decompose(W, anchor, parent):
+    def decompose(W, anchor, parent, ts=None):
         if len(W) <= 5 or is_clique(W):
             add_bag(W, parent)
             return
-        ts = structure.TargetSet.from_globals(
-            prefix, W, budget=max(structure.CLIQUE_BUDGET, len(W)))
+        if ts is None:
+            ts = structure.TargetSet.from_globals(
+                prefix, W, budget=max(structure.CLIQUE_BUDGET, len(W)))
         try:
             res = structure.balanced_separation(prefix, ts)
         except structure.ProgressError:
@@ -218,7 +221,8 @@ def decomposition_from_separators(prefix, X):
         for side in sides:
             decompose(side | T, (anchor & side) | T, me)
 
-    decompose(xset, frozenset(), None)
+    decompose(xset, frozenset(), None,
+              X if isinstance(X, structure.TargetSet) else None)
     return TreeDecomposition(bags, edges)
 
 

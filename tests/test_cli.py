@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
+from layered_wheels import structure
 from layered_wheels.cli import main, to_dot, to_graph6
 
 
@@ -140,6 +142,43 @@ def test_separate_all_with_decomposition(tmp_path, capsys):
     assert rep["balanced"] and rep["verified"]
     assert rep["order"] <= 21
     assert rep["decomposition"]["valid"]
+
+
+# sha256 of the `separate --target all --emit-decomposition` report: a
+# faster separation or decomposition must not change a bag or a witness
+@pytest.mark.parametrize("ell, f, t, digest", [
+    (4, "cap:3", 6,
+     "81ed6279eadcf6b450e8d29c6686de68702caaf528ed6ec057184c04778f055b"),
+    (5, "identity", 4,
+     "354d5aad8d3600836c2af4babf897d669cd57d5e85ac884a4a14937735b521a9"),
+], ids=["n444", "n200"])
+def test_separate_report_bytes_pinned(tmp_path, capsys, ell, f, t, digest):
+    src = tmp_path / "p.json"
+    out = tmp_path / "sep.json"
+    run(capsys, "build", "--ell", str(ell), "--f", f, "--layers", str(t),
+        "--out", str(src))
+    code, _, _ = run(capsys, "separate", "--in", str(src), "--target", "all",
+                     "--emit-decomposition", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_separate_searches_root_clique_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "p.json"
+    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "4",
+        "--out", str(src))
+    searched = []
+    search = structure.induced_max_clique
+
+    def counted(prefix, X, *args, **kwargs):
+        searched.append(len(X))
+        return search(prefix, X, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "induced_max_clique", counted)
+    code, out, _ = run(capsys, "separate", "--in", str(src), "--target",
+                       "all", "--emit-decomposition")
+    assert code == 0 and json.loads(out)["decomposition"]["valid"]
+    assert searched.count(68) == 1
 
 
 def test_separate_small_target_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layered_wheels import build_prefix, parse_f_spec
 from layered_wheels import structure as S
@@ -157,6 +159,63 @@ def test_build_AB_is_verified_separation_with_exact_intersection(rng):
             assert sep.A | sep.B == frozenset(range(p.n_vertices))
             assert sep.A & sep.B == frozenset(
                 S.expected_intersection(p, P, Q))
+
+
+def reference_build_AB(prefix, P, Q):
+    """(A(P,Q), B(P,Q)) as sets over every vertex of layers 1..m."""
+    i = P.start_layer
+    A, B = set(), set()
+    for u in S._forward_segment(prefix, P.vertices[0], Q.vertices[0]):
+        A.add(u)
+        A.update(prefix.up[u])
+    for j in range(1, i + 1):
+        B.update(prefix.layer_range(j))
+    for j in range(i + 1, P.truncation_layer + 1):
+        pj, qj = P.vertices[j - i], Q.vertices[j - i]
+        fw = set(S._forward_segment(prefix, pj, qj))
+        A.update(fw)
+        B.update({pj, qj} | (set(prefix.layer_range(j)) - fw))
+    return A, B
+
+
+AB_INSTANCES = [(4, "cap:3", 4), (5, "identity", 4), (6, "cap:3", 3)]
+
+
+@lru_cache(maxsize=None)
+def ab_prefix(index):
+    ell, fs, t = AB_INSTANCES[index]
+    return build_prefix(ell, parse_f_spec(fs), t, size_cap=10 ** 4)
+
+
+@st.composite
+def ab_cases(draw):
+    """A prefix, two same-layer vertical paths and a target set X."""
+    p = ab_prefix(draw(st.integers(0, len(AB_INSTANCES) - 1)))
+    t = p.num_layers
+    layer = draw(st.integers(1, t))
+    size = p.layer_sizes[layer - 1]
+    a = draw(st.integers(0, size - 1))
+    b = (a + draw(st.integers(1, size - 1))) % size   # b < a wraps past 0
+    end = draw(st.integers(layer, t))                 # X may lie above it
+    rng = draw(st.randoms(use_true_random=False))
+    P = random_vertical_path(p, p.vid(layer, a), end, rng)
+    Q = random_vertical_path(p, p.vid(layer, b), end, rng)
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    empty_layers = draw(st.sets(st.integers(1, t)))
+    X = {v for v in range(p.n_vertices)
+         if p.layer_of(v) not in empty_layers and rng.random() < density}
+    return p, P, Q, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(ab_cases())
+def test_build_AB_restricted_matches_reference(case):
+    p, P, Q, X = case
+    A, B = reference_build_AB(p, P, Q)
+    full = S.build_AB(p, P, Q)
+    assert (full.A, full.B) == (A, B)
+    sep = S.build_AB(p, P, Q, sorted(X))
+    assert (sep.A, sep.B) == (A & X, B & X)
 
 
 def test_build_AB_rejects_mismatched_paths(prefix_68):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layered_wheels import build_prefix, parse_f_spec
 from layered_wheels import structure as S
@@ -105,6 +106,112 @@ def test_decomposition_validator_catches_violations(prefix_68):
         disconnected = W.TreeDecomposition(list(dec.bags),
                                            list(dec.edges)[:-1])
         assert not disconnected.validate(vertices, edges)
+
+
+def reference_validate(dec, vertices, graph_edges):
+    """The decomposition axioms by rescanning every bag, O(edges x bags)."""
+    nodes = range(len(dec.bags))
+    covered = set().union(*dec.bags) if dec.bags else set()
+    if not set(vertices) <= covered:
+        return False
+    for (u, v) in graph_edges:
+        if not any(u in b and v in b for b in dec.bags):
+            return False
+    if len(dec.edges) != len(dec.bags) - 1:
+        return False
+    nbr = {i: set() for i in nodes}
+    for (i, j) in dec.edges:
+        nbr[i].add(j)
+        nbr[j].add(i)
+    seen = {0} if dec.bags else set()
+    stack = [0] if dec.bags else []
+    while stack:
+        i = stack.pop()
+        for j in nbr[i]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    if len(seen) != len(dec.bags):
+        return False
+    for v in set(vertices) | covered:
+        holds = {i for i in nodes if v in dec.bags[i]}
+        if not holds:
+            continue
+        root = next(iter(holds))
+        reach = {root}
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in nbr[i]:
+                if j in holds and j not in reach:
+                    reach.add(j)
+                    stack.append(j)
+        if reach != holds:
+            return False
+    return True
+
+
+@st.composite
+def decompositions(draw):
+    """A valid decomposition (bags, tree) with graph edges inside bags."""
+    k = draw(st.integers(1, 8))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    nbr = {i: set() for i in range(k)}
+    for (i, j) in tree:
+        nbr[i].add(j)
+        nbr[j].add(i)
+    n = draw(st.integers(1, 10))
+    bags = [set() for _ in range(k)]
+    for v in range(n):
+        sub = {draw(st.integers(0, k - 1))}
+        for _ in range(draw(st.integers(0, k - 1))):
+            grow = sorted({j for i in sub for j in nbr[i]} - sub)
+            if not grow:
+                break
+            sub.add(draw(st.sampled_from(grow)))
+        for i in sub:
+            bags[i].add(v)
+    pairs = sorted({(u, v) for b in bags for u in b for v in b if u < v})
+    edges = [e for e in pairs if draw(st.booleans())]
+    return bags, tree, list(range(n)), edges
+
+
+MUTATIONS = ("none", "drop-vertex", "drop-tree-edge", "add-cycle-edge",
+             "rewire-tree-edge", "split-vertex", "uncovered-vertex")
+
+
+@settings(max_examples=400, deadline=None)
+@given(decompositions(), st.sampled_from(MUTATIONS), st.data())
+def test_validate_matches_reference(case, mutation, data):
+    bags, tree, vertices, edges = case
+    assert W.TreeDecomposition([frozenset(b) for b in bags],
+                               list(tree)).validate(vertices, edges)
+    k = len(bags)
+    pick = data.draw
+    non_tree = [(i, j) for i in range(k) for j in range(i + 1, k)
+                if (i, j) not in tree and (j, i) not in tree]
+    if mutation == "drop-vertex":
+        i = pick(st.sampled_from([i for i in range(k) if bags[i]]))
+        bags[i].discard(pick(st.sampled_from(sorted(bags[i]))))
+    elif mutation == "drop-tree-edge" and tree:
+        tree.remove(pick(st.sampled_from(tree)))
+    elif mutation == "add-cycle-edge" and non_tree:
+        tree.append(pick(st.sampled_from(non_tree)))
+    elif mutation == "rewire-tree-edge" and non_tree:
+        tree.remove(pick(st.sampled_from(tree)))
+        tree.append(pick(st.sampled_from(non_tree)))
+    elif mutation == "split-vertex" and non_tree:
+        v = pick(st.sampled_from(vertices))
+        for b in bags:
+            b.discard(v)
+        i, j = pick(st.sampled_from(non_tree))
+        bags[i].add(v)
+        bags[j].add(v)
+    elif mutation == "uncovered-vertex":
+        vertices = vertices + [len(vertices)]
+    dec = W.TreeDecomposition([frozenset(b) for b in bags], tree)
+    assert dec.validate(vertices, edges) == \
+        reference_validate(dec, vertices, edges)
 
 
 def test_sandwich_on_small_prefixes():
