@@ -12,7 +12,8 @@ import json
 import sys
 
 from . import structure, widths
-from .functions import SlowFunctionError, CumulativeFunctionError, parse_f_spec
+from .functions import (INF, SlowFunctionError, CumulativeFunctionError,
+                        parse_f_spec)
 from .wheel import (SizeCapError, WheelPrefix, build_prefix,
                     default_size_cap, verify_rules)
 
@@ -44,12 +45,21 @@ def to_graph6(n, edges):
 def to_dot(prefix):
     """DOT digraph with one rank per layer and directed arcs."""
     lines = ["digraph wheel {", "  rankdir=TB;", "  node [shape=circle];"]
-    for layer in range(1, prefix.num_layers + 1):
-        names = " ".join('"%d_%d"' % prefix.loc(g)
-                         for g in prefix.layer_range(layer))
-        lines.append("  { rank=same; %s }" % names)
-    for (u, v) in sorted(prefix.arcs()):
-        lines.append('  "%d_%d" -> "%d_%d";' % (prefix.loc(u) + prefix.loc(v)))
+    names = []
+    for layer, size in enumerate(prefix.layer_sizes, 1):
+        ranked = ['"%d_%d"' % (layer, pos) for pos in range(size)]
+        lines.append("  { rank=same; %s }" % " ".join(ranked))
+        names += ranked
+    heads = [[] for _ in names]
+    for v, ups in enumerate(prefix.up):
+        for w in ups:
+            heads[w].append(v)
+    # arcs in sorted (tail, head) order: the cycle successor of u lies in
+    # u's own layer and every upward head in a later one, so it comes first
+    for u, tail in enumerate(names):
+        lines.append("  %s -> %s;" % (tail, names[prefix.cycle_next(u)]))
+        for v in heads[u]:
+            lines.append("  %s -> %s;" % (tail, names[v]))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -139,24 +149,27 @@ def cmd_verify(args):
 def cmd_separate(args):
     prefix = _load_prefix(args.infile)
     if args.target == "all":
-        X = structure.TargetSet.full(prefix)
+        X = frozenset(range(prefix.n_vertices))
     else:
         with open(args.target) as fh:
             locs = json.load(fh)
-        X = structure.TargetSet.from_locs(
-            prefix, [tuple(v) for v in locs],
-            budget=max(structure.CLIQUE_BUDGET, prefix.n_vertices))
+        X = frozenset(prefix.vid(*v) for v in locs)
     res = structure.balanced_separation(prefix, X)
-    report = res.to_dict(loc=lambda g: list(prefix.loc(g)))
+    k = len(structure.induced_max_clique(prefix, X))
+    bound = structure.order_bound(prefix.ell, prefix.f, k)
+    report = res.sep.to_dict(loc=lambda g: list(prefix.loc(g)))
+    report.update(n=res.n, k=k,
+                  order_bound=bound if bound != INF else "inf",
+                  bound_applies=res.bound_applies, balanced=res.balanced,
+                  iterations=res.iterations)
     ok = res.balanced and structure.verify_separation_on_prefix(
-        prefix, res.sep, X.vertices)
+        prefix, res.sep, X)
     report["verified"] = ok
     if args.emit_decomposition:
         dec = widths.decomposition_from_separators(prefix, X)
         adj = prefix.adjacency()
-        edges = [(u, v) for u in X.vertices for v in adj[u]
-                 if v in X.vertices and u < v]
-        valid = dec.validate(X.vertices, edges)
+        edges = [(u, v) for u in X for v in adj[u] if v in X and u < v]
+        valid = dec.validate(X, edges)
         report["decomposition"] = dec.to_dict(
             loc=lambda g: list(prefix.loc(g)))
         report["decomposition"]["valid"] = valid
@@ -165,7 +178,7 @@ def cmd_separate(args):
         ok &= valid
     _write(args.out, json.dumps(report, indent=2) + "\n")
     print("n=%d k=%d order=%d bound=%s balanced=%s"
-          % (res.n, res.k, res.order, res.order_bound, res.balanced),
+          % (res.n, k, res.order, bound, res.balanced),
           file=sys.stderr)
     return 0 if ok else 1
 

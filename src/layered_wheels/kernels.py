@@ -1,9 +1,10 @@
 """Compute kernels: exact clique / independent set search, bounded
 chordless-cycle scan, and exact treewidth on tiny graphs.
 
-All kernels take ``(n, adj)`` where ``adj`` is a sequence of neighbor
-containers indexed by vertex.  They are plain Python; ``BACKEND`` names
-the implementation for run records.
+All kernels take ``(n, adj)`` where ``adj`` is a sequence indexed by
+vertex and ``adj[v]`` is the set of v's neighbours; they read it as it is
+and make no copy.  They are plain Python; ``BACKEND`` names the
+implementation for run records.
 """
 
 from __future__ import annotations
@@ -103,21 +104,20 @@ def max_clique(n, adj):
     """
     if n == 0:
         return []
-    adjsets = [set(a) for a in adj]
     order, _ = _degeneracy_order(n, adj)
     rank = [0] * n
     for i, v in enumerate(order):
         rank[v] = i
     best = [order[0]]
     for v in order:
-        cand = [u for u in adjsets[v] if rank[u] > rank[v]]
+        cand = [u for u in adj[v] if rank[u] > rank[v]]
         if len(cand) + 1 <= len(best):
             continue
         local = {u: i for i, u in enumerate(cand)}
         masks = [0] * len(cand)
         for u in cand:
             m = 0
-            for w in adjsets[u]:
+            for w in adj[u]:
                 if w in local:
                     m |= 1 << local[w]
             masks[local[u]] = m
@@ -151,7 +151,6 @@ def shortest_hole(n, adj, bound):
     """
     if bound < 4:
         return None
-    adjsets = [set(a) for a in adj]
     best = None
 
     for s in range(n):
@@ -159,7 +158,7 @@ def shortest_hole(n, adj, bound):
         if limit < 4:
             break
         # path[0] == s is the minimum vertex of any cycle reported here
-        stack = [(s, iter(sorted(adjsets[s])))]
+        stack = [(s, iter(sorted(adj[s])))]
         path = [s]
         on_path = {s}
         while stack:
@@ -168,7 +167,7 @@ def shortest_hole(n, adj, bound):
             for w in it:
                 if w <= s or w in on_path:
                     continue
-                nb = adjsets[w]
+                nb = adj[w]
                 if len(path) == 1:
                     # first edge of the path; nothing to close or chord yet
                     path.append(w)

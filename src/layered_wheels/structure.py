@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 from . import kernels
 
-CLIQUE_BUDGET = 5_000
-INDEP_BUDGET = 200
-
 
 class BudgetExceeded(RuntimeError):
-    pass
+    """Raised by nothing: the exact searches have no size budget.  The
+    command benchmark's tracer (perfbench/spans.py) still counts this class
+    as a budget refusal when it leaves a traced span, so it stays."""
 
 
 class ProgressError(RuntimeError):
@@ -43,35 +42,6 @@ class Certificate:
             "bound": None if self.bound is None
                      else (self.bound if self.bound != math.inf else "inf"),
         }
-
-
-@dataclass(frozen=True)
-class TargetSet:
-    """A finite target set X with its size and exact clique number."""
-
-    vertices: frozenset
-    n: int
-    k: int
-
-    @classmethod
-    def from_globals(cls, prefix, it, budget=CLIQUE_BUDGET):
-        vs = frozenset(it)
-        if vs:
-            k = len(induced_max_clique(prefix, vs, budget=budget))
-        else:
-            k = 0
-        return cls(vs, len(vs), k)
-
-    @classmethod
-    def full(cls, prefix, budget=None):
-        return cls.from_globals(prefix, range(prefix.n_vertices),
-                                budget=budget or max(CLIQUE_BUDGET,
-                                                     prefix.n_vertices))
-
-    @classmethod
-    def from_locs(cls, prefix, locs, budget=CLIQUE_BUDGET):
-        return cls.from_globals(prefix, (prefix.vid(*v) for v in locs),
-                                budget=budget)
 
 
 @dataclass
@@ -134,24 +104,20 @@ def induced_adjacency(prefix, X):
     order = sorted(X)
     index = {g: i for i, g in enumerate(order)}
     adj = prefix.adjacency()
-    local = [[index[u] for u in adj[g] if u in index] for g in order]
+    local = [{index[u] for u in adj[g] if u in index} for g in order]
     return order, local
 
 
-def induced_max_clique(prefix, X, budget=CLIQUE_BUDGET):
-    if len(X) > budget:
-        raise BudgetExceeded(
-            "clique search refused: %d vertices > budget %d" % (len(X), budget))
+def induced_max_clique(prefix, X):
     order, local = induced_adjacency(prefix, X)
     return [order[i] for i in kernels.max_clique(len(order), local)]
 
 
-def clique_number_exact(prefix, X=None, budget=None):
+def clique_number_exact(prefix, X=None):
     """Exact clique number with a maximum clique witness certificate."""
     if X is None:
         X = frozenset(range(prefix.n_vertices))
-    budget = budget or max(CLIQUE_BUDGET, prefix.n_vertices)
-    clique = induced_max_clique(prefix, X, budget=budget)
+    clique = induced_max_clique(prefix, X)
     adj = prefix.adjacency()
     ok = all(v in adj[u] for i, u in enumerate(clique) for v in clique[i + 1:])
     cert = Certificate(
@@ -163,12 +129,8 @@ def clique_number_exact(prefix, X=None, budget=None):
     return len(clique), cert
 
 
-def max_independent_set_exact(prefix, X, budget=INDEP_BUDGET):
+def max_independent_set_exact(prefix, X):
     """Exact independence number of G[X] with a witness."""
-    if len(X) > budget:
-        raise BudgetExceeded(
-            "independent-set search refused: %d vertices > budget %d"
-            % (len(X), budget))
     order, local = induced_adjacency(prefix, X)
     mis = [order[i] for i in kernels.max_independent_set(len(order), local)]
     adj = prefix.adjacency()
@@ -283,10 +245,9 @@ def augmenting_child(prefix, v, X):
     kids = prefix.children(v)
     if not kids:
         raise ValueError("vertex %s has no children" % (prefix.loc(v),))
-    xset = X.vertices if isinstance(X, TargetSet) else X
-    want = ({v} | set(prefix.up[v])) & xset
+    want = ({v} | set(prefix.up[v])) & X
     for u in kids:
-        if set(prefix.up[u]) & xset == want:
+        if set(prefix.up[u]) & X == want:
             return u, True
     return kids[0], False
 
@@ -294,9 +255,8 @@ def augmenting_child(prefix, v, X):
 def augmenting_path(prefix, v, X, chooser_cache=None):
     """The augmenting path out of v, truncated at the highest layer that
     meets X (and at the top of the prefix)."""
-    xset = X.vertices if isinstance(X, TargetSet) else X
     t_max = min(prefix.num_layers,
-                max((prefix.layer_of(g) for g in xset),
+                max((prefix.layer_of(g) for g in X),
                     default=prefix.layer_of(v)))
     return _chain(prefix, v, X, t_max, chooser_cache)
 
@@ -435,11 +395,10 @@ def fair_separation_initial(prefix, X, cache=None, order=None):
     ``order`` is X sorted, when the caller already has it."""
     if prefix.ell < 4:
         raise ValueError("ell >= 4 required")
-    xset = X.vertices if isinstance(X, TargetSet) else X
-    n = len(xset)
+    n = len(X)
     cache = {} if cache is None else cache
     if order is None:
-        order = sorted(xset)
+        order = sorted(X)
     p = prefix.vid(1, 0)
     q = prefix.vid(1, 2)
     P = augmenting_path(prefix, p, X, cache)
@@ -452,25 +411,23 @@ def fair_separation_initial(prefix, X, cache=None, order=None):
                         "disjoint paths")
 
 
+def order_bound(ell, f, k):
+    """The separation-order bound 2F(k+1) + (ell+1)k - 2 for a target set
+    with clique number k; infinite when F(k+1) is."""
+    F1 = f.cumulative()(k + 1)
+    if F1 == math.inf:
+        return math.inf
+    return 2 * F1 + (ell + 1) * k - 2
+
+
 @dataclass
 class BalancedSeparationResult:
     sep: Separation          # restricted to X
     n: int
-    k: int
     order: int
-    order_bound: float       # 2F(k+1) + (ell+1)k - 2, possibly inf
     bound_applies: bool      # both maintained tails fully augmenting
     balanced: bool
     iterations: int
-
-    def to_dict(self, loc=None):
-        d = self.sep.to_dict(loc)
-        d.update(n=self.n, k=self.k, order=self.order,
-                 order_bound=(self.order_bound if self.order_bound != math.inf
-                              else "inf"),
-                 bound_applies=self.bound_applies, balanced=self.balanced,
-                 iterations=self.iterations)
-        return d
 
 
 def balanced_separation(prefix, X):
@@ -478,28 +435,20 @@ def balanced_separation(prefix, X):
     keep a fair separation, and while the A-side is too big either drop the
     base layer or reroute through a parented interior vertex.
 
-    The order bound 2F(k+1) + (ell+1)k - 2 is recorded; it is guaranteed
-    (and asserted by callers) only when both maintained path tails are
-    fully augmenting.
+    The order is within ``order_bound(ell, f, omega(G[X]))`` when both
+    maintained path tails are fully augmenting (``bound_applies``); callers
+    that check the bound compute the clique number themselves.
     """
-    xset = X.vertices if isinstance(X, TargetSet) else X
-    if not xset:
+    if not X:
         raise ValueError("target set is empty")
-    n = len(xset)
-    k = X.k if isinstance(X, TargetSet) else \
-        len(induced_max_clique(prefix, xset,
-                               budget=max(CLIQUE_BUDGET, len(xset))))
-    F = prefix.f.cumulative()
-    bound = 2 * F(k + 1) + (prefix.ell + 1) * k - 2 \
-        if F(k + 1) != math.inf else math.inf
+    n = len(X)
 
     if n <= 5:
-        sep = Separation(frozenset(xset), frozenset(xset))
-        return BalancedSeparationResult(sep, n, k, sep.order, bound,
-                                        True, True, 0)
+        sep = Separation(frozenset(X), frozenset(X))
+        return BalancedSeparationResult(sep, n, sep.order, True, True, 0)
 
     cache = {}
-    order = sorted(xset)
+    order = sorted(X)
     fair = fair_separation_initial(prefix, X, cache, order)
     P, Q, i = fair.P, fair.Q, fair.base_layer
     sep = fair.sep
@@ -529,8 +478,8 @@ def balanced_separation(prefix, X):
         u = parented[0]
         v = prefix.parent[u]
         tail = _chain(prefix, u, X, P.truncation_layer, cache)
-        first_aug = (set(prefix.up[u]) & xset) == \
-                    (({v} | set(prefix.up[v])) & xset)
+        first_aug = (set(prefix.up[u]) & X) == \
+                    (({v} | set(prefix.up[v])) & X)
         R = VerticalPath(i, [v] + tail.vertices,
                          [first_aug] + tail.arc_augmenting)
         chosen = None
@@ -545,5 +494,5 @@ def balanced_separation(prefix, X):
     aug_ok = P.tail_augmenting() and Q.tail_augmenting()
     balanced = (3 * len(sep.A - sep.B) <= 2 * n
                 and 3 * len(sep.B - sep.A) <= 2 * n)
-    return BalancedSeparationResult(sep, n, k, sep.order, bound, aug_ok,
-                                    balanced, iterations)
+    return BalancedSeparationResult(sep, n, sep.order, aug_ok, balanced,
+                                    iterations)

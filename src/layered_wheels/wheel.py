@@ -125,12 +125,6 @@ class WheelPrefix:
         size = self.layer_sizes[layer - 1]
         return start + (g - start + 1) % size
 
-    def cycle_prev(self, g):
-        layer = self.layer_of(g)
-        start = self.offsets[layer - 1]
-        size = self.layer_sizes[layer - 1]
-        return start + (g - start - 1) % size
-
     def children(self, g):
         """Descendants of g in the next layer that are adjacent to g."""
         if self.span[g] is None:

@@ -131,10 +131,7 @@ def tw_upper_bound_formula(ell, f, omega):
     """
     if omega < 1:
         raise ValueError("omega must be >= 1, got %d" % omega)
-    F1 = f.cumulative()(omega + 1)
-    if F1 == INF:
-        return INF
-    return SEPARATOR_CONSTANT * (2 * F1 + (ell + 1) * omega - 2)
+    return SEPARATOR_CONSTANT * structure.order_bound(ell, f, omega)
 
 
 def tw_lower_bound_minor(prefix):
@@ -151,7 +148,7 @@ def tw_lower_bound_minor(prefix):
     for key in cert.data["edges"]:
         i, j = map(int, key.split(","))
         linked[i][j] = linked[j][i] = True
-    adj = [[j - 1 for j in range(1, t + 1) if linked[i][j]]
+    adj = [{j - 1 for j in range(1, t + 1) if linked[i][j]}
            for i in range(1, t + 1)]
     best = kernels.max_clique(t, adj)
     sub = structure.Certificate(
@@ -178,10 +175,9 @@ def decomposition_from_separators(prefix, X):
     Each node's bag is its anchor (inherited boundary) plus the separator;
     recursion stops on cliques, parts of <= 5 vertices, or when a split
     makes no progress (single bag fallback).  Only validity is guaranteed;
-    the width is whatever the recursion achieves.  A TargetSet X serves as
-    the root's target set as it is, so its clique number is not recomputed.
+    the width is whatever the recursion achieves.
     """
-    xset = frozenset(X.vertices if isinstance(X, structure.TargetSet) else X)
+    xset = frozenset(X)
     if not xset:
         raise ValueError("target set is empty")
     adj = prefix.adjacency()
@@ -199,15 +195,12 @@ def decomposition_from_separators(prefix, X):
             edges.append((parent, idx))
         return idx
 
-    def decompose(W, anchor, parent, ts=None):
+    def decompose(W, anchor, parent):
         if len(W) <= 5 or is_clique(W):
             add_bag(W, parent)
             return
-        if ts is None:
-            ts = structure.TargetSet.from_globals(
-                prefix, W, budget=max(structure.CLIQUE_BUDGET, len(W)))
         try:
-            res = structure.balanced_separation(prefix, ts)
+            res = structure.balanced_separation(prefix, W)
         except structure.ProgressError:
             add_bag(W, parent)
             return
@@ -221,18 +214,18 @@ def decomposition_from_separators(prefix, X):
         for side in sides:
             decompose(side | T, (anchor & side) | T, me)
 
-    decompose(xset, frozenset(), None,
-              X if isinstance(X, structure.TargetSet) else None)
+    decompose(xset, frozenset(), None)
+    # decompose refers to itself through its closure; breaking that cycle
+    # frees the prefix on return instead of at the next cyclic collection
+    del decompose
     return TreeDecomposition(bags, edges)
 
 
-def independent_width(prefix, decomposition, budget=None):
+def independent_width(prefix, decomposition):
     """max over bags of the exact independence number."""
-    budget = budget or max(structure.INDEP_BUDGET,
-                           max(len(b) for b in decomposition.bags))
     best = 0
     for bag in decomposition.bags:
-        a, _ = structure.max_independent_set_exact(prefix, bag, budget=budget)
+        a, _ = structure.max_independent_set_exact(prefix, bag)
         best = max(best, a)
     return best
 
@@ -418,8 +411,7 @@ def _sample_clique_bounded(prefix, rng, max_omega):
         if len(nb) < max_omega - 1:
             chosen.add(v)
             continue
-        local = structure.induced_max_clique(prefix, nb,
-                                             budget=len(nb) + 1)
+        local = structure.induced_max_clique(prefix, nb)
         if len(local) <= max_omega - 1:
             chosen.add(v)
     return chosen
@@ -452,13 +444,13 @@ def demo_hajebi(c, ell, t, samples, size_cap, seed=0):
             rows.append({"sample": s, "size": 0, "k": 0, "order": 0,
                          "bound": 0, "status": "ok"})
             continue
-        X = structure.TargetSet.from_globals(
-            prefix, chosen, budget=max(structure.CLIQUE_BUDGET, len(chosen)))
-        res = structure.balanced_separation(prefix, X)
-        within = res.order <= res.order_bound
+        k = len(structure.induced_max_clique(prefix, chosen))
+        bound = structure.order_bound(ell, f, k)
+        res = structure.balanced_separation(prefix, chosen)
+        within = res.order <= bound
         rows.append({
-            "sample": s, "size": X.n, "k": X.k, "order": res.order,
-            "bound": res.order_bound, "balanced": res.balanced,
+            "sample": s, "size": res.n, "k": k, "order": res.order,
+            "bound": bound, "balanced": res.balanced,
             "status": "ok" if (within and res.balanced) else "FAIL",
         })
         ok = ok and within and res.balanced

@@ -115,19 +115,20 @@ def test_criterion_06_balanced_separations():
     for (ell, fs, t) in [(4, "cap:3", 4), (5, "identity", 4),
                          (6, "cap:3", 3)]:
         p = build_prefix(ell, parse_f_spec(fs), t, size_cap=10 ** 4)
-        targets = [S.TargetSet.full(p)]
+        targets = [frozenset(range(p.n_vertices))]
         for _ in range(50):
             xs = rng.sample(range(p.n_vertices), max(6, p.n_vertices // 4))
-            targets.append(S.TargetSet.from_globals(p, xs, budget=10 ** 4))
+            targets.append(frozenset(xs))
         for X in targets:
             res = S.balanced_separation(p, X)   # progress monitor inside
-            st = res.sep.stats(X.vertices)
-            good = (3 * st["A_only"] <= 2 * X.n
-                    and 3 * st["B_only"] <= 2 * X.n
-                    and S.verify_separation_on_prefix(p, res.sep,
-                                                      X.vertices))
-            if res.bound_applies and res.order_bound != INF:
-                good &= res.order <= res.order_bound
+            k = len(S.induced_max_clique(p, X))  # exact clique number
+            bound = S.order_bound(p.ell, p.f, k)
+            st = res.sep.stats(X)
+            good = (3 * st["A_only"] <= 2 * len(X)
+                    and 3 * st["B_only"] <= 2 * len(X)
+                    and S.verify_separation_on_prefix(p, res.sep, X))
+            if res.bound_applies and bound != INF:
+                good &= res.order <= bound
             ok &= good
             runs += 1
     dt = time.time() - t0

@@ -178,7 +178,19 @@ def test_separate_searches_root_clique_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "separate", "--in", str(src), "--target",
                        "all", "--emit-decomposition")
     assert code == 0 and json.loads(out)["decomposition"]["valid"]
-    assert searched.count(68) == 1
+    assert searched == [68]
+
+
+def test_demo_hajebi_report_bytes_pinned(tmp_path, capsys):
+    # each row carries the sample's clique number k and its order bound;
+    # --size-cap repeats the default so that LWHEEL_SIZE_CAP cannot change it
+    out = tmp_path / "hajebi.json"
+    code, _, _ = run(capsys, "demo", "hajebi", "--c", "3", "--ell", "5",
+                     "--t", "5", "--samples", "20", "--size-cap", "200000",
+                     "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "00d49c70b41a62262062058b97b61e425332d5268a80421cafcbf9f0ebe803e7"
 
 
 def test_separate_small_target_file(tmp_path, capsys):

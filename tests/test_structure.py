@@ -84,13 +84,6 @@ def test_transversal_rejects_two_per_layer(prefix_68):
             prefix_68, {prefix_68.vid(1, 0), prefix_68.vid(1, 1)})
 
 
-def test_budgets_refuse_large_inputs(prefix_68):
-    with pytest.raises(S.BudgetExceeded):
-        S.induced_max_clique(prefix_68, range(68), budget=10)
-    with pytest.raises(S.BudgetExceeded):
-        S.max_independent_set_exact(prefix_68, range(68), budget=10)
-
-
 # -- vertical and augmenting paths ----------------------------------------
 
 def test_vertical_paths_with_distinct_starts_are_disjoint(rng):
@@ -133,13 +126,13 @@ def test_augmenting_path_vertex_count_bound(rng):
     F = p.f.cumulative()
     for _ in range(15):
         xs = frozenset(rng.sample(range(p.n_vertices), 50))
-        X = S.TargetSet.from_globals(p, xs, budget=10 ** 4)
-        if F(X.k + 1) == INF:
+        k = len(S.induced_max_clique(p, xs))
+        if F(k + 1) == INF:
             continue
-        path = S.augmenting_path(p, p.vid(1, 0), X)
+        path = S.augmenting_path(p, p.vid(1, 0), xs)
         if not path.tail_augmenting():
             continue
-        assert len(set(path.vertices) & xs) <= F(X.k + 1) + X.k - 1
+        assert len(set(path.vertices) & xs) <= F(k + 1) + k - 1
 
 
 # -- separations ----------------------------------------------------------
@@ -237,34 +230,36 @@ def test_verify_separation_detects_crossing_edge():
 
 
 def test_fair_initial_separation(prefix_68):
-    X = S.TargetSet.full(prefix_68)
+    X = frozenset(range(prefix_68.n_vertices))
     fair = S.fair_separation_initial(prefix_68, X)
-    assert 3 * len(fair.sep.A & X.vertices) >= X.n
+    assert 3 * len(fair.sep.A & X) >= len(X)
     assert fair.P.vertices[0] != fair.Q.vertices[0]
 
 
 def test_balanced_separation_full_and_random(prefixes_2000, rng):
     sample = [p for p in prefixes_2000 if p.num_layers >= 2][::3]
     for p in sample:
-        targets = [S.TargetSet.full(p)]
+        targets = [frozenset(range(p.n_vertices))]
         for _ in range(5):
             xs = rng.sample(range(p.n_vertices),
                             max(6, p.n_vertices // 4))
-            targets.append(S.TargetSet.from_globals(p, xs, budget=10 ** 4))
+            targets.append(frozenset(xs))
         for X in targets:
             res = S.balanced_separation(p, X)
-            st = res.sep.stats(X.vertices)
-            assert 3 * st["A_only"] <= 2 * X.n
-            assert 3 * st["B_only"] <= 2 * X.n
-            assert S.verify_separation_on_prefix(p, res.sep, X.vertices)
-            if res.bound_applies and res.order_bound != INF:
-                assert res.order <= res.order_bound
+            bound = S.order_bound(p.ell, p.f,
+                                  len(S.induced_max_clique(p, X)))
+            st = res.sep.stats(X)
+            assert 3 * st["A_only"] <= 2 * len(X)
+            assert 3 * st["B_only"] <= 2 * len(X)
+            assert S.verify_separation_on_prefix(p, res.sep, X)
+            if res.bound_applies and bound != INF:
+                assert res.order <= bound
 
 
 def test_balanced_separation_trivial_small_set(prefix_68):
-    X = S.TargetSet.from_locs(prefix_68, [(1, 0), (1, 1), (2, 0)])
+    X = frozenset(prefix_68.vid(*v) for v in [(1, 0), (1, 1), (2, 0)])
     res = S.balanced_separation(prefix_68, X)
-    assert res.sep.A == res.sep.B == X.vertices
+    assert res.sep.A == res.sep.B == X
 
 
 def test_balanced_separation_lopsided_target_iterates():
@@ -277,12 +272,12 @@ def test_balanced_separation_lopsided_target_iterates():
                 s, c = p.span[g]
                 nxt.update(range(s, s + c))
         desc |= nxt
-    X = S.TargetSet.from_globals(p, desc, budget=10 ** 4)
-    res = S.balanced_separation(p, X)
+    res = S.balanced_separation(p, desc)
     assert res.iterations > 0
     assert res.balanced
     if res.bound_applies:
-        assert res.order <= res.order_bound
+        assert res.order <= S.order_bound(
+            p.ell, p.f, len(S.induced_max_clique(p, desc)))
 
 
 def test_balanced_separation_rejects_empty(prefix_68):

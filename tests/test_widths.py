@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,15 +89,27 @@ def test_decomposition_single_bag_cases(prefix_68):
     assert len(dec2.bags) == 1
 
 
+def test_decomposition_frees_prefix_without_cyclic_gc():
+    p = build_prefix(4, parse_f_spec("cap:3"), 4)
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        W.decomposition_from_separators(p, range(p.n_vertices))
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_decomposition_valid_on_68(prefix_68):
-    X = S.TargetSet.full(prefix_68)
+    X = range(prefix_68.n_vertices)
     dec = W.decomposition_from_separators(prefix_68, X)
     assert dec.validate(range(prefix_68.n_vertices), prefix_68.edges())
     assert dec.width >= 3   # >= t-1 by the minor bound
 
 
 def test_decomposition_validator_catches_violations(prefix_68):
-    X = S.TargetSet.full(prefix_68)
+    X = range(prefix_68.n_vertices)
     dec = W.decomposition_from_separators(prefix_68, X)
     edges = prefix_68.edges()
     vertices = range(prefix_68.n_vertices)
@@ -221,7 +235,7 @@ def test_sandwich_on_small_prefixes():
             continue
         lo, _ = W.tw_lower_bound_minor(p)
         exact = W.exact_treewidth_small(p)
-        dec = W.decomposition_from_separators(p, S.TargetSet.full(p))
+        dec = W.decomposition_from_separators(p, range(p.n_vertices))
         assert dec.validate(range(p.n_vertices), p.edges())
         assert lo <= exact <= dec.width
 
@@ -234,7 +248,7 @@ def test_independent_width_examples(prefix_68):
     stable = frozenset(prefix_68.vid(1, i) for i in (0, 2))
     sdec = W.TreeDecomposition([stable])
     assert W.independent_width(prefix_68, sdec) == 2
-    X = S.TargetSet.full(prefix_68)
+    X = range(prefix_68.n_vertices)
     dec = W.decomposition_from_separators(prefix_68, X)
     assert W.independent_width(prefix_68, dec) <= dec.width + 1
 
@@ -249,7 +263,7 @@ def test_ta_lower_bound(prefix_68):
 def test_ta_consistency_with_decomposition(prefix_68):
     ta, _ = W.ta_lower_bound_certified(prefix_68)
     dec = W.decomposition_from_separators(prefix_68,
-                                          S.TargetSet.full(prefix_68))
+                                          range(prefix_68.n_vertices))
     assert W.independent_width(prefix_68, dec) >= ta
 
 
