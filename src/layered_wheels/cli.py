@@ -1,8 +1,10 @@
 """Command-line surface: build prefixes, verify them, run separations and
 the counterexample demos, with JSON / DOT / graph6 export.
 
-Exit codes: 0 when every selected check passes, 1 on a failed certificate
-or runtime error, 2 on bad usage.
+Exit codes: 0 when every selected check passes; 1 on a failed check or on
+an input or runtime error (a malformed, missing or unreadable file, a bad
+slow-function spec, the size cap); 2 on a command-line usage error, which
+argparse reports by raising SystemExit(2) from ``main``.
 """
 
 from __future__ import annotations

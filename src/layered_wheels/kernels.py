@@ -3,7 +3,9 @@ chordless-cycle scan, and exact treewidth on tiny graphs.
 
 All kernels take ``(n, adj)`` where ``adj`` is a sequence indexed by
 vertex and ``adj[v]`` is the set of v's neighbours; they read it as it is
-and make no copy.  They are plain Python; ``BACKEND`` names the
+and make no copy.  ``clique_size_within`` takes ``(adj, S, cap)`` instead,
+so that a small vertex set of a large graph is searched without
+re-indexing.  They are plain Python; ``BACKEND`` names the
 implementation for run records.
 """
 
@@ -125,6 +127,37 @@ def max_clique(n, adj):
         if len(sub) + 1 > len(best):
             best = [v] + [cand[i] for i in sub]
     return sorted(best)
+
+
+def clique_size_within(adj, S, cap=None):
+    """min(cap, size of a largest clique of G[S]), with adjacency read from
+    ``adj`` as it is (no re-indexing, no witness); ``cap=None`` is no cap.
+
+    Branch and bound on candidate sets, pruned by |clique| + |candidates|;
+    it stops as soon as a clique of size cap is found.  Meant for small S.
+    """
+    limit = len(S) if cap is None else min(cap, len(S))
+    best = 0
+
+    def expand(size, cand):
+        # size < limit on entry; True once a clique of size limit is found
+        nonlocal best
+        while cand and size + len(cand) > best:
+            v = cand.pop()
+            if size + 1 == limit:
+                best = limit
+                return True
+            nxt = cand & adj[v]
+            if nxt:
+                if expand(size + 1, nxt):
+                    return True
+            elif size + 1 > best:
+                best = size + 1
+        return False
+
+    if limit > 0:
+        expand(0, set(S))
+    return best
 
 
 def max_independent_set(n, adj):

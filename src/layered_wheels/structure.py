@@ -78,16 +78,6 @@ class Separation:
     def order(self):
         return len(self.A & self.B)
 
-    def stats(self, X):
-        AX, BX = self.A & X, self.B & X
-        return {
-            "A_cap_X": len(AX),
-            "B_cap_X": len(BX),
-            "A_only": len(AX - BX),
-            "B_only": len(BX - AX),
-            "order": len(AX & BX),
-        }
-
     def to_dict(self, loc=None):
         conv = loc if loc is not None else (lambda g: g)
         return {
@@ -255,9 +245,8 @@ def augmenting_child(prefix, v, X):
 def augmenting_path(prefix, v, X, chooser_cache=None):
     """The augmenting path out of v, truncated at the highest layer that
     meets X (and at the top of the prefix)."""
-    t_max = min(prefix.num_layers,
-                max((prefix.layer_of(g) for g in X),
-                    default=prefix.layer_of(v)))
+    # global ids run layer by layer, so the largest id has the top layer
+    t_max = min(prefix.num_layers, prefix.layer_of(max(X) if X else v))
     return _chain(prefix, v, X, t_max, chooser_cache)
 
 

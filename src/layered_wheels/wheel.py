@@ -50,17 +50,6 @@ def _field_error(where, field, exc):
     return ValueError("%s field %r: %s" % (where, field, exc))
 
 
-@dataclass
-class VertexRecord:
-    """Read-only view of one vertex, addressed by (layer, position)."""
-
-    id: tuple
-    parent: tuple | None
-    up_neighbors: list
-    children_span: tuple | None   # (start position in layer+1, count)
-    n_children: int
-
-
 class WheelPrefix:
     """Layers L_1..L_t of a layered wheel for a slow function f and ell >= 4.
 
@@ -131,18 +120,6 @@ class WheelPrefix:
             return []
         start, count = self.span[g]
         return [u for u in range(start, start + count) if self.parent[u] == g]
-
-    def record(self, v):
-        """VertexRecord for a (layer, pos) pair."""
-        g = self.vid(*v)
-        sp = self.span[g]
-        return VertexRecord(
-            id=v,
-            parent=self.loc(self.parent[g]) if self.parent[g] >= 0 else None,
-            up_neighbors=[self.loc(w) for w in self.up[g]],
-            children_span=(self.loc(sp[0])[1], sp[1]) if sp else None,
-            n_children=sp[1] if sp else 0,
-        )
 
     # -- graph views ------------------------------------------------------
 

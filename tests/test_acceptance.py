@@ -123,9 +123,9 @@ def test_criterion_06_balanced_separations():
             res = S.balanced_separation(p, X)   # progress monitor inside
             k = len(S.induced_max_clique(p, X))  # exact clique number
             bound = S.order_bound(p.ell, p.f, k)
-            st = res.sep.stats(X)
-            good = (3 * st["A_only"] <= 2 * len(X)
-                    and 3 * st["B_only"] <= 2 * len(X)
+            A, B = res.sep.A, res.sep.B
+            good = (3 * len((A - B) & X) <= 2 * len(X)
+                    and 3 * len((B - A) & X) <= 2 * len(X)
                     and S.verify_separation_on_prefix(p, res.sep, X))
             if res.bound_applies and bound != INF:
                 good &= res.order <= bound

@@ -131,6 +131,16 @@ def test_verify_malformed_json_is_an_error(tmp_path, capsys, mutate, field):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and field in err
 
+def test_exit_codes(tmp_path, capsys):
+    # 2: argparse usage error; 1: input or runtime error
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--ell", "4", "--f", "cap:3"])
+    assert exc.value.code == 2
+    assert "--layers" in capsys.readouterr().err
+    code, out, err = run(capsys, "verify", "--in", str(tmp_path / "no.json"))
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_separate_all_with_decomposition(tmp_path, capsys):
     f = tmp_path / "p.json"
     run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "4",

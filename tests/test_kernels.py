@@ -179,6 +179,21 @@ def test_max_clique_witness_pinned():
         n, adj)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_clique_size_within_matches_max_clique(data):
+    adj = data.draw(graphs())
+    n = len(adj)
+    S = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    cap = data.draw(st.none() | st.integers(0, n + 1))
+    order = sorted(S)
+    index = {g: i for i, g in enumerate(order)}
+    sub = [[index[u] for u in adj[g] if u in index] for g in order]
+    omega = len(kernels.max_clique(len(order), sub))
+    got = kernels.clique_size_within([set(a) for a in adj], S, cap)
+    assert got == (omega if cap is None else min(cap, omega))
+
+
 def test_clique_against_brute_force():
     rng = random.Random(3)
     for _ in range(40):

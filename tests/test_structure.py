@@ -135,6 +135,20 @@ def test_augmenting_path_vertex_count_bound(rng):
         assert len(set(path.vertices) & xs) <= F(k + 1) + k - 1
 
 
+def test_augmenting_path_top_layer_matches_layer_scan(rng):
+    # the truncation layer is the top layer that meets X, found by scanning
+    # every vertex of X, and the start vertex's layer when X is empty
+    p = build_prefix(4, parse_f_spec("cap:3"), 6, size_cap=10 ** 4)
+    for _ in range(40):
+        xs = frozenset(rng.sample(range(p.n_vertices),
+                                  rng.randint(0, p.n_vertices)))
+        v = rng.choice(range(p.offsets[-1]))
+        top = max((p.layer_of(g) for g in xs), default=p.layer_of(v))
+        path = S.augmenting_path(p, v, xs)
+        assert path.truncation_layer == max(p.layer_of(v),
+                                            min(p.num_layers, top))
+
+
 # -- separations ----------------------------------------------------------
 
 def test_build_AB_is_verified_separation_with_exact_intersection(rng):
@@ -248,9 +262,9 @@ def test_balanced_separation_full_and_random(prefixes_2000, rng):
             res = S.balanced_separation(p, X)
             bound = S.order_bound(p.ell, p.f,
                                   len(S.induced_max_clique(p, X)))
-            st = res.sep.stats(X)
-            assert 3 * st["A_only"] <= 2 * len(X)
-            assert 3 * st["B_only"] <= 2 * len(X)
+            A, B = res.sep.A, res.sep.B
+            assert 3 * len((A - B) & X) <= 2 * len(X)
+            assert 3 * len((B - A) & X) <= 2 * len(X)
             assert S.verify_separation_on_prefix(p, res.sep, X)
             if res.bound_applies and bound != INF:
                 assert res.order <= bound

@@ -186,9 +186,3 @@ def test_random_prefixes_satisfy_rules(ell, fs, t):
         return
     assert verify_rules(p).passed
 
-
-def test_vertex_record_view(prefix_68):
-    rec = prefix_68.record((2, 0))
-    assert rec.parent == (1, 0)
-    assert rec.n_children >= 1
-    assert all(isinstance(w, tuple) for w in rec.up_neighbors)

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 
 import pytest
@@ -316,6 +317,50 @@ def test_omega_computed_once_per_prefix(monkeypatch, prefix_68):
     calls.clear()
     W.width_report(prefix_68)
     assert calls == [prefix_68]
+
+def _sample_by_induced_search(prefix, rng, max_omega):
+    """The greedy sampler with one induced clique search per accept test,
+    and the sample's clique number from one more search over the sample."""
+    adj = prefix.adjacency()
+    order = list(range(prefix.n_vertices))
+    rng.shuffle(order)
+    chosen = set()
+    for v in order:
+        if max_omega == 0:
+            break
+        nb = adj[v] & chosen
+        if len(nb) < max_omega - 1 or \
+                len(S.induced_max_clique(prefix, nb)) <= max_omega - 1:
+            chosen.add(v)
+    return chosen, len(S.induced_max_clique(prefix, chosen))
+
+
+@pytest.mark.parametrize("c, ell, t", [(2, 5, 3), (3, 5, 5), (4, 5, 5)])
+def test_sample_clique_bounded_matches_induced_search(c, ell, t):
+    prefix = build_prefix(ell, parse_f_spec("cap:%d" % (c + 1)), t + 1,
+                          size_cap=10 ** 5)
+    for seed in range(4):
+        rng_new, rng_old = random.Random(seed), random.Random(seed)
+        for _ in range(2):          # the second draw checks the rng state
+            values = W._sample_clique_bounded(prefix, rng_new, c - 1)
+            chosen, k = _sample_by_induced_search(prefix, rng_old, c - 1)
+            assert set(values) == chosen
+            assert max(values.values(), default=0) == k
+
+
+@pytest.mark.parametrize("max_omega", [0, 1])
+def test_sample_clique_bounded_edge_cases(prefix_68, max_omega):
+    values = W._sample_clique_bounded(prefix_68, random.Random(0), max_omega)
+    chosen, k = _sample_by_induced_search(prefix_68, random.Random(0),
+                                          max_omega)
+    assert set(values) == chosen and max(values.values(), default=0) == k
+    if max_omega == 0:
+        assert values == {}
+    else:                           # an independent set, every value 1
+        adj = prefix_68.adjacency()
+        assert values and set(values.values()) == {1}
+        assert not any(adj[v] & chosen for v in chosen)
+
 
 def test_demo_hajebi_small_and_reproducible():
     a = W.demo_hajebi(2, 5, 3, 5, 10 ** 4, seed=1)
