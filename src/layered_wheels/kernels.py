@@ -5,7 +5,7 @@ All kernels take ``(n, adj)`` where ``adj`` is a sequence indexed by
 vertex and ``adj[v]`` is the set of v's neighbours; they read it as it is
 and make no copy.  ``clique_size_within`` takes ``(adj, S, cap)`` instead,
 so that a small vertex set of a large graph is searched without
-re-indexing.  They are plain Python; ``BACKEND`` names the
+re-indexing.  The kernels are plain Python; ``BACKEND`` names the
 implementation for run records.
 """
 
