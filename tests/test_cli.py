@@ -131,6 +131,7 @@ def test_verify_malformed_json_is_an_error(tmp_path, capsys, mutate, field):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and field in err
 
+
 def test_exit_codes(tmp_path, capsys):
     # 2: argparse usage error; 1: input or runtime error
     with pytest.raises(SystemExit) as exc:

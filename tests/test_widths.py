@@ -318,6 +318,7 @@ def test_omega_computed_once_per_prefix(monkeypatch, prefix_68):
     W.width_report(prefix_68)
     assert calls == [prefix_68]
 
+
 def _sample_by_induced_search(prefix, rng, max_omega):
     """The greedy sampler with one induced clique search per accept test,
     and the sample's clique number from one more search over the sample."""
