@@ -79,6 +79,28 @@ def _load_prefix(path):
         return WheelPrefix.from_json(fh.read())
 
 
+def _load_target(prefix, path):
+    """The vertex set of a JSON file holding a list of [layer, pos] pairs."""
+    with open(path) as fh:
+        locs = json.load(fh)
+    if not isinstance(locs, list):
+        raise ValueError("target file must hold a list of [layer, pos] pairs")
+    for i, v in enumerate(locs):
+        if not (isinstance(v, list) and len(v) == 2
+                and all(type(c) is int for c in v)):
+            raise ValueError("target entry %d is not a [layer, pos] pair: %s"
+                             % (i, json.dumps(v)))
+    return frozenset(prefix.vid(*v) for v in locs)
+
+
+def count(text):
+    """argparse type for a count: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 # -- subcommands ----------------------------------------------------------
 
 def cmd_build(args):
@@ -153,9 +175,7 @@ def cmd_separate(args):
     if args.target == "all":
         X = frozenset(range(prefix.n_vertices))
     else:
-        with open(args.target) as fh:
-            locs = json.load(fh)
-        X = frozenset(prefix.vid(*v) for v in locs)
+        X = _load_target(prefix, args.target)
     res = structure.balanced_separation(prefix, X)
     k = len(structure.induced_max_clique(prefix, X))
     bound = structure.order_bound(prefix.ell, prefix.f, k)
@@ -194,10 +214,8 @@ def cmd_demo(args):
     else:
         report = widths.demo_hajebi(args.c, args.ell, args.t, args.samples,
                                     cap, seed=args.seed)
-    print(report["summary"], file=sys.stderr)
-    summary = report.pop("summary")
+    print(report.pop("summary"), file=sys.stderr)
     _write(args.out, json.dumps(report, indent=2) + "\n")
-    report["summary"] = summary
     return 0 if report["all_certified"] else 1
 
 
@@ -224,7 +242,7 @@ def make_parser():
     v.add_argument("--holes", action="store_true")
     v.add_argument("--clique", action="store_true")
     v.add_argument("--minor", action="store_true")
-    v.add_argument("--chordal-samples", type=int, default=None)
+    v.add_argument("--chordal-samples", type=count, default=None)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default="-")
     v.set_defaults(func=cmd_verify)

@@ -91,11 +91,6 @@ class SlowFunction:
     def __repr__(self):
         return "SlowFunction(%s)" % self.descriptor
 
-    def __eq__(self, other):
-        if not isinstance(other, SlowFunction):
-            return NotImplemented
-        return all(self(i) == other(i) for i in range(1, 65))
-
     @classmethod
     def identity(cls):
         return cls((1, 2, 3), tail="increment", descriptor="identity")
@@ -172,36 +167,18 @@ class CumulativeFunction:
     def __repr__(self):
         return "CumulativeFunction(%s)" % self.descriptor
 
-    def __eq__(self, other):
-        if not isinstance(other, CumulativeFunction):
-            return NotImplemented
-        for k in range(1, 65):
-            a, b = self(k), other(k)
-            if a != b:
-                return False
-            if a is INF:
-                break
-        return True
-
     @classmethod
-    def identity(cls):
-        return cls(lambda k: k, descriptor="identity")
-
-    @classmethod
-    def from_table(cls, values, then_infinite=True):
-        """Explicit finite values; past the table, either +inf or +1 steps."""
+    def from_table(cls, values):
+        """Explicit finite values, then +inf past the table."""
         values = tuple(values)
 
         def rule(k):
             if k <= len(values):
                 return values[k - 1]
-            if then_infinite:
-                return INF
-            return values[-1] + (k - len(values))
+            return INF
 
-        tail = "inf" if then_infinite else "inc"
-        return cls(rule, descriptor="table:%s:%s"
-                   % (",".join(str(v) for v in values), tail))
+        return cls(rule, descriptor="table:%s:inf"
+                   % ",".join(str(v) for v in values))
 
     @classmethod
     def dominating(cls, g, descriptor="dominating"):
@@ -284,7 +261,7 @@ def parse_f_spec(text):
             F = CumulativeFunction.dominating(g, descriptor=body)
         else:
             values = tuple(int(v) for v in body.split(","))
-            F = CumulativeFunction.from_table(values, then_infinite=True)
+            F = CumulativeFunction.from_table(values)
         f = slow_from_cumulative(F)
         f.descriptor = text
         return f

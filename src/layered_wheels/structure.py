@@ -78,11 +78,10 @@ class Separation:
     def order(self):
         return len(self.A & self.B)
 
-    def to_dict(self, loc=None):
-        conv = loc if loc is not None else (lambda g: g)
+    def to_dict(self, loc):
         return {
-            "A": sorted(map(conv, self.A)),
-            "B": sorted(map(conv, self.B)),
+            "A": sorted(map(loc, self.A)),
+            "B": sorted(map(loc, self.B)),
             "order": self.order,
         }
 
@@ -103,12 +102,10 @@ def induced_max_clique(prefix, X):
     return [order[i] for i in kernels.max_clique(len(order), local)]
 
 
-def clique_number_exact(prefix, X=None):
+def clique_number_exact(prefix):
     """Exact clique number with a maximum clique witness certificate."""
-    if X is None:
-        X = frozenset(range(prefix.n_vertices))
-    clique = induced_max_clique(prefix, X)
     adj = prefix.adjacency()
+    clique = kernels.max_clique(prefix.n_vertices, adj)
     ok = all(v in adj[u] for i, u in enumerate(clique) for v in clique[i + 1:])
     cert = Certificate(
         kind="clique",
@@ -203,16 +200,15 @@ def transversal_chordality_check(prefix, X):
     )
 
 
-def transversal_coloring(prefix, X, peo_cert=None):
+def transversal_coloring(prefix, peo_cert):
     """Greedy coloring along the reverse of the elimination ordering.
 
-    On a chordal graph this uses exactly omega colors, so the largest
-    color class is a stable set of size >= |X| / omega.
+    On a chordal transversal X this uses exactly omega colors, so the
+    largest color class is a stable set of size >= |X| / omega.
     """
-    cert = peo_cert or transversal_chordality_check(prefix, X)
-    if not cert.verdict:
+    if not peo_cert.verdict:
         raise ValueError("transversal is not chordal; no coloring certificate")
-    order = [prefix.vid(*v) for v in cert.data["order"]]
+    order = [prefix.vid(*v) for v in peo_cert.data["order"]]
     adj = prefix.adjacency()
     color = {}
     for v in reversed(order):
@@ -242,26 +238,24 @@ def augmenting_child(prefix, v, X):
     return kids[0], False
 
 
-def augmenting_path(prefix, v, X, chooser_cache=None):
+def augmenting_path(prefix, v, X, chooser_cache):
     """The augmenting path out of v, truncated at the highest layer that
-    meets X (and at the top of the prefix)."""
+    meets X (and at the top of the prefix); ``chooser_cache`` holds the
+    augmenting children already found for this X."""
     # global ids run layer by layer, so the largest id has the top layer
     t_max = min(prefix.num_layers, prefix.layer_of(max(X) if X else v))
     return _chain(prefix, v, X, t_max, chooser_cache)
 
 
-def _chain(prefix, v, X, t_max, cache=None):
+def _chain(prefix, v, X, t_max, cache):
     verts = [v]
     flags = []
     cur = v
     layer = prefix.layer_of(v)
     while layer < t_max:
-        if cache is not None and cur in cache:
-            nxt, aug = cache[cur]
-        else:
-            nxt, aug = augmenting_child(prefix, cur, X)
-            if cache is not None:
-                cache[cur] = (nxt, aug)
+        if cur not in cache:
+            cache[cur] = augmenting_child(prefix, cur, X)
+        nxt, aug = cache[cur]
         verts.append(nxt)
         flags.append(aug)
         cur = nxt
@@ -292,15 +286,15 @@ def _forward_segment(prefix, a, b):
     return [start + (pa + d) % size for d in range(length)]
 
 
-def build_AB(prefix, P, Q, X=None):
+def build_AB(prefix, P, Q, X):
     """The separation (A(P,Q), B(P,Q)) over layers 1..m, where m is the
     common truncation layer of the two paths, restricted to X.
 
-    X is a sorted vertex sequence (all vertices when None); members above
-    layer m lie on neither side.  Beyond the base segment's up-closure the
-    cost is O(|X|), not O(n): layers 1..i are one slice of X, and a vertex
-    of a later layer j lies on the forward segment p_j..q_j exactly when its
-    cyclic offset from p_j is at most that of q_j.
+    X is a sorted vertex sequence; members above layer m lie on neither
+    side.  Beyond the base segment's up-closure the cost is O(|X|), not
+    O(n): layers 1..i are one slice of X, and a vertex of a later layer j
+    lies on the forward segment p_j..q_j exactly when its cyclic offset
+    from p_j is at most that of q_j.
     """
     if P.start_layer != Q.start_layer:
         raise ValueError("paths start in different layers (%d vs %d)"
@@ -308,8 +302,6 @@ def build_AB(prefix, P, Q, X=None):
     if P.truncation_layer != Q.truncation_layer:
         raise ValueError("paths end in different layers (%d vs %d)"
                          % (P.truncation_layer, Q.truncation_layer))
-    if X is None:
-        X = range(prefix.n_vertices)
     i = P.start_layer
     m = P.truncation_layer
     closure = set()
@@ -361,9 +353,7 @@ def verify_separation(vertices, edges, sep):
     return True
 
 
-def verify_separation_on_prefix(prefix, sep, vertices=None):
-    if vertices is None:
-        vertices = sep.A | sep.B
+def verify_separation_on_prefix(prefix, sep, vertices):
     vs = set(vertices)
     adj = prefix.adjacency()
     edges = ((u, v) for u in vs for v in adj[u] if v in vs and u < v)
@@ -378,16 +368,13 @@ class FairSeparation:
     base_layer: int
 
 
-def fair_separation_initial(prefix, X, cache=None, order=None):
+def fair_separation_initial(prefix, X, cache, order):
     """A fair separation from the augmenting paths out of two fixed
     non-adjacent first-layer vertices (positions 0 and 2), restricted to X.
-    ``order`` is X sorted, when the caller already has it."""
+    ``order`` is X sorted; ``cache`` holds the augmenting children for X."""
     if prefix.ell < 4:
         raise ValueError("ell >= 4 required")
     n = len(X)
-    cache = {} if cache is None else cache
-    if order is None:
-        order = sorted(X)
     p = prefix.vid(1, 0)
     q = prefix.vid(1, 2)
     P = augmenting_path(prefix, p, X, cache)

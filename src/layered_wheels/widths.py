@@ -3,8 +3,8 @@
 Treewidth lower bounds come from the layer clique minor, upper bounds from
 the separation-order formula (with the 15x balanced-separator constant) or
 from an explicitly constructed decomposition; tree-independence lower
-bounds combine the minor with the chordal-transversal argument.  A tiny
-exact treewidth solver serves as a cross-check oracle.
+bounds combine the minor with the chordal-transversal argument.  The tiny
+exact treewidth solver that cross-checks them is ``kernels.treewidth_exact``.
 """
 
 from __future__ import annotations
@@ -75,24 +75,12 @@ class TreeDecomposition:
                 return False
         return True
 
-    def to_dict(self, loc=None):
-        conv = loc if loc is not None else (lambda g: g)
+    def to_dict(self, loc):
         return {
-            "bags": [sorted(map(conv, b)) for b in self.bags],
+            "bags": [sorted(map(loc, b)) for b in self.bags],
             "edges": [list(e) for e in self.edges],
             "width": self.width,
         }
-
-    def to_dot(self, loc=None):
-        conv = loc if loc is not None else (lambda g: g)
-        lines = ["graph decomposition {", "  node [shape=box];"]
-        for i, b in enumerate(self.bags):
-            label = "\\n".join(str(conv(v)) for v in sorted(b))
-            lines.append('  n%d [label="%s"];' % (i, label))
-        for (i, j) in self.edges:
-            lines.append("  n%d -- n%d;" % (i, j))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -159,15 +147,6 @@ def tw_lower_bound_minor(prefix):
     return sub.bound, sub
 
 
-def exact_treewidth_small(graph):
-    """Exact treewidth of a prefix or an (n, adjacency) pair; n <= 32."""
-    if hasattr(graph, "adjacency"):
-        n, adj = graph.n_vertices, graph.adjacency()
-    else:
-        n, adj = graph
-    return kernels.treewidth_exact(n, adj)
-
-
 def decomposition_from_separators(prefix, X):
     """A valid tree decomposition of G[X] by recursive balanced separation.
 
@@ -229,7 +208,7 @@ def independent_width(prefix, decomposition):
     return best
 
 
-def ta_lower_bound_certified(prefix, transversal=None):
+def ta_lower_bound_certified(prefix):
     """ceil(t / omega) as a tree-independence lower bound, with certificate.
 
     The layer clique minor forces some bag of any decomposition to meet
@@ -245,11 +224,9 @@ def ta_lower_bound_certified(prefix, transversal=None):
         raise ValueError("layer clique-minor check failed; no ta bound")
     k, clique_cert = structure.clique_number_exact(prefix)
     bound = -(-t // k)
-    if transversal is None:
-        path = structure.vertical_path_first_child(prefix, prefix.vid(1, 0), t)
-        transversal = set(path.vertices)
-    peo = structure.transversal_chordality_check(prefix, transversal)
-    classes = structure.transversal_coloring(prefix, transversal, peo)
+    path = structure.vertical_path_first_child(prefix, prefix.vid(1, 0), t)
+    peo = structure.transversal_chordality_check(prefix, set(path.vertices))
+    classes = structure.transversal_coloring(prefix, peo)
     stable = max(classes.values(), key=len)
     adj = prefix.adjacency()
     stable_ok = all(v not in adj[u]

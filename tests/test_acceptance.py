@@ -8,6 +8,7 @@ import time
 import pytest
 
 from layered_wheels import build_prefix, parse_f_spec, verify_rules
+from layered_wheels import kernels
 from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import (INF, SlowFunction,
@@ -68,7 +69,8 @@ def test_criterion_04_minor_lower_bound():
     prefixes = family(2_000, (4, 5, 6), ("identity", "cap:3", "cap:4"))
     minor_ok = all(S.layer_minor_check(p).verdict for p in prefixes)
     tiny = [p for p in prefixes if p.n_vertices <= 32]
-    tw_ok = all(W.exact_treewidth_small(p) >= p.num_layers - 1
+    tw_ok = all(kernels.treewidth_exact(p.n_vertices, p.adjacency())
+                >= p.num_layers - 1
                 for p in tiny)
     ok = minor_ok and tw_ok and tiny
     report(4, ok, "layer minor certified on %d prefixes; exact tw >= t-1 "
@@ -87,7 +89,7 @@ def test_criterion_05_separation_calculus():
             a, b = rng.sample(list(p.layer_range(layer)), 2)
             P = _random_path(p, a, t, rng)
             Q = _random_path(p, b, t, rng)
-            sep = S.build_AB(p, P, Q)
+            sep = S.build_AB(p, P, Q, range(p.n_vertices))
             good = (S.verify_separation_on_prefix(p, sep,
                                                   range(p.n_vertices))
                     and sep.A & sep.B
@@ -185,11 +187,11 @@ def test_criterion_10_question84_demo():
 
 def test_criterion_11_oracle_cross_checks():
     tw_ok = all(
-        W.exact_treewidth_small(
-            (ell, [[(i - 1) % ell, (i + 1) % ell] for i in range(ell)])) == 2
+        kernels.treewidth_exact(
+            ell, [[(i - 1) % ell, (i + 1) % ell] for i in range(ell)]) == 2
         for ell in (4, 5, 6, 7, 8))
     k4 = [[j for j in range(4) if j != i] for i in range(4)]
-    tw_ok &= W.exact_treewidth_small((4, k4)) == 3
+    tw_ok &= kernels.treewidth_exact(4, k4) == 3
     rng = random.Random(11)
     round_trip_ok = True
     for _ in range(1_000):

@@ -140,6 +140,11 @@ def test_exit_codes(tmp_path, capsys):
     assert "--layers" in capsys.readouterr().err
     code, out, err = run(capsys, "verify", "--in", str(tmp_path / "no.json"))
     assert code == 1 and out == "" and err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(tmp_path / "no.json"),
+              "--chordal-samples", "-3"])
+    assert exc.value.code == 2
+    assert "--chordal-samples" in capsys.readouterr().err
 
 
 def test_separate_all_with_decomposition(tmp_path, capsys):
@@ -172,6 +177,41 @@ def test_separate_report_bytes_pinned(tmp_path, capsys, ell, f, t, digest):
                      "--emit-decomposition", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the default `verify` report: pins the clique witness, which
+# comes from a maximum clique search on the prefix's own adjacency
+@pytest.mark.parametrize("ell, f, t, seed, digest", [
+    (4, "cap:3", 6, 0,
+     "fc87788e4359c06586150b16b56f2b47e7ded5233c5cd38a255363ce4e5208da"),
+    (4, "cap:3", 6, 1,
+     "fc87788e4359c06586150b16b56f2b47e7ded5233c5cd38a255363ce4e5208da"),
+    (6, "cap:4", 4, 0,
+     "abd355a64ad12d5d28f403f7ca83c902dde8094fe3b13a51d9392a296eba4fd8"),
+    (6, "cap:4", 4, 1,
+     "abd355a64ad12d5d28f403f7ca83c902dde8094fe3b13a51d9392a296eba4fd8"),
+], ids=["n444-seed0", "n444-seed1", "n510-seed0", "n510-seed1"])
+def test_verify_report_bytes_pinned(tmp_path, capsys, ell, f, t, seed,
+                                    digest):
+    src = tmp_path / "p.json"
+    out = tmp_path / "verify.json"
+    run(capsys, "build", "--ell", str(ell), "--f", f, "--layers", str(t),
+        "--out", str(src))
+    code, _, _ = run(capsys, "verify", "--in", str(src), "--seed", str(seed),
+                     "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_demo_conjecture85_report_bytes_pinned(tmp_path, capsys):
+    # each row's omega and ta bound come from the clique search of its prefix
+    out = tmp_path / "conjecture85.json"
+    code, _, _ = run(capsys, "demo", "conjecture85", "--F", "poly:2",
+                     "--c-max", "2", "--size-cap", "200000",
+                     "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "c082fa778767a6611e1a24a0e3acf6a9977118a782d139d430d076bdc412ce3d"
 
 
 def test_separate_searches_root_clique_once(tmp_path, capsys, monkeypatch):
@@ -214,6 +254,45 @@ def test_separate_small_target_file(tmp_path, capsys):
                        "--target", str(tgt))
     rep = json.loads(out)
     assert code == 0 and rep["n"] == 3 and rep["A"] == rep["B"]
+
+
+@pytest.mark.parametrize("locs, names", [
+    ([[1]], "entry 0"),
+    ([1, 2], "entry 0"),
+    ([[1, 0, 5]], "entry 0"),
+    ([["a", 0]], "entry 0"),
+    ({"x": 1}, "a list"),
+], ids=["short-pair", "bare-ints", "long-pair", "string-layer", "object"])
+def test_separate_malformed_target_file_is_an_error(tmp_path, capsys, locs,
+                                                    names):
+    f = tmp_path / "p.json"
+    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "3",
+        "--out", str(f))
+    tgt = tmp_path / "x.json"
+    tgt.write_text(json.dumps(locs))
+    code, out, err = run(capsys, "separate", "--in", str(f),
+                         "--target", str(tgt))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and names in err
+
+
+def test_clique_number_searches_the_prefix_adjacency(tmp_path, capsys,
+                                                      monkeypatch, prefix_68):
+    # omega of the whole prefix needs no re-indexed copy of its adjacency
+    induced = structure.induced_adjacency
+
+    def refuse_whole_prefix(prefix, X):
+        if len(set(X)) == prefix.n_vertices:
+            raise AssertionError("re-indexed copy of the whole prefix")
+        return induced(prefix, X)
+
+    monkeypatch.setattr(structure, "induced_adjacency", refuse_whole_prefix)
+    omega, cert = structure.clique_number_exact(prefix_68)
+    assert omega == 3 and cert.verdict
+    src = tmp_path / "p.json"
+    src.write_text(prefix_68.to_json())
+    code, out, _ = run(capsys, "verify", "--in", str(src))
+    assert code == 0 and json.loads(out)["passed"]
 
 
 def test_demo_subcommand(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_cumulative_of_identity_is_identity():
 
 
 def test_cumulative_star_violation_rejected():
-    F = CumulativeFunction.from_table([1, 2, 2], then_infinite=True)
+    F = CumulativeFunction.from_table([1, 2, 2])
     with pytest.raises(CumulativeFunctionError):
         F(3)
 
@@ -76,7 +76,7 @@ def test_cumulative_bad_start_rejected():
 
 
 def test_slow_from_cumulative_table():
-    F = CumulativeFunction.from_table([1, 2, 5, 7], then_infinite=True)
+    F = CumulativeFunction.from_table([1, 2, 5, 7])
     f = slow_from_cumulative(F)
     # F(3)=5 means layers 1..5 have budget <= 3; F(4)=7 adds layers 6..7
     assert [f(i) for i in range(1, 9)] == [1, 2, 3, 3, 3, 4, 4, 5]

@@ -70,7 +70,8 @@ def test_transversal_coloring_bounds(prefix_68, rng):
     omega, _ = S.clique_number_exact(prefix_68)
     for _ in range(20):
         Y = {rng.choice(list(prefix_68.layer_range(l))) for l in range(1, 5)}
-        classes = S.transversal_coloring(prefix_68, Y)
+        peo = S.transversal_chordality_check(prefix_68, Y)
+        classes = S.transversal_coloring(prefix_68, peo)
         assert len(classes) <= omega
         adj = prefix_68.adjacency()
         for cls in classes.values():
@@ -129,7 +130,7 @@ def test_augmenting_path_vertex_count_bound(rng):
         k = len(S.induced_max_clique(p, xs))
         if F(k + 1) == INF:
             continue
-        path = S.augmenting_path(p, p.vid(1, 0), xs)
+        path = S.augmenting_path(p, p.vid(1, 0), xs, {})
         if not path.tail_augmenting():
             continue
         assert len(set(path.vertices) & xs) <= F(k + 1) + k - 1
@@ -144,7 +145,7 @@ def test_augmenting_path_top_layer_matches_layer_scan(rng):
                                   rng.randint(0, p.n_vertices)))
         v = rng.choice(range(p.offsets[-1]))
         top = max((p.layer_of(g) for g in xs), default=p.layer_of(v))
-        path = S.augmenting_path(p, v, xs)
+        path = S.augmenting_path(p, v, xs, {})
         assert path.truncation_layer == max(p.layer_of(v),
                                             min(p.num_layers, top))
 
@@ -160,7 +161,7 @@ def test_build_AB_is_verified_separation_with_exact_intersection(rng):
             a, b = rng.sample(list(p.layer_range(layer)), 2)
             P = random_vertical_path(p, a, t, rng)
             Q = random_vertical_path(p, b, t, rng)
-            sep = S.build_AB(p, P, Q)
+            sep = S.build_AB(p, P, Q, range(p.n_vertices))
             assert S.verify_separation_on_prefix(p, sep,
                                                  range(p.n_vertices))
             assert sep.A | sep.B == frozenset(range(p.n_vertices))
@@ -219,7 +220,7 @@ def ab_cases(draw):
 def test_build_AB_restricted_matches_reference(case):
     p, P, Q, X = case
     A, B = reference_build_AB(p, P, Q)
-    full = S.build_AB(p, P, Q)
+    full = S.build_AB(p, P, Q, range(p.n_vertices))
     assert (full.A, full.B) == (A, B)
     sep = S.build_AB(p, P, Q, sorted(X))
     assert (sep.A, sep.B) == (A & X, B & X)
@@ -229,7 +230,7 @@ def test_build_AB_rejects_mismatched_paths(prefix_68):
     P = S.vertical_path_first_child(prefix_68, prefix_68.vid(1, 0), 4)
     Q = S.vertical_path_first_child(prefix_68, prefix_68.vid(2, 3), 4)
     with pytest.raises(ValueError):
-        S.build_AB(prefix_68, P, Q)
+        S.build_AB(prefix_68, P, Q, range(prefix_68.n_vertices))
 
 
 def test_verify_separation_detects_crossing_edge():
@@ -245,7 +246,7 @@ def test_verify_separation_detects_crossing_edge():
 
 def test_fair_initial_separation(prefix_68):
     X = frozenset(range(prefix_68.n_vertices))
-    fair = S.fair_separation_initial(prefix_68, X)
+    fair = S.fair_separation_initial(prefix_68, X, {}, sorted(X))
     assert 3 * len(fair.sep.A & X) >= len(X)
     assert fair.P.vertices[0] != fair.Q.vertices[0]
 

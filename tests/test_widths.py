@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layered_wheels import build_prefix, parse_f_spec
+from layered_wheels import kernels
 from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
@@ -65,9 +66,9 @@ def test_minor_lower_bound_survives_mutation(prefix_68):
 def test_exact_treewidth_oracle_examples():
     for ell in (4, 5, 6):
         cyc = [[(i - 1) % ell, (i + 1) % ell] for i in range(ell)]
-        assert W.exact_treewidth_small((ell, cyc)) == 2
+        assert kernels.treewidth_exact(ell, cyc) == 2
     k4 = [[j for j in range(4) if j != i] for i in range(4)]
-    assert W.exact_treewidth_small((4, k4)) == 3
+    assert kernels.treewidth_exact(4, k4) == 3
 
 
 def test_exact_treewidth_respects_minor_bound():
@@ -75,7 +76,7 @@ def test_exact_treewidth_respects_minor_bound():
         p = build_prefix(ell, parse_f_spec("cap:3"), t)
         if p.n_vertices > 32:
             continue
-        assert W.exact_treewidth_small(p) >= t - 1
+        assert kernels.treewidth_exact(p.n_vertices, p.adjacency()) >= t - 1
 
 
 # -- decompositions -------------------------------------------------------
@@ -235,7 +236,7 @@ def test_sandwich_on_small_prefixes():
         if p.n_vertices > 32:
             continue
         lo, _ = W.tw_lower_bound_minor(p)
-        exact = W.exact_treewidth_small(p)
+        exact = kernels.treewidth_exact(p.n_vertices, p.adjacency())
         dec = W.decomposition_from_separators(p, range(p.n_vertices))
         assert dec.validate(range(p.n_vertices), p.edges())
         assert lo <= exact <= dec.width
