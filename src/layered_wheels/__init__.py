@@ -10,9 +10,7 @@ from .functions import (
 )
 from .wheel import (
     WheelPrefix,
-    build_first_layer,
     build_prefix,
-    extend_layer,
     verify_rules,
 )
 
@@ -22,10 +20,8 @@ __all__ = [
     "CumulativeFunction",
     "SlowFunction",
     "WheelPrefix",
-    "build_first_layer",
     "build_prefix",
     "cumulative_from_slow",
-    "extend_layer",
     "parse_f_spec",
     "slow_from_cumulative",
     "verify_rules",

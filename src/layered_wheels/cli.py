@@ -120,13 +120,15 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    prefix = _load_prefix(args.infile)
     selected = [name for name in ("rules", "holes", "clique", "minor")
                 if getattr(args, name)]
     chordal_n = args.chordal_samples
     if not selected and chordal_n is None:
         selected = ["rules", "holes", "clique", "minor"]
         chordal_n = 100
+    if not selected and not chordal_n:
+        raise ValueError("no check selected")
+    prefix = _load_prefix(args.infile)
     report = {"n": prefix.n_vertices, "num_layers": prefix.num_layers,
               "checks": {}}
     ok = True
@@ -265,7 +267,7 @@ def make_parser():
     d.add_argument("--c-max", type=int, default=2)
     d.add_argument("--c", type=int, default=2)
     d.add_argument("--t", type=int, default=4)
-    d.add_argument("--samples", type=int, default=50)
+    d.add_argument("--samples", type=count, default=50)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--size-cap", type=int, default=None)
     d.add_argument("--out", default="-")

@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .functions import SlowFunction, parse_f_spec
+from .functions import parse_f_spec
 
 DEFAULT_SIZE_CAP = 200_000
 
@@ -123,17 +123,6 @@ class WheelPrefix:
 
     # -- graph views ------------------------------------------------------
 
-    def arcs(self):
-        """The directed arc set: layer cycles plus upward arcs w -> v."""
-        out = set()
-        for layer in range(1, self.num_layers + 1):
-            for g in self.layer_range(layer):
-                out.add((g, self.cycle_next(g)))
-        for v in range(self.n_vertices):
-            for w in self.up[v]:
-                out.add((w, v))
-        return out
-
     def adjacency(self):
         """Undirected adjacency as a list of sets (cached)."""
         if self._adj is None:
@@ -154,24 +143,7 @@ class WheelPrefix:
         adj = self.adjacency()
         return [(u, v) for u in range(self.n_vertices) for v in adj[u] if u < v]
 
-    def copy(self):
-        other = WheelPrefix(self.ell, self.f)
-        other.layer_sizes = list(self.layer_sizes)
-        other.offsets = list(self.offsets)
-        other.up = [list(u) for u in self.up]
-        other.parent = list(self.parent)
-        other.span = list(self.span)
-        return other
-
     # -- construction -----------------------------------------------------
-
-    def _append_first_layer(self):
-        self.layer_sizes.append(self.ell)
-        self.offsets.append(0)
-        for _ in range(self.ell):
-            self.up.append([])
-            self.parent.append(-1)
-            self.span.append(None)
 
     def _extend(self, size_cap):
         i = self.num_layers
@@ -307,35 +279,21 @@ class WheelPrefix:
                 self.span[self.parent[s]] = (s, end - s)
 
 
-def build_first_layer(ell, f=None):
-    """A one-layer prefix: the directed cycle of length ell."""
-    prefix = WheelPrefix(ell, f if f is not None else SlowFunction.identity())
-    prefix._append_first_layer()
-    return prefix
-
-
-def extend_layer(prefix, size_cap=None):
-    """A new prefix with one more layer appended (the input is not touched)."""
-    out = prefix.copy()
-    out._extend(size_cap if size_cap is not None else default_size_cap())
-    return out
-
-
 def build_prefix(ell, f, t, size_cap=None):
     """Deterministically build the t-layer prefix of the (f, ell)-wheel."""
     if t < 1:
         raise ValueError("t must be >= 1, got %d" % t)
     cap = size_cap if size_cap is not None else default_size_cap()
-    prefix = build_first_layer(ell, f)
+    prefix = WheelPrefix(ell, f)
+    # layer 1 is the directed cycle of length ell, with no upward neighbors
+    prefix.layer_sizes = [ell]
+    prefix.offsets = [0]
+    prefix.up = [[] for _ in range(ell)]
+    prefix.parent = [-1] * ell
+    prefix.span = [None] * ell
     for _ in range(t - 1):
         prefix._extend(cap)
     return prefix
-
-
-def up_closed_neighborhood(prefix, v):
-    """N^up[v] as a set of (layer, pos) pairs; always a clique."""
-    g = prefix.vid(*v)
-    return {v} | {prefix.loc(w) for w in prefix.up[g]}
 
 
 # -- rule verification ----------------------------------------------------
@@ -370,23 +328,19 @@ class RulesReport:
         }
 
 
-def verify_rules(prefix, arcs=None):
-    """Check the five structural rules of the construction.
+def verify_rules(prefix):
+    """Check the five structural rules of the construction on the prefix
+    record: its layer sizes, upward neighborhoods and parents.
 
-    ``arcs`` defaults to the prefix's implicit arc set; passing a mutated
-    set lets tests exercise the failure paths.  Failures never raise; each
-    rule gets a pass/fail entry with the first violation found.
+    The layer cycles are implicit, so every other arc is an upward entry
+    w -> v.  Rules 4 and 5 read the cached ``prefix.adjacency()``, which
+    the later checks of ``lwheel verify`` reuse.  Failures never raise;
+    each rule gets a pass/fail entry with the first violation found.
     """
-    if arcs is None:
-        arcs = prefix.arcs()
     n = prefix.n_vertices
     t = prefix.num_layers
     layer = [prefix.layer_of(g) for g in range(n)]
-
-    adj = [set() for _ in range(n)]
-    for (u, v) in arcs:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = prefix.adjacency()
 
     report = RulesReport()
 
@@ -401,39 +355,37 @@ def verify_rules(prefix, arcs=None):
             sum(prefix.layer_sizes), n)
     add(1, "layers partition V", v1)
 
-    # rule 2: each layer induces a directed cycle of length >= ell
+    # the cycle arcs stay in their layer, so every chord (rule 2) and
+    # every downward arc (rule 3) is an upward entry w -> v
+    chords = [[] for _ in range(t + 1)]
+    downward = None
+    for v in range(n):
+        for w in prefix.up[v]:
+            if layer[w] > layer[v]:
+                if downward is None:
+                    downward = (w, v)
+            elif layer[w] == layer[v] and prefix.cycle_next(w) != v:
+                chords[layer[v]].append((w, v))
+
+    # rule 2: each layer induces a directed cycle of length >= ell; a chord
+    # is an entry from v's own layer other than v's cycle predecessor
     v2 = None
-    within = [set() for _ in range(t + 1)]
-    for (u, v) in arcs:
-        if layer[u] == layer[v]:
-            within[layer[u]].add((u, v))
-    for i in range(1, t + 1):
-        if v2:
+    for i, size in enumerate(prefix.layer_sizes, 1):
+        if size < prefix.ell:
+            v2 = "layer %d has %d < ell vertices" % (i, size)
             break
-        members = list(prefix.layer_range(i))
-        if len(members) < prefix.ell:
-            v2 = "layer %d has %d < ell vertices" % (i, len(members))
-            break
-        expected = {(g, prefix.cycle_next(g)) for g in members}
-        missing = expected - within[i]
-        extra = within[i] - expected
-        if missing:
-            u, v = min(missing)
-            v2 = "layer %d misses cycle arc %s -> %s" % (
-                i, prefix.loc(u), prefix.loc(v))
-        elif extra:
-            u, v = min(extra)
+        if chords[i]:
+            u, v = min(chords[i])
             v2 = "layer %d has chord %s -> %s" % (
                 i, prefix.loc(u), prefix.loc(v))
+            break
     add(2, "layers induce directed cycles", v2)
 
     # rule 3: cross-layer arcs point from the smaller layer to the larger
     v3 = None
-    for (u, v) in arcs:
-        if layer[u] > layer[v]:
-            v3 = "arc %s -> %s goes downward in layers" % (
-                prefix.loc(u), prefix.loc(v))
-            break
+    if downward is not None:
+        v3 = "arc %s -> %s goes downward in layers" % (
+            prefix.loc(downward[0]), prefix.loc(downward[1]))
     add(3, "cross arcs oriented by layer", v3)
 
     # rule 4: descendant paths partition the next layer; unique parent;

@@ -327,14 +327,18 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
 
     For each c <= c_max, takes the smallest k with F(k) >= ck, builds the
     t = F(k)-layer prefix and certifies ta >= ceil(t/k) >= c next to the
-    finite formula value.
+    finite formula value.  Rows with the same t share one prefix, which is
+    built and certified once.
     """
     from .functions import parse_f_spec
+    if c_max < 1:
+        raise ValueError("c_max must be >= 1, got %d" % c_max)
     f = parse_f_spec("cumulative:%s" % F_spec
                      if not F_spec.startswith("cumulative:") else F_spec)
     F = f.cumulative()
     rows = []
     ok = True
+    certified = {}   # t -> (verdict without the c test, row fields)
     for c in range(1, c_max + 1):
         k = 1
         while F(k) != INF and F(k) < c * k:
@@ -346,21 +350,24 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
             continue
         t = F(k)
         row = {"c": c, "k": k, "t": t}
-        try:
-            prefix = build_prefix(ell, f, t, size_cap=size_cap)
-        except SizeCapError as exc:
-            row.update(status="size-cap", note=str(exc))
-            rows.append(row)
-            ok = False
-            continue
-        ta_lo, ta_cert = ta_lower_bound_certified(prefix)
-        omega = ta_cert.data["omega"]
-        tw_up = tw_upper_bound_formula(ell, f, omega)
-        # ta_cert.verdict includes the clique certificate's verdict
-        good = ta_cert.verdict and ta_lo >= c and tw_up != INF
-        row.update(n=prefix.n_vertices, omega=omega, ta_lower=ta_lo,
-                   tw_upper=tw_up if tw_up != INF else "inf",
-                   certified=good, status="ok" if good else "FAIL")
+        if t not in certified:
+            try:
+                prefix = build_prefix(ell, f, t, size_cap=size_cap)
+            except SizeCapError as exc:
+                row.update(status="size-cap", note=str(exc))
+                rows.append(row)
+                ok = False
+                continue
+            ta_lo, ta_cert = ta_lower_bound_certified(prefix)
+            omega = ta_cert.data["omega"]
+            tw_up = tw_upper_bound_formula(ell, f, omega)
+            # ta_cert.verdict includes the clique certificate's verdict
+            certified[t] = (ta_cert.verdict and tw_up != INF, dict(
+                n=prefix.n_vertices, omega=omega, ta_lower=ta_lo,
+                tw_upper=tw_up if tw_up != INF else "inf"))
+        verdict, fields = certified[t]
+        good = verdict and fields["ta_lower"] >= c
+        row.update(fields, certified=good, status="ok" if good else "FAIL")
         rows.append(row)
         ok = ok and good
     return {

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
-from layered_wheels import structure
+from layered_wheels import structure, widths
 from layered_wheels.cli import main, to_dot, to_graph6
 
 
@@ -114,6 +114,15 @@ def test_verify_mutated_fails(tmp_path, capsys):
     assert not json.loads(out)["passed"]
 
 
+def test_verify_with_no_check_selected_is_an_error(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "3",
+        "--out", str(f))
+    code, out, err = run(capsys, "verify", "--in", str(f),
+                         "--chordal-samples", "0")
+    assert code == 1 and out == ""
+    assert err == "error: no check selected\n"
+
 
 @pytest.mark.parametrize("mutate, field", [
     (lambda obj: obj["vertices"][5].update(up=[[9, 9]]), "'up'"),
@@ -145,6 +154,12 @@ def test_exit_codes(tmp_path, capsys):
               "--chordal-samples", "-3"])
     assert exc.value.code == 2
     assert "--chordal-samples" in capsys.readouterr().err
+    code, out, err = run(capsys, "demo", "conjecture85", "--c-max", "0")
+    assert code == 1 and out == "" and err.startswith("error: c_max")
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "hajebi", "--samples", "-3"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_separate_all_with_decomposition(tmp_path, capsys):
@@ -212,6 +227,28 @@ def test_demo_conjecture85_report_bytes_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "c082fa778767a6611e1a24a0e3acf6a9977118a782d139d430d076bdc412ce3d"
+
+
+def test_demo_conjecture85_certifies_each_prefix_once(tmp_path, capsys,
+                                                      monkeypatch):
+    # rows c=2 and c=3 share the t=10 prefix; its bounds are certified
+    # once and only ta_lower >= c is tested per row
+    certified = []
+    certify = widths.ta_lower_bound_certified
+
+    def counted(prefix):
+        certified.append(prefix.n_vertices)
+        return certify(prefix)
+
+    monkeypatch.setattr(widths, "ta_lower_bound_certified", counted)
+    out = tmp_path / "conjecture85.json"
+    code, _, _ = run(capsys, "demo", "conjecture85", "--F", "poly:2",
+                     "--c-max", "3", "--size-cap", "200000",
+                     "--out", str(out))
+    assert code == 0
+    assert certified == [4, 20676]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "0c3dfe36d905443cca3aecbbd368c4b8e867ccca20a8cb06425a85c366cdc71c"
 
 
 def test_separate_searches_root_clique_once(tmp_path, capsys, monkeypatch):

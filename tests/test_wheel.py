@@ -5,14 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from layered_wheels import (
     WheelPrefix,
-    build_first_layer,
     build_prefix,
-    extend_layer,
     parse_f_spec,
     verify_rules,
 )
-from layered_wheels.wheel import (SizeCapError, UnknownVertexError,
-                                  up_closed_neighborhood)
+from layered_wheels.wheel import SizeCapError, UnknownVertexError
 
 
 def test_layer_sizes_ell4_cap3():
@@ -32,7 +29,7 @@ def test_layer_sizes_ell6_cap3():
 
 
 def test_first_layer_is_a_cycle():
-    p = build_first_layer(5)
+    p = build_prefix(5, parse_f_spec("identity"), 1)
     assert p.layer_sizes == [5]
     adj = p.adjacency()
     assert all(len(adj[g]) == 2 for g in range(5))
@@ -68,14 +65,6 @@ def test_determinism():
     a = build_prefix(5, parse_f_spec("cap:3"), 4, size_cap=10 ** 4)
     b = build_prefix(5, parse_f_spec("cap:3"), 4, size_cap=10 ** 4)
     assert a.to_json() == b.to_json()
-
-
-def test_extend_layer_does_not_mutate_input():
-    p = build_prefix(4, parse_f_spec("identity"), 2)
-    before = p.to_json()
-    q = extend_layer(p)
-    assert p.to_json() == before
-    assert q.num_layers == 3
 
 
 @pytest.mark.parametrize("ell,fs,t,n", [
@@ -117,14 +106,14 @@ def test_size_cap_enforced():
 
 def test_ell_below_four_rejected():
     with pytest.raises(ValueError):
-        build_first_layer(3)
+        build_prefix(3, parse_f_spec("identity"), 1)
 
 
 def test_up_closed_neighborhood_is_clique():
     p = build_prefix(4, parse_f_spec("cap:4"), 5, size_cap=10 ** 4)
     adj = p.adjacency()
     for g in range(p.n_vertices):
-        closed = [p.vid(*w) for w in up_closed_neighborhood(p, p.loc(g))]
+        closed = [g] + p.up[g]
         for i, u in enumerate(closed):
             for v in closed[i + 1:]:
                 assert v in adj[u]
@@ -136,44 +125,123 @@ def test_verify_rules_pass_on_built_prefixes(prefixes_2000):
         assert report.passed, report.to_dict()
 
 
-def test_verify_rules_detects_missing_cycle_arc(prefix_68):
-    arcs = prefix_68.arcs()
-    g = prefix_68.vid(2, 3)
-    arcs.discard((g, prefix_68.cycle_next(g)))
-    report = verify_rules(prefix_68, arcs)
-    assert not report.check(2).passed
+# Each mutation doctors the record of a freshly built prefix (n=68, layers
+# 4, 8, 16, 40): its up lists, parents, layer sizes or ell.  The rules are
+# checked on that record, so there is no other graph to doctor.
+
+def _fresh():
+    return build_prefix(4, parse_f_spec("cap:3"), 4)
 
 
-def test_verify_rules_detects_chord(prefix_68):
-    arcs = prefix_68.arcs()
-    arcs.add((prefix_68.vid(3, 0), prefix_68.vid(3, 7)))
-    report = verify_rules(prefix_68, arcs)
-    assert not report.check(2).passed
+def _raise_ell(p):
+    p.ell = 5
 
 
-def test_verify_rules_detects_downward_arc(prefix_68):
-    arcs = prefix_68.arcs()
-    arcs.add((prefix_68.vid(4, 0), prefix_68.vid(1, 2)))
-    report = verify_rules(prefix_68, arcs)
-    assert not report.check(3).passed
+def _shorten_layer_1(p):
+    # (1, 3) moves into layer 2, which leaves layer 1 below ell
+    p.layer_sizes[:2] = [3, 9]
+    p.offsets[1] = 3
 
 
-def test_verify_rules_detects_second_parent(prefix_68):
-    arcs = prefix_68.arcs()
-    u = prefix_68.vid(3, 1)
-    other = next(v for v in prefix_68.layer_range(2)
-                 if v != prefix_68.parent[u])
-    arcs.add((other, u))
-    report = verify_rules(prefix_68, arcs)
-    assert not report.check(4).passed
+def _same_layer_up(p):
+    p.up[p.vid(3, 7)].append(p.vid(3, 0))
 
 
-def test_verify_rules_detects_upward_mutation(prefix_68):
-    q = prefix_68.copy()
-    v = next(g for g in q.layer_range(3) if len(q.up[g]) == 2)
-    q.up[v] = q.up[v][:1]
-    report = verify_rules(q)
-    assert not report.passed
+def _up_from_layer_4(p):
+    p.up[p.vid(1, 2)].append(p.vid(4, 0))
+
+
+def _second_previous_layer_up(p):
+    u = p.vid(3, 0)
+    p.up[u].append(next(v for v in p.layer_range(2) if v != p.parent[u]))
+
+
+def _null_parent(p):
+    p.parent[p.vid(3, 0)] = -1
+
+
+def _cut_up_list(p):
+    v = next(g for g in p.layer_range(3) if len(p.up[g]) == 2)
+    p.up[v] = p.up[v][:1]
+
+
+def _cycle_neighbours_up(p):
+    # the predecessor's entry repeats the cycle arc (2, 2) -> (2, 3); the
+    # successor's entry is the chord (2, 4) -> (2, 3)
+    v = p.vid(2, 3)
+    p.up[v] += [p.vid(2, 2), p.vid(2, 4)]
+
+
+def _mutated(mutate):
+    p = _fresh()
+    mutate(p)
+    return verify_rules(p)
+
+
+RULE_NAMES = ["layers partition V", "layers induce directed cycles",
+              "cross arcs oriented by layer",
+              "descendant paths tile the next layer",
+              "upward neighborhoods are per-layer cliques"]
+
+
+# the full report of each single mutation: which rules fail, and the first
+# violation each one names
+@pytest.mark.parametrize("mutate, failures", [
+    (_raise_ell, {2: "layer 1 has 4 < ell vertices"}),
+    (_shorten_layer_1, {
+        2: "layer 1 has 3 < ell vertices",
+        4: "vertex (2, 7): recorded parent (2, 0) but adjacency gives None",
+        5: "vertex (2, 7): upward neighbor (2, 0) repeats a layer or is "
+           "not above"}),
+    (_same_layer_up, {
+        2: "layer 3 has chord (3, 0) -> (3, 7)",
+        5: "vertex (3, 7): upward neighbor (3, 0) repeats a layer or is "
+           "not above"}),
+    (_up_from_layer_4, {
+        3: "arc (4, 0) -> (1, 2) goes downward in layers",
+        5: "vertex (1, 2) has 1 > f(1)-1 upward neighbors"}),
+    (_second_previous_layer_up, {
+        4: "vertex (3, 0) has 2 neighbors in the previous layer",
+        5: "vertex (3, 0) has 3 > f(3)-1 upward neighbors"}),
+    (_null_parent, {
+        4: "vertex (3, 0): recorded parent None but adjacency gives (2, 0)"}),
+    (_cut_up_list, {
+        4: "vertex (3, 0): recorded parent (2, 0) but adjacency gives None",
+        5: "vertex (4, 0): upward neighbors (2, 0) and (3, 0) are not "
+           "adjacent"}),
+    (_cycle_neighbours_up, {
+        2: "layer 2 has chord (2, 4) -> (2, 3)",
+        5: "vertex (2, 3) has 2 > f(2)-1 upward neighbors"}),
+], ids=["ell-raised", "short-layer", "same-layer-up", "up-from-layer-4",
+        "second-previous-layer-up", "null-parent", "cut-up-list",
+        "cycle-neighbours-up"])
+def test_verify_rules_report_pinned(mutate, failures):
+    assert _mutated(mutate).to_dict() == {
+        "passed": False,
+        "rules": [{"rule": rule, "name": name, "passed": rule not in failures,
+                   "detail": failures.get(rule, "")}
+                  for rule, name in enumerate(RULE_NAMES, 1)],
+    }
+
+
+def test_verify_rules_detects_short_layer():
+    assert not _mutated(_shorten_layer_1).check(2).passed
+
+
+def test_verify_rules_detects_chord():
+    assert not _mutated(_same_layer_up).check(2).passed
+
+
+def test_verify_rules_detects_downward_arc():
+    assert not _mutated(_up_from_layer_4).check(3).passed
+
+
+def test_verify_rules_detects_second_parent():
+    assert not _mutated(_second_previous_layer_up).check(4).passed
+
+
+def test_verify_rules_detects_upward_mutation():
+    assert not _mutated(_cut_up_list).passed
 
 
 @settings(max_examples=15, deadline=None)

@@ -53,11 +53,10 @@ def test_minor_lower_bound_values():
     assert W.tw_lower_bound_minor(p1)[0] == 0
 
 
-def test_minor_lower_bound_survives_mutation(prefix_68):
-    q = prefix_68.copy()
+def test_minor_lower_bound_survives_mutation():
+    q = build_prefix(4, parse_f_spec("cap:3"), 4)
     for g in q.layer_range(3):
         q.up[g] = [w for w in q.up[g] if q.layer_of(w) != 1]
-    q._adj = None
     lo, cert = W.tw_lower_bound_minor(q)
     assert cert.verdict and lo == 2
     assert len(cert.data["surviving_layers"]) == 3
