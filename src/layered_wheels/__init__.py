@@ -4,9 +4,7 @@
 from .functions import (
     CumulativeFunction,
     SlowFunction,
-    cumulative_from_slow,
     parse_f_spec,
-    slow_from_cumulative,
 )
 from .wheel import (
     WheelPrefix,
@@ -21,9 +19,7 @@ __all__ = [
     "SlowFunction",
     "WheelPrefix",
     "build_prefix",
-    "cumulative_from_slow",
     "parse_f_spec",
-    "slow_from_cumulative",
     "verify_rules",
     "__version__",
 ]

@@ -16,8 +16,8 @@ import sys
 from . import structure, widths
 from .functions import (INF, SlowFunctionError, CumulativeFunctionError,
                         parse_f_spec)
-from .wheel import (SizeCapError, WheelPrefix, build_prefix,
-                    default_size_cap, verify_rules)
+from .wheel import (DEFAULT_SIZE_CAP, SizeCapError, WheelPrefix,
+                    build_prefix, verify_rules)
 
 
 # -- export formats -------------------------------------------------------
@@ -105,8 +105,7 @@ def count(text):
 
 def cmd_build(args):
     f = parse_f_spec(args.f)
-    cap = args.size_cap if args.size_cap is not None else default_size_cap()
-    prefix = build_prefix(args.ell, f, args.layers, size_cap=cap)
+    prefix = build_prefix(args.ell, f, args.layers, size_cap=args.size_cap)
     if args.format == "json":
         _write(args.out, prefix.to_json() + "\n")
     elif args.format == "dot":
@@ -208,7 +207,7 @@ def cmd_separate(args):
 
 
 def cmd_demo(args):
-    cap = args.size_cap if args.size_cap is not None else default_size_cap()
+    cap = args.size_cap
     if args.which == "question84":
         report = widths.demo_question84(args.g, args.ell, args.k_max, cap)
     elif args.which == "conjecture85":
@@ -232,7 +231,7 @@ def make_parser():
     b.add_argument("--f", required=True, help="slow-function spec, e.g. "
                    "identity, cap:3, table:1,2,3,3, cumulative:poly:2")
     b.add_argument("--layers", type=int, required=True)
-    b.add_argument("--size-cap", type=int, default=None)
+    b.add_argument("--size-cap", type=count, default=DEFAULT_SIZE_CAP)
     b.add_argument("--out", default="-")
     b.add_argument("--format", choices=("json", "dot", "graph6"),
                    default="json")
@@ -269,7 +268,7 @@ def make_parser():
     d.add_argument("--t", type=int, default=4)
     d.add_argument("--samples", type=count, default=50)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--size-cap", type=int, default=None)
+    d.add_argument("--size-cap", type=count, default=DEFAULT_SIZE_CAP)
     d.add_argument("--out", default="-")
     d.set_defaults(func=cmd_demo)
     return p

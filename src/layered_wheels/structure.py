@@ -29,7 +29,7 @@ class ProgressError(RuntimeError):
 class Certificate:
     """A machine-checkable witness with an independent verdict."""
 
-    kind: str                  # clique | minor | peo | separation | stable
+    kind: str                  # clique | minor | peo | stable | ta-lower
     data: dict
     verdict: bool
     bound: int | float | None = None

@@ -14,17 +14,11 @@ position 0 of layer i+1 is the first descendant of position 0 of layer i.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .functions import parse_f_spec
 
 DEFAULT_SIZE_CAP = 200_000
-
-
-def default_size_cap():
-    env = os.environ.get("LWHEEL_SIZE_CAP")
-    return int(env) if env else DEFAULT_SIZE_CAP
 
 
 class ConstructionError(RuntimeError):
@@ -37,6 +31,12 @@ class SizeCapError(RuntimeError):
 
 class UnknownVertexError(ValueError):
     """A (layer, pos) location or global id outside the prefix."""
+
+
+def _check_size_cap(layer, n, size_cap):
+    if n > size_cap:
+        raise SizeCapError("layer %d would bring the prefix to %d vertices "
+                           "(cap %d)" % (layer, n, size_cap))
 
 
 # what indexing, unpacking and parsing a malformed JSON prefix can raise
@@ -161,10 +161,7 @@ class WheelPrefix:
             widths.append((fi1 - 1) * (ell - 2) if m == fi1 - 1 else ell - 2)
 
         new_size = sum(widths)
-        if self.n_vertices + new_size > size_cap:
-            raise SizeCapError(
-                "layer %d would bring the prefix to %d vertices "
-                "(cap %d)" % (i + 1, self.n_vertices + new_size, size_cap))
+        _check_size_cap(i + 1, self.n_vertices + new_size, size_cap)
 
         start = self.n_vertices
         self.offsets.append(start)
@@ -279,12 +276,12 @@ class WheelPrefix:
                 self.span[self.parent[s]] = (s, end - s)
 
 
-def build_prefix(ell, f, t, size_cap=None):
+def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
     """Deterministically build the t-layer prefix of the (f, ell)-wheel."""
     if t < 1:
         raise ValueError("t must be >= 1, got %d" % t)
-    cap = size_cap if size_cap is not None else default_size_cap()
     prefix = WheelPrefix(ell, f)
+    _check_size_cap(1, ell, size_cap)
     # layer 1 is the directed cycle of length ell, with no upward neighbors
     prefix.layer_sizes = [ell]
     prefix.offsets = [0]
@@ -292,7 +289,7 @@ def build_prefix(ell, f, t, size_cap=None):
     prefix.parent = [-1] * ell
     prefix.span = [None] * ell
     for _ in range(t - 1):
-        prefix._extend(cap)
+        prefix._extend(size_cap)
     return prefix
 
 

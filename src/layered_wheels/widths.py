@@ -283,13 +283,12 @@ def demo_question84(g_spec, ell, k_max, size_cap):
     t = F(k)-layer prefix.  The k=2 case needs an external triangle-free
     graph and is reported out of scope.
     """
-    from .functions import (CumulativeFunction, _parse_g,
-                            slow_from_cumulative)
+    from .functions import _parse_g, parse_f_spec
     if k_max < 3:
         raise ValueError("k_max must be >= 3, got %d" % k_max)
-    g, g_desc = _parse_g(g_spec)
-    F = CumulativeFunction.dominating(g, descriptor="question84:%s" % g_desc)
-    f = slow_from_cumulative(F)
+    g = _parse_g(g_spec)
+    f = parse_f_spec("question84:" + g_spec)
+    F = f.cumulative()
     rows = [{"k": 2, "status": "out-of-scope",
              "note": "needs an external triangle-free graph"}]
     ok = True
@@ -313,7 +312,7 @@ def demo_question84(g_spec, ell, k_max, size_cap):
         ok = ok and good
     return {
         "demo": "question84",
-        "g": g_desc, "ell": ell, "k_max": k_max, "size_cap": size_cap,
+        "g": g_spec, "ell": ell, "k_max": k_max, "size_cap": size_cap,
         "rows": rows,
         "all_certified": ok,
         "summary": _table(rows, ["k", "t", "g_k", "n", "omega",
@@ -416,12 +415,12 @@ def demo_hajebi(c, ell, t, samples, size_cap, seed=0):
     value the sampler returns: every clique has a last-added vertex, whose
     value counts it, so no clique search over the sample is needed.
     """
-    from .functions import SlowFunction
+    from .functions import parse_f_spec
     if c < 2:
         raise ValueError("c must be >= 2, got %d" % c)
     if ell < 5:
         raise ValueError("ell must be >= 5, got %d" % ell)
-    f = SlowFunction.capped(c + 1)
+    f = parse_f_spec("cap:%d" % (c + 1))
     prefix = build_prefix(ell, f, t + 1, size_cap=size_cap)
     omega, cert = structure.clique_number_exact(prefix)
     tw_lo, minor = tw_lower_bound_minor(prefix)

@@ -11,9 +11,7 @@ from layered_wheels import build_prefix, parse_f_spec, verify_rules
 from layered_wheels import kernels
 from layered_wheels import structure as S
 from layered_wheels import widths as W
-from layered_wheels.functions import (INF, SlowFunction,
-                                      cumulative_from_slow,
-                                      slow_from_cumulative)
+from layered_wheels.functions import INF
 from layered_wheels.wheel import SizeCapError
 
 from conftest import small_prefixes
@@ -198,10 +196,14 @@ def test_criterion_11_oracle_cross_checks():
         values = [1, 2, 3]
         for _ in range(rng.randint(0, 10)):
             values.append(values[-1] + rng.randint(0, 1))
-        f = SlowFunction(tuple(values),
-                         tail=rng.choice(["constant", "increment"]))
-        g = slow_from_cumulative(cumulative_from_slow(f))
-        round_trip_ok &= all(f(i) == g(i) for i in range(1, 40))
+        f = parse_f_spec("table:" + ",".join(str(v) for v in values))
+        F = f.cumulative()
+        finite = [F(k) for k in range(1, values[-1])]
+        g = parse_f_spec("cumulative:" + ",".join(str(v) for v in finite))
+        table = values + [values[-1]] * 40
+        round_trip_ok &= all(f(i) == g(i) == table[i - 1]
+                             for i in range(1, 40))
     ok = tw_ok and round_trip_ok
-    report(11, ok, "exact tw oracle: C_ell -> 2, K_4 -> 3; slow/cumulative "
-           "round trip on 1000 randomized profiles")
+    report(11, ok, "exact tw oracle: C_ell -> 2, K_4 -> 3; f of table:v and "
+           "of cumulative: of its finite F equal the table on 1000 "
+           "randomized profiles")

@@ -49,6 +49,29 @@ def test_build_size_cap_error(capsys):
     assert code != 0 and "cap" in err
 
 
+def test_build_size_cap_checks_layer_one(capsys):
+    code, out, err = run(capsys, "build", "--ell", "6", "--f", "cap:3",
+                         "--layers", "1", "--size-cap", "3")
+    assert code == 1 and out == ""
+    assert err == ("error: layer 1 would bring the prefix to 6 vertices "
+                   "(cap 3)\n")
+    code, _, _ = run(capsys, "build", "--ell", "6", "--f", "cap:3",
+                     "--layers", "1", "--size-cap", "6")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "--ell", "4", "--f", "cap:3", "--layers", "3"],
+    ["demo", "hajebi", "--ell", "5"],
+])
+def test_negative_size_cap_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--size-cap", "-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--size-cap: must be >= 0, got -5" in err and "cap -5" not in err
+
+
 def test_graph6_c4():
     # C4 on vertices 0-1-2-3-0: bits (01)(02)(12)(03)(13)(23) = 101101
     assert to_graph6(4, [(0, 1), (1, 2), (2, 3), (0, 3)]) == "Cl\n"
@@ -271,7 +294,7 @@ def test_separate_searches_root_clique_once(tmp_path, capsys, monkeypatch):
 
 def test_demo_hajebi_report_bytes_pinned(tmp_path, capsys):
     # each row carries the sample's clique number k and its order bound;
-    # --size-cap repeats the default so that LWHEEL_SIZE_CAP cannot change it
+    # the report records --size-cap, here the default
     out = tmp_path / "hajebi.json"
     code, _, _ = run(capsys, "demo", "hajebi", "--c", "3", "--ell", "5",
                      "--t", "5", "--samples", "20", "--size-cap", "200000",
@@ -347,10 +370,3 @@ def test_demo_reproducible(capsys):
     b = run(capsys, "demo", "hajebi", "--c", "2", "--ell", "5", "--t", "3",
             "--samples", "3", "--seed", "5", "--size-cap", "10000")
     assert a == b
-
-
-def test_size_cap_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LWHEEL_SIZE_CAP", "50")
-    code, _, err = run(capsys, "build", "--ell", "4", "--f", "identity",
-                       "--layers", "4")
-    assert code != 0 and "cap" in err

@@ -5,28 +5,28 @@ from hypothesis import given, strategies as st
 
 from layered_wheels.functions import (
     INF,
-    CumulativeFunction,
     CumulativeFunctionError,
-    SlowFunction,
     SlowFunctionError,
-    cumulative_from_slow,
     parse_f_spec,
-    slow_from_cumulative,
 )
 
 
+def _table(values):
+    return "table:" + ",".join(str(v) for v in values)
+
+
 def test_identity_values():
-    f = SlowFunction.identity()
+    f = parse_f_spec("identity")
     assert [f(i) for i in range(1, 8)] == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_capped_values():
-    f = SlowFunction.capped(3)
+    f = parse_f_spec("cap:3")
     assert [f(i) for i in range(1, 8)] == [1, 2, 3, 3, 3, 3, 3]
 
 
 def test_table_with_repeat_tail():
-    f = SlowFunction.from_table([1, 2, 3, 3, 4])
+    f = parse_f_spec("table:1,2,3,3,4")
     assert [f(i) for i in range(1, 8)] == [1, 2, 3, 3, 4, 4, 4]
 
 
@@ -37,22 +37,25 @@ def test_table_with_repeat_tail():
     (1, 2),              # too short
 ])
 def test_invalid_tables_rejected(bad):
+    # checked when the spec is parsed, before any value is asked for
     with pytest.raises(SlowFunctionError):
-        SlowFunction.from_table(bad)
+        parse_f_spec(_table(bad))
 
 
 def test_cap_below_three_rejected():
     with pytest.raises(SlowFunctionError):
-        SlowFunction.capped(2)
+        parse_f_spec("cap:2")
 
 
 def test_domain_starts_at_one():
     with pytest.raises(SlowFunctionError):
-        SlowFunction.identity()(0)
+        parse_f_spec("identity")(0)
 
 
 def test_cumulative_of_cap_is_eventually_infinite():
-    F = SlowFunction.capped(3).cumulative()
+    f = parse_f_spec("cap:3")
+    F = f.cumulative()
+    assert f.cumulative() is F   # f is held as its F, not rebuilt per call
     assert (F(1), F(2)) == (1, 2)
     # f stays at 3 forever, so every budget >= 3 covers all layers
     assert F(3) == INF
@@ -60,52 +63,58 @@ def test_cumulative_of_cap_is_eventually_infinite():
 
 
 def test_cumulative_of_identity_is_identity():
-    F = SlowFunction.identity().cumulative()
+    F = parse_f_spec("identity").cumulative()
     assert [F(k) for k in range(1, 10)] == list(range(1, 10))
 
 
 def test_cumulative_star_violation_rejected():
-    F = CumulativeFunction.from_table([1, 2, 2])
+    F = parse_f_spec("cumulative:1,2,2").cumulative()
     with pytest.raises(CumulativeFunctionError):
         F(3)
 
 
 def test_cumulative_bad_start_rejected():
+    # F(1)=1 and F(2)=2 are checked when the spec is parsed
     with pytest.raises(CumulativeFunctionError):
-        CumulativeFunction(lambda k: k + 1)
+        parse_f_spec("cumulative:2,3,4")
 
 
 def test_slow_from_cumulative_table():
-    F = CumulativeFunction.from_table([1, 2, 5, 7])
-    f = slow_from_cumulative(F)
+    f = parse_f_spec("cumulative:1,2,5,7")
     # F(3)=5 means layers 1..5 have budget <= 3; F(4)=7 adds layers 6..7
     assert [f(i) for i in range(1, 9)] == [1, 2, 3, 3, 3, 4, 4, 5]
 
 
 def test_dominating_profile_poly2():
-    F = CumulativeFunction.dominating(lambda k: k * k)
+    F = parse_f_spec("cumulative:poly:2").cumulative()
     assert (F(1), F(2), F(3), F(4)) == (1, 2, 10, 17)
 
 
 @st.composite
-def slow_profiles(draw):
+def table_specs(draw):
     steps = draw(st.lists(st.integers(0, 1), min_size=0, max_size=12))
     values = [1, 2, 3]
     for s in steps:
         values.append(values[-1] + s)
-    tail = draw(st.sampled_from(["constant", "increment"]))
-    return SlowFunction(tuple(values), tail=tail)
+    return _table(values)
 
 
-@given(slow_profiles())
-def test_slow_cumulative_round_trip(f):
-    g = slow_from_cumulative(cumulative_from_slow(f))
+@given(table_specs())
+def test_slow_cumulative_round_trip(spec):
+    # the f of a table and the f of its F's finite values are one function
+    f = parse_f_spec(spec)
+    F = f.cumulative()
+    finite = []
+    while F(len(finite) + 1) != INF:
+        finite.append(F(len(finite) + 1))
+    g = parse_f_spec("cumulative:" + ",".join(str(v) for v in finite))
     assert all(f(i) == g(i) for i in range(1, 50))
 
 
-@given(slow_profiles(), st.integers(1, 40))
-def test_cumulative_definition_is_sup(f, k):
+@given(table_specs(), st.integers(1, 40))
+def test_cumulative_definition_is_sup(spec, k):
     # F(k) = sup{i | f(i) <= k}, checked against direct evaluation
+    f = parse_f_spec(spec)
     F = f.cumulative()
     v = F(k)
     if v is INF or v == INF:
@@ -150,7 +159,8 @@ def test_parse_f_spec_rejects_garbage(bad):
 
 def test_descriptor_round_trip():
     for spec in ["identity", "cap:4", "table:1,2,3,3",
-                 "cumulative:1,2,5", "cumulative:poly:2"]:
+                 "cumulative:1,2,5", "cumulative:poly:2",
+                 "question84:poly:2", "question84:coeffs:3", " cap:3 "]:
         f = parse_f_spec(spec)
         g = parse_f_spec(f.descriptor)
         assert all(f(i) == g(i) for i in range(1, 30))

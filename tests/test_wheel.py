@@ -83,6 +83,20 @@ def test_json_round_trip_byte_identical(ell, fs, t, n):
         assert all(q.layer_of(g) == layer for g in q.layer_range(layer))
 
 
+@pytest.mark.parametrize("spec", [
+    "identity", "cap:4", "table:1,2,3,3,4", "cumulative:1,2,5",
+    "cumulative:poly:2", "question84:poly:2", "question84:coeffs:3",
+])
+def test_json_round_trip_every_spec_form(spec):
+    # the f_spec a prefix writes is the descriptor, which parses back to f
+    f = parse_f_spec(spec)
+    p = build_prefix(4, f, 4)
+    text = p.to_json()
+    assert WheelPrefix.from_json(text).to_json() == text
+    g = parse_f_spec(f.descriptor)
+    assert [g(i) for i in range(1, 31)] == [f(i) for i in range(1, 31)]
+
+
 def test_layer_of_bounds_and_extend():
     p = build_prefix(4, parse_f_spec("cap:3"), 3)
     n = p.n_vertices
@@ -102,6 +116,9 @@ def test_size_cap_enforced():
     # the cap bounds the cumulative vertex count, not a single layer
     p = build_prefix(4, parse_f_spec("identity"), 8, size_cap=1021)
     assert p.n_vertices == 1020
+    # the first layer counts too
+    with pytest.raises(SizeCapError):
+        build_prefix(6, parse_f_spec("cap:3"), 1, size_cap=5)
 
 
 def test_ell_below_four_rejected():

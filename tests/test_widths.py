@@ -6,7 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layered_wheels import build_prefix, parse_f_spec
+from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
 from layered_wheels import kernels
 from layered_wheels import structure as S
 from layered_wheels import widths as W
@@ -302,7 +302,6 @@ def test_demo_conjecture85_flags_infinite_formula():
     assert not rep["all_certified"]
 
 
-
 def test_omega_computed_once_per_prefix(monkeypatch, prefix_68):
     calls = []
     exact = S.clique_number_exact
@@ -371,6 +370,29 @@ def test_demo_hajebi_small_and_reproducible():
     assert a["all_certified"]
     c = W.demo_hajebi(2, 5, 3, 5, 10 ** 4, seed=2)
     assert c["rows"] != a["rows"]
+
+
+@pytest.mark.parametrize("demo", [
+    lambda: W.demo_question84("coeffs:3", 4, 3, 10 ** 4),
+    lambda: W.demo_conjecture85("poly:2", 4, 1, 10 ** 4),
+    lambda: W.demo_hajebi(2, 5, 3, 1, 10 ** 4),
+], ids=["question84", "conjecture85", "hajebi"])
+def test_demo_prefixes_round_trip_through_json(monkeypatch, demo):
+    # the f each demo builds with writes an f_spec that reads back
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(build_prefix(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(W, "build_prefix", recorded)
+    demo()
+    assert built
+    for p in built:
+        text = p.to_json()
+        assert WheelPrefix.from_json(text).to_json() == text
+        g = parse_f_spec(p.f.descriptor)
+        assert [g(i) for i in range(1, 31)] == [p.f(i) for i in range(1, 31)]
 
 
 def test_demo_hajebi_rejects_bad_parameters():
