@@ -225,15 +225,20 @@ def transversal_coloring(prefix, peo_cert):
 
 # -- vertical and augmenting paths ----------------------------------------
 
+def _is_augmenting(prefix, v, u, X):
+    """Whether the arc vu is augmenting for X: N^up(u) and N^up[v] meet X
+    in the same vertices."""
+    return set(prefix.up[u]) & X == ({v} | set(prefix.up[v])) & X
+
+
 def augmenting_child(prefix, v, X):
     """The smallest-position child u of v with an augmenting arc vu,
     falling back to the first child; returns (u, is_augmenting)."""
     kids = prefix.children(v)
     if not kids:
         raise ValueError("vertex %s has no children" % (prefix.loc(v),))
-    want = ({v} | set(prefix.up[v])) & X
     for u in kids:
-        if set(prefix.up[u]) & X == want:
+        if _is_augmenting(prefix, v, u, X):
             return u, True
     return kids[0], False
 
@@ -337,54 +342,26 @@ def expected_intersection(prefix, P, Q):
     return out
 
 
-def verify_separation(vertices, edges, sep):
-    """Independent separation check: A and B cover the vertex set and no
-    edge joins A-only to B-only.  Usable on separations from files."""
+def verify_separation_on_prefix(prefix, sep, vertices):
+    """Independent separation check of G[X] for X = ``vertices``: A and B
+    cover X and no edge of G[X] joins A-only to B-only.  Edges that leave X
+    are ignored.  Usable on separations from files."""
     vs = set(vertices)
     if not vs <= (sep.A | sep.B):
         return False
-    a_only = sep.A - sep.B
-    b_only = sep.B - sep.A
-    for (u, v) in edges:
-        if u not in vs or v not in vs:
-            continue
-        if (u in a_only and v in b_only) or (v in a_only and u in b_only):
-            return False
-    return True
-
-
-def verify_separation_on_prefix(prefix, sep, vertices):
-    vs = set(vertices)
     adj = prefix.adjacency()
-    edges = ((u, v) for u in vs for v in adj[u] if v in vs and u < v)
-    return verify_separation(vs, edges, sep)
+    b_only = (sep.B - sep.A) & vs
+    return not any(adj[u] & b_only for u in (sep.A - sep.B) & vs)
 
 
-@dataclass
-class FairSeparation:
-    sep: Separation
-    P: VerticalPath
-    Q: VerticalPath
-    base_layer: int
-
-
-def fair_separation_initial(prefix, X, cache, order):
-    """A fair separation from the augmenting paths out of two fixed
-    non-adjacent first-layer vertices (positions 0 and 2), restricted to X.
-    ``order`` is X sorted; ``cache`` holds the augmenting children for X."""
-    if prefix.ell < 4:
-        raise ValueError("ell >= 4 required")
-    n = len(X)
-    p = prefix.vid(1, 0)
-    q = prefix.vid(1, 2)
-    P = augmenting_path(prefix, p, X, cache)
-    Q = augmenting_path(prefix, q, X, cache)
-    for (first, second) in ((P, Q), (Q, P)):
-        sep = build_AB(prefix, first, second, order)
-        if 3 * len(sep.A) >= n:
-            return FairSeparation(sep, first, second, 1)
-    raise ProgressError("neither orientation is fair; impossible for "
-                        "disjoint paths")
+def _fair_pair(prefix, pairs, order):
+    """The first (P, Q, build_AB(P, Q)) among the candidate path pairs whose
+    A-side holds at least a third of the target set ``order`` (sorted)."""
+    for P, Q in pairs:
+        sep = build_AB(prefix, P, Q, order)
+        if 3 * len(sep.A) >= len(order):
+            return P, Q, sep
+    raise ProgressError("no candidate path pair gives a fair separation")
 
 
 def order_bound(ell, f, k):
@@ -425,9 +402,11 @@ def balanced_separation(prefix, X):
 
     cache = {}
     order = sorted(X)
-    fair = fair_separation_initial(prefix, X, cache, order)
-    P, Q, i = fair.P, fair.Q, fair.base_layer
-    sep = fair.sep
+    # augmenting paths out of two non-adjacent first-layer vertices
+    P = augmenting_path(prefix, prefix.vid(1, 0), X, cache)
+    Q = augmenting_path(prefix, prefix.vid(1, 2), X, cache)
+    P, Q, sep = _fair_pair(prefix, ((P, Q), (Q, P)), order)
+    i = 1
     iterations = 0
     monitor = None
     while True:
@@ -454,19 +433,10 @@ def balanced_separation(prefix, X):
         u = parented[0]
         v = prefix.parent[u]
         tail = _chain(prefix, u, X, P.truncation_layer, cache)
-        first_aug = (set(prefix.up[u]) & X) == \
-                    (({v} | set(prefix.up[v])) & X)
         R = VerticalPath(i, [v] + tail.vertices,
-                         [first_aug] + tail.arc_augmenting)
-        chosen = None
-        for (first, second) in ((P, R), (R, Q)):
-            cand = build_AB(prefix, first, second, order)
-            if 3 * len(cand.A) >= n:
-                chosen = (first, second, cand)
-                break
-        if chosen is None:
-            raise ProgressError("reroute produced no fair candidate")
-        P, Q, sep = chosen
+                         [_is_augmenting(prefix, v, u, X)]
+                         + tail.arc_augmenting)
+        P, Q, sep = _fair_pair(prefix, ((P, R), (R, Q)), order)
     aug_ok = P.tail_augmenting() and Q.tail_augmenting()
     balanced = (3 * len(sep.A - sep.B) <= 2 * n
                 and 3 * len(sep.B - sep.A) <= 2 * n)

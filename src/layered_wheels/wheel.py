@@ -216,16 +216,25 @@ class WheelPrefix:
     def from_json_obj(cls, obj):
         """Parse the object written by ``to_json_obj``.
 
-        A missing field or a wrongly shaped entry raises ValueError naming
-        the field.
+        A missing field, a wrongly shaped entry, a non-integer ell, an empty
+        layer list or a num_layers that disagrees with it raises ValueError
+        naming the field.
         """
         field = "f_spec"
         try:
             f = parse_f_spec(obj[field])
             field = "ell"
+            if type(obj[field]) is not int:
+                raise ValueError("not an integer: %s" % json.dumps(obj[field]))
             prefix = cls(obj[field], f)
             field = "layers"
             prefix.layer_sizes = [int(s) for s in obj[field]]
+            if not prefix.layer_sizes:
+                raise ValueError("a prefix has at least one layer")
+            field = "num_layers"
+            if obj[field] != prefix.num_layers:
+                raise ValueError("%s, but the file holds %d layers"
+                                 % (json.dumps(obj[field]), prefix.num_layers))
             field = "vertices"
             vertices = obj[field]
             n = len(vertices)

@@ -83,32 +83,6 @@ class TreeDecomposition:
         }
 
 
-@dataclass
-class WidthReport:
-    tw_lower: int
-    tw_lower_cert: structure.Certificate
-    tw_upper: float
-    tw_upper_source: str             # formula | decomposition | exact
-    ta_lower: int
-    ta_lower_cert: structure.Certificate
-    formula_inputs: tuple            # (ell, omega, F(omega+1))
-
-    def to_dict(self):
-        ell, omega, F1 = self.formula_inputs
-        return {
-            "tw_lower": self.tw_lower,
-            "tw_lower_cert": self.tw_lower_cert.to_dict(),
-            "tw_upper": self.tw_upper if self.tw_upper != INF else "inf",
-            "tw_upper_source": self.tw_upper_source,
-            "ta_lower": self.ta_lower,
-            "ta_lower_cert": self.ta_lower_cert.to_dict(),
-            "formula_inputs": {
-                "ell": ell, "omega": omega,
-                "F_omega_plus_1": F1 if F1 != INF else "inf",
-            },
-        }
-
-
 def tw_upper_bound_formula(ell, f, omega):
     """15 * (2 F(omega+1) + (ell+1) omega - 2), or infinity.
 
@@ -122,29 +96,10 @@ def tw_upper_bound_formula(ell, f, omega):
 
 
 def tw_lower_bound_minor(prefix):
-    """t-1 with the layer clique-minor certificate.
-
-    If some layer pair lost all its edges (mutated input), falls back to
-    the largest pairwise-linked layer subset and bounds by its size - 1.
-    """
+    """t-1 with the layer clique-minor certificate; the bound holds only
+    when the certificate's verdict is true."""
     cert = structure.layer_minor_check(prefix)
-    if cert.verdict:
-        return cert.bound, cert
-    t = prefix.num_layers
-    linked = [[False] * (t + 1) for _ in range(t + 1)]
-    for key in cert.data["edges"]:
-        i, j = map(int, key.split(","))
-        linked[i][j] = linked[j][i] = True
-    adj = [{j - 1 for j in range(1, t + 1) if linked[i][j]}
-           for i in range(1, t + 1)]
-    best = kernels.max_clique(t, adj)
-    sub = structure.Certificate(
-        kind="minor",
-        data=dict(cert.data, surviving_layers=sorted(v + 1 for v in best)),
-        verdict=True,
-        bound=len(best) - 1,
-    )
-    return sub.bound, sub
+    return cert.bound, cert
 
 
 def decomposition_from_separators(prefix, X):
@@ -249,17 +204,6 @@ def ta_lower_bound_certified(prefix):
         bound=bound,
     )
     return bound, cert
-
-
-def width_report(prefix):
-    """All certified bounds for one prefix, formula inputs included."""
-    tw_lo, lo_cert = tw_lower_bound_minor(prefix)
-    ta_lo, ta_cert = ta_lower_bound_certified(prefix)
-    omega = ta_cert.data["omega"]
-    tw_up = tw_upper_bound_formula(prefix.ell, prefix.f, omega)
-    F1 = prefix.f.cumulative()(omega + 1)
-    return WidthReport(tw_lo, lo_cert, tw_up, "formula", ta_lo, ta_cert,
-                       (prefix.ell, omega, F1))
 
 
 # -- counterexample demos -------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -151,7 +152,11 @@ def test_verify_with_no_check_selected_is_an_error(tmp_path, capsys):
     (lambda obj: obj["vertices"][5].update(up=[[9, 9]]), "'up'"),
     (lambda obj: obj.pop("ell"), "'ell'"),
     (lambda obj: obj["vertices"][5].update(parent=[1]), "'parent'"),
-], ids=["unknown-up-vertex", "missing-ell", "short-parent"])
+    (lambda obj: obj.update(num_layers=9), "'num_layers'"),
+    (lambda obj: obj.update(layers=[]), "'layers'"),
+    (lambda obj: obj.update(ell=4.5), "'ell'"),
+], ids=["unknown-up-vertex", "missing-ell", "short-parent",
+        "num-layers-mismatch", "no-layers", "float-ell"])
 def test_verify_malformed_json_is_an_error(tmp_path, capsys, mutate, field):
     f = tmp_path / "p.json"
     run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "3",
@@ -215,6 +220,23 @@ def test_separate_report_bytes_pinned(tmp_path, capsys, ell, f, t, digest):
                      "--emit-decomposition", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_separate_target_file_report_bytes_pinned(tmp_path, capsys):
+    # a random 300-vertex target: many edges leave X, and every
+    # separation check and decomposition bag is restricted to it
+    src = tmp_path / "p.json"
+    tgt = tmp_path / "x.json"
+    out = tmp_path / "sep.json"
+    p = build_prefix(4, parse_f_spec("cap:3"), 6)
+    src.write_text(p.to_json())
+    locs = [list(p.loc(g)) for g in range(p.n_vertices)]
+    tgt.write_text(json.dumps(random.Random(0).sample(locs, 300)))
+    code, _, _ = run(capsys, "separate", "--in", str(src), "--target",
+                     str(tgt), "--emit-decomposition", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "e7dd5c97c71ca1b154e802434ff8393f5cf313d0bb2e5ae1393952a11edd8a0d"
 
 
 # sha256 of the default `verify` report: pins the clique witness, which

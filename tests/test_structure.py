@@ -232,22 +232,39 @@ def test_build_AB_rejects_mismatched_paths(prefix_68):
         S.build_AB(prefix_68, P, Q, range(prefix_68.n_vertices))
 
 
-def test_verify_separation_detects_crossing_edge():
-    vertices = [0, 1, 2]
-    edges = [(0, 1), (1, 2)]
-    good = S.Separation(frozenset({0, 1}), frozenset({1, 2}))
-    bad = S.Separation(frozenset({0}), frozenset({1, 2}))
-    assert S.verify_separation(vertices, edges, good)
-    assert not S.verify_separation(vertices, edges, bad)
-    uncovered = S.Separation(frozenset({0}), frozenset({1}))
-    assert not S.verify_separation(vertices, edges, uncovered)
+def test_verify_separation_detects_crossing_edge(prefix_68):
+    p = prefix_68
+    X = range(p.n_vertices)
+    P = S.vertical_path_first_child(p, p.vid(1, 0), 4)
+    Q = S.vertical_path_first_child(p, p.vid(1, 2), 4)
+    good = S.build_AB(p, P, Q, X)
+    assert S.verify_separation_on_prefix(p, good, X)
+    # a separator vertex dropped from B leaves its B-only neighbours
+    # joined to the A-only side
+    s = min(good.A & good.B)
+    assert p.adjacency()[s] & (good.B - good.A)
+    dropped = S.Separation(good.A, good.B - {s})
+    assert not S.verify_separation_on_prefix(p, dropped, X)
+    uncovered = S.Separation(good.A - {s}, good.B - {s})
+    assert not S.verify_separation_on_prefix(p, uncovered, X)
+    # moving a separator vertex w to the B-only side makes its edge to an
+    # A-only neighbour cross, unless w leaves X and takes that edge along
+    w = next(w for w in sorted(good.A & good.B)
+             if p.adjacency()[w] & (good.A - good.B))
+    moved = S.Separation(good.A - {w}, good.B)
+    assert not S.verify_separation_on_prefix(p, moved, X)
+    assert S.verify_separation_on_prefix(p, moved, set(X) - {w})
 
 
 def test_fair_initial_separation(prefix_68):
     X = frozenset(range(prefix_68.n_vertices))
-    fair = S.fair_separation_initial(prefix_68, X, {}, sorted(X))
-    assert 3 * len(fair.sep.A & X) >= len(X)
-    assert fair.P.vertices[0] != fair.Q.vertices[0]
+    P = S.augmenting_path(prefix_68, prefix_68.vid(1, 0), X, {})
+    Q = S.augmenting_path(prefix_68, prefix_68.vid(1, 2), X, {})
+    first, second, sep = S._fair_pair(prefix_68, ((P, Q), (Q, P)),
+                                      sorted(X))
+    assert 3 * len(sep.A & X) >= len(X)
+    assert first.vertices[0] != second.vertices[0]
+    assert sep == S.build_AB(prefix_68, first, second, sorted(X))
 
 
 def test_balanced_separation_full_and_random(prefixes_2000, rng):

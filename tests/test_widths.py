@@ -53,13 +53,14 @@ def test_minor_lower_bound_values():
     assert W.tw_lower_bound_minor(p1)[0] == 0
 
 
-def test_minor_lower_bound_survives_mutation():
+def test_minor_lower_bound_fails_on_mutation():
+    # with no edge between layers 1 and 3 the minor certifies nothing
     q = build_prefix(4, parse_f_spec("cap:3"), 4)
     for g in q.layer_range(3):
         q.up[g] = [w for w in q.up[g] if q.layer_of(w) != 1]
     lo, cert = W.tw_lower_bound_minor(q)
-    assert cert.verdict and lo == 2
-    assert len(cert.data["surviving_layers"]) == 3
+    assert not cert.verdict and lo == 3
+    assert cert.data["first_missing_pair"] == [1, 3]
 
 
 def test_exact_treewidth_oracle_examples():
@@ -268,15 +269,6 @@ def test_ta_consistency_with_decomposition(prefix_68):
     assert W.independent_width(prefix_68, dec) >= ta
 
 
-def test_width_report_sandwich(prefix_68):
-    rep = W.width_report(prefix_68)
-    if rep.tw_upper != INF:
-        assert rep.tw_lower <= rep.tw_upper
-    d = rep.to_dict()
-    assert d["formula_inputs"]["ell"] == 4
-    assert d["ta_lower"] == rep.ta_lower
-
-
 # -- demos ----------------------------------------------------------------
 
 def test_demo_question84_small():
@@ -302,7 +294,7 @@ def test_demo_conjecture85_flags_infinite_formula():
     assert not rep["all_certified"]
 
 
-def test_omega_computed_once_per_prefix(monkeypatch, prefix_68):
+def test_omega_computed_once_per_prefix(monkeypatch):
     calls = []
     exact = S.clique_number_exact
 
@@ -313,9 +305,6 @@ def test_omega_computed_once_per_prefix(monkeypatch, prefix_68):
     monkeypatch.setattr(S, "clique_number_exact", counted)
     rep = W.demo_conjecture85("poly:2", 4, 1, 10 ** 4)
     assert len(calls) == len(rep["rows"]) == 1
-    calls.clear()
-    W.width_report(prefix_68)
-    assert calls == [prefix_68]
 
 
 def _sample_by_induced_search(prefix, rng, max_omega):
