@@ -179,56 +179,81 @@ def max_independent_set(n, adj):
 def shortest_hole(n, adj, bound):
     """Length of a shortest chordless cycle of length in [4, bound], or None.
 
-    Exhaustive DFS over chordless paths anchored at their minimum vertex;
-    the depth cap keeps it polynomial for fixed bound.
+    A hole with a vertex of degree >= 3 is found from its smallest such
+    vertex s, by a DFS over chordless paths from s through vertices that
+    are above s or have degree 2 (so degree-2 vertices take any id on the
+    path).  The DFS is pruned by BFS distances from s inside those
+    vertices, taken to depth limit // 2: it extends to w only while
+    len(path) + dist[w] <= limit, the current length cap.  A hole made
+    only of degree-2 vertices is a whole cycle component; one O(n) pass
+    finds those, and it runs only while no 4-hole has been found.  The
+    depth cap keeps the scan polynomial for fixed bound.
     """
     if bound < 4:
         return None
+    deg = [len(a) for a in adj]
     best = None
-
+    limit = bound
     for s in range(n):
-        limit = bound if best is None else best - 1
-        if limit < 4:
-            break
-        # path[0] == s is the minimum vertex of any cycle reported here
-        stack = [(s, iter(sorted(adj[s])))]
+        if deg[s] < 3:
+            continue
+        # dist[w]: BFS distance from s through allowed vertices; a vertex
+        # of a hole of length <= limit lies within limit // 2 of s
+        dist = {s: 0}
+        frontier = [s]
+        for d in range(1, limit // 2 + 1):
+            reached = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in dist and (w > s or deg[w] == 2):
+                        dist[w] = d
+                        reached.append(w)
+            frontier = reached
         path = [s]
         on_path = {s}
+        stack = [iter(adj[s])]
         while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w <= s or w in on_path:
+            for w in stack[-1]:
+                dw = dist.get(w)
+                if dw is None or w in on_path or len(path) + dw > limit:
                     continue
                 nb = adj[w]
-                if len(path) == 1:
-                    # first edge of the path; nothing to close or chord yet
-                    path.append(w)
-                    on_path.add(w)
-                    stack.append((w, iter(sorted(nb))))
-                    advanced = True
-                    break
-                # chord against any internal path vertex (not the tip)
-                if any(x in nb for x in path[1:-1]):
-                    continue
-                if s in nb:
-                    k = len(path) + 1
-                    if k >= 4 and path[1] < w and (best is None or k < best):
-                        best = k
-                        limit = best - 1
-                    # w sees s: extending past w would leave a chord
-                    continue
-                if len(path) + 1 < limit:
-                    path.append(w)
-                    on_path.add(w)
-                    stack.append((w, iter(sorted(nb))))
-                    advanced = True
-                    break
-            if not advanced:
+                if len(path) > 1:
+                    # chord against any internal path vertex (not the tip)
+                    if any(x in nb for x in path[1:-1]):
+                        continue
+                    if s in nb:
+                        # w closes a cycle of len(path) + 1 <= limit
+                        # vertices; extending past w would leave a chord
+                        if len(path) >= 3:
+                            best = len(path) + 1
+                            if best == 4:
+                                return best
+                            limit = best - 1
+                        continue
+                path.append(w)
+                on_path.add(w)
+                stack.append(iter(nb))
+                break
+            else:
                 stack.pop()
                 on_path.discard(path.pop())
-        if best == 4:
-            break
+    # holes whose vertices all have degree 2: whole cycle components
+    seen = bytearray(n)
+    for v in range(n):
+        if deg[v] != 2 or seen[v]:
+            continue
+        seen[v] = 1
+        length = 1
+        prev, cur = v, next(iter(adj[v]))
+        while cur != v and deg[cur] == 2 and not seen[cur]:
+            seen[cur] = 1
+            length += 1
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+        if cur == v and 4 <= length <= limit:
+            best = length
+            limit = best - 1
     return best
 
 

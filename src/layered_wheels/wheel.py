@@ -98,11 +98,15 @@ class WheelPrefix:
         if not 0 <= g < self.n_vertices:
             raise UnknownVertexError("no vertex with id %r in the prefix"
                                      % (g,))
+        return self._layers()[g]
+
+    def _layers(self):
+        """The cached flat list: entry g is the layer of vertex g."""
         if self._layer is None:
             self._layer = [layer
                            for layer, size in enumerate(self.layer_sizes, 1)
                            for _ in range(size)]
-        return self._layer[g]
+        return self._layer
 
     def layer_range(self, layer):
         start = self.offsets[layer - 1]
@@ -127,11 +131,13 @@ class WheelPrefix:
         """Undirected adjacency as a list of sets (cached)."""
         if self._adj is None:
             adj = [set() for _ in range(self.n_vertices)]
-            for layer in range(1, self.num_layers + 1):
-                for g in self.layer_range(layer):
-                    h = self.cycle_next(g)
-                    adj[g].add(h)
-                    adj[h].add(g)
+            for start, size in zip(self.offsets, self.layer_sizes):
+                last = start + size - 1
+                for g in range(start, last):
+                    adj[g].add(g + 1)
+                    adj[g + 1].add(g)
+                adj[last].add(start)
+                adj[start].add(last)
             for v in range(self.n_vertices):
                 for w in self.up[v]:
                     adj[v].add(w)
@@ -190,35 +196,38 @@ class WheelPrefix:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json_obj(self):
-        vertices = []
-        for g in range(self.n_vertices):
-            layer, pos = self.loc(g)
-            vertices.append({
-                "layer": layer,
-                "pos": pos,
-                "parent": list(self.loc(self.parent[g]))
-                          if self.parent[g] >= 0 else None,
-                "up": [list(self.loc(w)) for w in self.up[g]],
-            })
-        return {
-            "ell": self.ell,
-            "f_spec": self.f.descriptor,
-            "num_layers": self.num_layers,
-            "layers": list(self.layer_sizes),
-            "vertices": vertices,
-        }
-
     def to_json(self):
-        return json.dumps(self.to_json_obj())
+        """The prefix as one line of JSON, in the layout ``json.dumps``
+        gives the object with fields ell, f_spec, num_layers, layers and
+        vertices: one {layer, pos, parent, up} record per vertex in id
+        order, each other vertex named by its [layer, pos] pair."""
+        locs = ["[%d, %d]" % (layer, pos)
+                for layer, size in enumerate(self.layer_sizes, 1)
+                for pos in range(size)]
+        records = []
+        g = 0
+        for layer, size in enumerate(self.layer_sizes, 1):
+            for pos in range(size):
+                p = self.parent[g]
+                records.append(
+                    '{"layer": %d, "pos": %d, "parent": %s, "up": [%s]}'
+                    % (layer, pos, locs[p] if p >= 0 else "null",
+                       ", ".join([locs[w] for w in self.up[g]])))
+                g += 1
+        return ('{"ell": %d, "f_spec": %s, "num_layers": %d, "layers": [%s], '
+                '"vertices": [%s]}'
+                % (self.ell, json.dumps(self.f.descriptor), self.num_layers,
+                   ", ".join(map(str, self.layer_sizes)),
+                   ", ".join(records)))
 
     @classmethod
     def from_json_obj(cls, obj):
-        """Parse the object written by ``to_json_obj``.
+        """Parse the object that ``json.loads`` makes of ``to_json``.
 
-        A missing field, a wrongly shaped entry, a non-integer ell, an empty
-        layer list or a num_layers that disagrees with it raises ValueError
-        naming the field.
+        A missing field, a wrongly shaped entry, a non-integer ell, layer,
+        pos or coordinate, a layer size that is not a positive integer, an
+        empty layer list or a num_layers that disagrees with it raises
+        ValueError naming the field.
         """
         field = "f_spec"
         try:
@@ -228,39 +237,80 @@ class WheelPrefix:
                 raise ValueError("not an integer: %s" % json.dumps(obj[field]))
             prefix = cls(obj[field], f)
             field = "layers"
-            prefix.layer_sizes = [int(s) for s in obj[field]]
-            if not prefix.layer_sizes:
+            sizes = list(obj[field])
+            for size in sizes:
+                if type(size) is not int or size < 1:
+                    raise ValueError("not a positive integer: %s"
+                                     % json.dumps(size))
+            if not sizes:
                 raise ValueError("a prefix has at least one layer")
             field = "num_layers"
-            if obj[field] != prefix.num_layers:
+            if obj[field] != len(sizes):
                 raise ValueError("%s, but the file holds %d layers"
-                                 % (json.dumps(obj[field]), prefix.num_layers))
+                                 % (json.dumps(obj[field]), len(sizes)))
             field = "vertices"
             vertices = obj[field]
             n = len(vertices)
         except _MALFORMED as exc:
             raise _field_error("prefix", field, exc) from None
+        offsets = []
         off = 0
-        for s in prefix.layer_sizes:
-            prefix.offsets.append(off)
-            off += s
+        for size in sizes:
+            offsets.append(off)
+            off += size
         if n != off:
             raise ValueError("vertex list does not match layer sizes")
-        prefix.up = [[] for _ in range(off)]
-        prefix.parent = [-1] * off
-        prefix.span = [None] * off
-        for g, rec in enumerate(vertices):
-            field = "layer"
-            try:
-                if prefix.loc(g) != (rec["layer"], rec["pos"]):
-                    raise ValueError("vertices out of order at index %d" % g)
-                field = "up"
-                prefix.up[g] = [prefix.vid(*w) for w in rec[field]]
-                field = "parent"
-                if rec[field] is not None:
-                    prefix.parent[g] = prefix.vid(*rec[field])
-            except _MALFORMED as exc:
-                raise _field_error("vertex %d" % g, field, exc) from None
+        t = len(sizes)
+
+        def vertex_id(entry):
+            # the bounds check of vid, on a [layer, pos] pair of the file
+            layer, pos = entry
+            if type(layer) is not int or type(pos) is not int:
+                raise ValueError("not an integer coordinate: %s"
+                                 % json.dumps(entry))
+            if not (1 <= layer <= t and 0 <= pos < sizes[layer - 1]):
+                raise UnknownVertexError("no vertex %r in the prefix"
+                                         % ((layer, pos),))
+            return offsets[layer - 1] + pos
+
+        up = []
+        parent = [-1] * n
+        records = iter(vertices)
+        g = 0
+        for layer, size in enumerate(sizes, 1):
+            # zip stops on the exhausted range before taking a record, so
+            # the next layer starts at the next record
+            for pos, rec in zip(range(size), records):
+                field = "layer"
+                try:
+                    rec_layer = rec[field]
+                    rec_pos = rec["pos"]
+                    if type(rec_layer) is not int:
+                        raise ValueError("not an integer: %s"
+                                         % json.dumps(rec_layer))
+                    if type(rec_pos) is not int:
+                        field = "pos"
+                        raise ValueError("not an integer: %s"
+                                         % json.dumps(rec_pos))
+                    if rec_layer != layer or rec_pos != pos:
+                        raise ValueError("vertices out of order at index %d"
+                                         % g)
+                    field = "up"
+                    ids = []
+                    for w in rec[field]:
+                        ids.append(vertex_id(w))
+                    up.append(ids)
+                    field = "parent"
+                    if rec[field] is not None:
+                        parent[g] = vertex_id(rec[field])
+                except _MALFORMED as exc:
+                    raise _field_error("vertex %d" % g, field, exc) from None
+                g += 1
+        prefix.layer_sizes = sizes
+        prefix.offsets = offsets
+        prefix.up = up
+        prefix.parent = parent
+        prefix.span = [None] * n
         prefix._recover_spans()
         return prefix
 
@@ -345,7 +395,7 @@ def verify_rules(prefix):
     """
     n = prefix.n_vertices
     t = prefix.num_layers
-    layer = [prefix.layer_of(g) for g in range(n)]
+    layer = prefix._layers()
     adj = prefix.adjacency()
 
     report = RulesReport()

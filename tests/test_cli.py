@@ -105,6 +105,26 @@ def test_graph6_matches_prefix_edges(tmp_path, capsys, t):
     assert edges == set(p.edges())
 
 
+# sha256 of the `build` JSON and DOT exports: a faster writer must not
+# change a byte of either
+@pytest.mark.parametrize("ell, f, t, fmt, digest", [
+    (4, "cap:3", 8, "json",
+     "09cfb2aadb88c5537a02708d0a935c966e4f447258fb51e688a3e5cdd7ce9975"),
+    (4, "cap:3", 8, "dot",
+     "3dfc64ada92d306fe308806fbe487820dd3217bc9e9a5d5e80946dfafb74b6fe"),
+    (6, "cap:4", 5, "json",
+     "5b3100f36b98fcf6e6b157f742e8d70e801818b89c7fba6c61adc6714c6a6cca"),
+    (6, "cap:4", 5, "dot",
+     "0272adadd30f7b0f3465eae8787eeb85bfedbf11cc57b1e0416d26e472377932"),
+], ids=["n3020-json", "n3020-dot", "n2094-json", "n2094-dot"])
+def test_build_export_bytes_pinned(tmp_path, capsys, ell, f, t, fmt, digest):
+    out = tmp_path / "p.out"
+    code, _, _ = run(capsys, "build", "--ell", str(ell), "--f", f,
+                     "--layers", str(t), "--format", fmt, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_dot_has_layer_ranks():
     p = build_prefix(4, parse_f_spec("identity"), 2)
     dot = to_dot(p)
@@ -155,8 +175,18 @@ def test_verify_with_no_check_selected_is_an_error(tmp_path, capsys):
     (lambda obj: obj.update(num_layers=9), "'num_layers'"),
     (lambda obj: obj.update(layers=[]), "'layers'"),
     (lambda obj: obj.update(ell=4.5), "'ell'"),
+    (lambda obj: obj.update(layers=[str(s) for s in obj["layers"]]),
+     "'layers'"),
+    (lambda obj: obj.update(layers=[4, -4, 4], vertices=obj["vertices"][:4]),
+     "'layers'"),
+    (lambda obj: obj["vertices"][9].update(layer=2.0), "'layer'"),
+    (lambda obj: obj["vertices"][9].update(pos=5.0), "'pos'"),
+    (lambda obj: obj["vertices"][5].update(up=[[1, 0.0]]), "'up'"),
+    (lambda obj: obj["vertices"][5].update(parent=[1, 0.0]), "'parent'"),
 ], ids=["unknown-up-vertex", "missing-ell", "short-parent",
-        "num-layers-mismatch", "no-layers", "float-ell"])
+        "num-layers-mismatch", "no-layers", "float-ell", "string-layers",
+        "negative-layer", "float-layer", "float-pos", "float-up",
+        "float-parent"])
 def test_verify_malformed_json_is_an_error(tmp_path, capsys, mutate, field):
     f = tmp_path / "p.json"
     run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "3",
@@ -250,7 +280,12 @@ def test_separate_target_file_report_bytes_pinned(tmp_path, capsys):
      "abd355a64ad12d5d28f403f7ca83c902dde8094fe3b13a51d9392a296eba4fd8"),
     (6, "cap:4", 4, 1,
      "abd355a64ad12d5d28f403f7ca83c902dde8094fe3b13a51d9392a296eba4fd8"),
-], ids=["n444-seed0", "n444-seed1", "n510-seed0", "n510-seed1"])
+    (5, "identity", 5, 0,
+     "63606f86da959f95995b2e513885b4c88c361c38a838dc38e2e42cd3419bf3f2"),
+    (7, "cap:3", 4, 0,
+     "1ecf487af9d5056e5bff639d7a1ae1f0aa16592dbfa08668850eb6fadbce8b79"),
+], ids=["n444-seed0", "n444-seed1", "n510-seed0", "n510-seed1", "n605-seed0",
+        "n1127-seed0"])
 def test_verify_report_bytes_pinned(tmp_path, capsys, ell, f, t, seed,
                                     digest):
     src = tmp_path / "p.json"

@@ -62,6 +62,59 @@ def oracle_shortest_hole(n, adj, bound):
     return None
 
 
+def reference_shortest_hole(n, adj, bound):
+    """The unpruned scan: a DFS over chordless paths from every vertex s
+    through ids above s, each cycle counted from its minimum vertex."""
+    if bound < 4:
+        return None
+    best = None
+
+    for s in range(n):
+        limit = bound if best is None else best - 1
+        if limit < 4:
+            break
+        # path[0] == s is the minimum vertex of any cycle reported here
+        stack = [(s, iter(sorted(adj[s])))]
+        path = [s]
+        on_path = {s}
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w <= s or w in on_path:
+                    continue
+                nb = adj[w]
+                if len(path) == 1:
+                    # first edge of the path; nothing to close or chord yet
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append((w, iter(sorted(nb))))
+                    advanced = True
+                    break
+                # chord against any internal path vertex (not the tip)
+                if any(x in nb for x in path[1:-1]):
+                    continue
+                if s in nb:
+                    k = len(path) + 1
+                    if k >= 4 and path[1] < w and (best is None or k < best):
+                        best = k
+                        limit = best - 1
+                    # w sees s: extending past w would leave a chord
+                    continue
+                if len(path) + 1 < limit:
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append((w, iter(sorted(nb))))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                on_path.discard(path.pop())
+        if best == 4:
+            break
+    return best
+
+
 def oracle_treewidth(n, adj):
     """Subset DP over elimination prefixes (independent of the kernel)."""
     adjsets = [frozenset(a) for a in adj]
@@ -159,6 +212,42 @@ def graphs(draw):
     return [sorted(perm[u] for u in adj[perm.index(v)]) for v in range(n)]
 
 
+@st.composite
+def hole_cases(draw):
+    """(n, adj, bound) with bound in 3..8: random graphs, the same with
+    edges subdivided (many degree-2 vertices), disjoint cycles of lengths
+    3..bound+1, and cycles beside a random part, all randomly relabelled."""
+    bound = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(["random", "subdivided", "cycles", "mixed"]))
+    n = 0
+    edges = []
+    if kind != "cycles":
+        n = draw(st.integers(0, 9 if kind == "random" else 7))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+        edges = [pr for pr, k in zip(pairs, keep) if k]
+    if kind == "subdivided":
+        chains = []
+        for u, v in edges:
+            extra = draw(st.integers(0, 3))
+            chain = [u, *range(n, n + extra), v]
+            n += extra
+            chains += zip(chain, chain[1:])
+        edges = chains
+    if kind in ("cycles", "mixed"):
+        for length in draw(st.lists(st.integers(3, bound + 1), max_size=3)):
+            part = range(n, n + length)
+            edges += [(part[i], part[i - 1]) for i in range(length)]
+            n += length
+    perm = draw(st.permutations(range(n)))
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[perm[u]].add(perm[v])
+        adj[perm[v]].add(perm[u])
+    return n, adj, bound
+
+
 # -- oracle tests ---------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
@@ -225,6 +314,24 @@ def test_shortest_hole_against_brute_force():
         adj = random_graph(rng, n, rng.uniform(0.2, 0.7))
         assert (kernels.shortest_hole(n, adj, 7)
                 == oracle_shortest_hole(n, adj, 7))
+
+
+@settings(max_examples=500, deadline=None)
+@given(hole_cases())
+def test_shortest_hole_matches_reference(case):
+    n, adj, bound = case
+    assert (kernels.shortest_hole(n, adj, bound)
+            == reference_shortest_hole(n, adj, bound))
+
+
+def test_shortest_hole_matches_reference_on_prefixes():
+    for ell, f, t in [(4, "cap:3", 5), (5, "identity", 4), (6, "cap:4", 4),
+                      (7, "cap:3", 3)]:
+        p = build_prefix(ell, parse_f_spec(f), t)
+        n, adj = p.n_vertices, p.adjacency()
+        for bound in (ell - 1, ell, ell + 1):
+            assert (kernels.shortest_hole(n, adj, bound)
+                    == reference_shortest_hole(n, adj, bound))
 
 
 def test_shortest_hole_known_graphs():
