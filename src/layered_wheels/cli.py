@@ -58,10 +58,13 @@ def to_dot(prefix):
             heads[w].append(v)
     # arcs in sorted (tail, head) order: the cycle successor of u lies in
     # u's own layer and every upward head in a later one, so it comes first
-    for u, tail in enumerate(names):
-        lines.append("  %s -> %s;" % (tail, names[prefix.cycle_next(u)]))
-        for v in heads[u]:
-            lines.append("  %s -> %s;" % (tail, names[v]))
+    for start, size in zip(prefix.offsets, prefix.layer_sizes):
+        for u in range(start, start + size):
+            tail = names[u]
+            lines.append("  %s -> %s;"
+                         % (tail, names[start + (u - start + 1) % size]))
+            for v in heads[u]:
+                lines.append("  %s -> %s;" % (tail, names[v]))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -269,14 +269,9 @@ def _chain(prefix, v, X, t_max, cache):
 
 
 def vertical_path_first_child(prefix, v, end_layer):
-    """The plain vertical path taking the first child at every step."""
-    verts = [v]
-    cur = v
-    for _ in range(prefix.layer_of(v), end_layer):
-        kids = prefix.children(cur)
-        cur = kids[0]
-        verts.append(cur)
-    return VerticalPath(prefix.layer_of(v), verts)
+    """The plain vertical path taking the first child at every step: with
+    no target vertex every arc counts as augmenting."""
+    return _chain(prefix, v, frozenset(), end_layer, {})
 
 
 # -- separations ----------------------------------------------------------
@@ -330,16 +325,6 @@ def build_AB(prefix, P, Q, X):
             else:
                 B.append(x)
     return Separation(frozenset(A), frozenset(B))
-
-
-def expected_intersection(prefix, P, Q):
-    """V(P) ∪ V(Q) ∪ the up-closures along the base segment -- the exact
-    value of A ∩ B proved for this construction."""
-    out = set(P.vertices) | set(Q.vertices)
-    for u in _forward_segment(prefix, P.vertices[0], Q.vertices[0]):
-        out.add(u)
-        out.update(prefix.up[u])
-    return out
 
 
 def verify_separation_on_prefix(prefix, sep, vertices):

@@ -2,9 +2,9 @@
 
 A prefix consists of layers L_1..L_t.  Each layer induces a directed cycle;
 every vertex carries an upward neighborhood (a clique with at most one
-vertex per earlier layer) and, once the next layer exists, a contiguous
-span of descendants there.  All arcs are implicit: layer cycles, parent
-pointers and upward neighborhoods fully determine the graph.
+vertex per earlier layer) and, once the next layer exists, a path of
+descendants there.  All arcs are implicit: layer cycles, parent pointers
+and upward neighborhoods fully determine the graph.
 
 Vertices are addressed either by global index (construction order) or by
 ``(layer, position)`` pairs; positions follow the directed cycle and
@@ -53,11 +53,14 @@ def _field_error(where, field, exc):
 class WheelPrefix:
     """Layers L_1..L_t of a layered wheel for a slow function f and ell >= 4.
 
-    Internal storage is flat: vertex g lives in layer ``layer_of(g)`` at
-    position ``pos_of(g)``; ``up[g]`` holds global ids of the upward
-    neighborhood sorted by layer; ``parent[g]`` is the unique neighbor in
-    the previous layer or -1; ``span[g]`` is (global start, count) of the
-    descendant path in the next layer or None.
+    A prefix holds its layer sizes (with ``offsets``, the global id of
+    each layer's position 0), ``up[g]``, the global ids of g's upward
+    neighborhood sorted by layer, and ``parent[g]``, the unique neighbor of
+    g in the previous layer or -1.  Everything else is implicit.  The
+    cycle arc out of a vertex goes to the next position of its layer, the
+    last position wrapping to 0.  The descendant path of v runs from v's
+    first child to the vertex before the first child of the next vertex
+    of v's layer; the last vertex's path runs to the end of the layer.
     """
 
     def __init__(self, ell, f):
@@ -69,7 +72,6 @@ class WheelPrefix:
         self.offsets = []          # offsets[i] = global id of (i+1, 0)
         self.up = []
         self.parent = []
-        self.span = []
         self._adj = None
         self._layer = None         # _layer[g] = layer of g (built on use)
 
@@ -112,18 +114,11 @@ class WheelPrefix:
         start = self.offsets[layer - 1]
         return range(start, start + self.layer_sizes[layer - 1])
 
-    def cycle_next(self, g):
-        layer = self.layer_of(g)
-        start = self.offsets[layer - 1]
-        size = self.layer_sizes[layer - 1]
-        return start + (g - start + 1) % size
-
     def children(self, g):
-        """Descendants of g in the next layer that are adjacent to g."""
-        if self.span[g] is None:
-            return []
-        start, count = self.span[g]
-        return [u for u in range(start, start + count) if self.parent[u] == g]
+        """The vertices whose parent is g, in position order."""
+        kids = [u for u in self.adjacency()[g] if self.parent[u] == g]
+        kids.sort()
+        return kids
 
     # -- graph views ------------------------------------------------------
 
@@ -169,28 +164,21 @@ class WheelPrefix:
         new_size = sum(widths)
         _check_size_cap(i + 1, self.n_vertices + new_size, size_cap)
 
-        start = self.n_vertices
-        self.offsets.append(start)
+        self.offsets.append(self.n_vertices)
         self.layer_sizes.append(new_size)
-        g = start
         for v, n_v in zip(top, widths):
             upv = self.up[v]
-            self.span[v] = (g, n_v)
             if n_v == ell - 2 and len(upv) < fi1 - 1:
                 blocks = [upv + [v]]
             else:
                 blocks = [upv[:j] + upv[j + 1:] + [v]
                           for j in range(len(upv))]
             for first_up in blocks:
-                self.up.append(list(first_up))
+                self.up.append(first_up)
                 self.parent.append(v)
-                self.span.append(None)
-                g += 1
                 for _ in range(ell - 3):
                     self.up.append([])
                     self.parent.append(-1)
-                    self.span.append(None)
-                    g += 1
         self._adj = None
         self._layer = None
 
@@ -310,29 +298,11 @@ class WheelPrefix:
         prefix.offsets = offsets
         prefix.up = up
         prefix.parent = parent
-        prefix.span = [None] * n
-        prefix._recover_spans()
         return prefix
 
     @classmethod
     def from_json(cls, text):
         return cls.from_json_obj(json.loads(text))
-
-    def _recover_spans(self):
-        # spans are contiguous and follow the parent order (rule on descendant
-        # paths): each span runs from its parent's first child to the next
-        # parent's first child, the last one to the end of the layer
-        for layer in range(1, self.num_layers):
-            parents = self.layer_range(layer)
-            nxt = self.layer_range(layer + 1)
-            first = {}
-            for u in nxt:
-                p = self.parent[u]
-                if p in parents and p not in first:
-                    first[p] = u
-            starts = sorted(first.values())
-            for s, end in zip(starts, starts[1:] + [nxt.stop]):
-                self.span[self.parent[s]] = (s, end - s)
 
 
 def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
@@ -346,7 +316,6 @@ def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
     prefix.offsets = [0]
     prefix.up = [[] for _ in range(ell)]
     prefix.parent = [-1] * ell
-    prefix.span = [None] * ell
     for _ in range(t - 1):
         prefix._extend(size_cap)
     return prefix
@@ -394,7 +363,7 @@ def verify_rules(prefix):
     each rule gets a pass/fail entry with the first violation found.
     """
     n = prefix.n_vertices
-    t = prefix.num_layers
+    sizes = prefix.layer_sizes
     layer = prefix._layers()
     adj = prefix.adjacency()
 
@@ -406,27 +375,27 @@ def verify_rules(prefix):
 
     # rule 1: layers partition the vertex set
     v1 = None
-    if sum(prefix.layer_sizes) != n:
-        v1 = "layer sizes sum to %d, have %d vertices" % (
-            sum(prefix.layer_sizes), n)
+    if sum(sizes) != n:
+        v1 = "layer sizes sum to %d, have %d vertices" % (sum(sizes), n)
     add(1, "layers partition V", v1)
 
     # the cycle arcs stay in their layer, so every chord (rule 2) and
-    # every downward arc (rule 3) is an upward entry w -> v
-    chords = [[] for _ in range(t + 1)]
+    # every downward arc (rule 3) is an upward entry w -> v; the cycle arc
+    # into v comes from the vertex one position before it
+    chords = [[] for _ in range(len(sizes) + 1)]
     downward = None
     for v in range(n):
         for w in prefix.up[v]:
             if layer[w] > layer[v]:
                 if downward is None:
                     downward = (w, v)
-            elif layer[w] == layer[v] and prefix.cycle_next(w) != v:
+            elif layer[w] == layer[v] and (v - w) % sizes[layer[v] - 1] != 1:
                 chords[layer[v]].append((w, v))
 
     # rule 2: each layer induces a directed cycle of length >= ell; a chord
     # is an entry from v's own layer other than v's cycle predecessor
     v2 = None
-    for i, size in enumerate(prefix.layer_sizes, 1):
+    for i, size in enumerate(sizes, 1):
         if size < prefix.ell:
             v2 = "layer %d has %d < ell vertices" % (i, size)
             break
@@ -444,84 +413,83 @@ def verify_rules(prefix):
             prefix.loc(downward[0]), prefix.loc(downward[1]))
     add(3, "cross arcs oriented by layer", v3)
 
-    # rule 4: descendant paths partition the next layer; unique parent;
-    # at least one child below the top layer
-    v4 = None
-    for u in range(n):
+    # rule 4: unique parent; descendant paths tile the next layer, so every
+    # vertex below the top layer has a child
+    add(4, "descendant paths tile the next layer",
+        _parent_violation(prefix, layer, adj) or _tiling_violation(prefix))
+
+    # rule 5: upward neighborhoods are small cliques, one vertex per layer
+    add(5, "upward neighborhoods are per-layer cliques",
+        _upward_violation(prefix, layer, adj))
+
+    return report
+
+
+def _parent_violation(prefix, layer, adj):
+    """The first vertex whose recorded parent is not its one neighbor in
+    the previous layer (or -1 when it has none)."""
+    loc = prefix.loc
+    for u in range(prefix.n_vertices):
         prev = [w for w in adj[u] if layer[w] == layer[u] - 1]
         if len(prev) > 1:
-            v4 = "vertex %s has %d neighbors in the previous layer" % (
-                prefix.loc(u), len(prev))
-            break
+            return "vertex %s has %d neighbors in the previous layer" % (
+                loc(u), len(prev))
         rec_parent = prefix.parent[u] if prefix.parent[u] >= 0 else None
         got = prev[0] if prev else None
         if rec_parent != got:
-            v4 = "vertex %s: recorded parent %s but adjacency gives %s" % (
-                prefix.loc(u),
-                prefix.loc(rec_parent) if rec_parent is not None else None,
-                prefix.loc(got) if got is not None else None)
-            break
-    if v4 is None:
-        for i in range(1, t):
-            if v4:
-                break
-            cursor = prefix.offsets[i]  # position 0 of layer i+1
-            for v in prefix.layer_range(i):
-                sp = prefix.span[v]
-                if sp is None or sp[0] != cursor or sp[1] < 1:
-                    v4 = "vertex %s: descendant span %s does not tile " \
-                         "layer %d" % (prefix.loc(v), sp, i + 1)
-                    break
-                lo, cnt = sp
-                below = {w for w in adj[v] if layer[w] == i + 1}
-                if not below:
-                    v4 = "vertex %s has no child" % (prefix.loc(v),)
-                    break
-                if not below <= set(range(lo, lo + cnt)):
-                    v4 = "vertex %s has a next-layer neighbor outside its " \
-                         "span" % (prefix.loc(v),)
-                    break
-                if lo not in below:
-                    v4 = "vertex %s is not adjacent to the first vertex " \
-                         "of its span" % (prefix.loc(v),)
-                    break
-                cursor = lo + cnt
-            if v4 is None and cursor != prefix.offsets[i] + \
-                    prefix.layer_sizes[i]:
-                v4 = "spans of layer %d do not cover layer %d" % (i, i + 1)
-    add(4, "descendant paths tile the next layer", v4)
+            return "vertex %s: recorded parent %s but adjacency gives %s" % (
+                loc(u), loc(rec_parent) if rec_parent is not None else None,
+                loc(got) if got is not None else None)
+    return None
 
-    # rule 5: upward neighborhoods are small cliques, one vertex per layer
-    v5 = None
-    for v in range(n):
-        upv = prefix.up[v]
-        if len(upv) > prefix.f(layer[v]) - 1:
-            v5 = "vertex %s has %d > f(%d)-1 upward neighbors" % (
-                prefix.loc(v), len(upv), layer[v])
-            break
-        seen = set()
-        ok = True
-        for w in upv:
-            if layer[w] >= layer[v] or layer[w] in seen:
-                v5 = "vertex %s: upward neighbor %s repeats a layer or is " \
-                     "not above" % (prefix.loc(v), prefix.loc(w))
-                ok = False
-                break
-            seen.add(layer[w])
-        if not ok:
-            break
-        for a in range(len(upv)):
-            for b in range(a + 1, len(upv)):
-                if upv[b] not in adj[upv[a]]:
-                    v5 = "vertex %s: upward neighbors %s and %s are not " \
-                         "adjacent" % (prefix.loc(v), prefix.loc(upv[a]),
-                                       prefix.loc(upv[b]))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    add(5, "upward neighborhoods are per-layer cliques", v5)
 
-    return report
+def _tiling_violation(prefix):
+    """The first break in the descendant paths, for parents that
+    ``_parent_violation`` accepted.  Along layer i+1, the parents that are
+    set must start with (i, 0) at position 0, then each repeat the one
+    before or step to the next vertex of layer i, and end on its last
+    vertex.  This holds exactly when the descendant paths tile layer i+1,
+    one path per vertex of layer i, each starting at a child."""
+    parent = prefix.parent
+    loc = prefix.loc
+    for i in range(1, prefix.num_layers):
+        cur = prefix.offsets[i - 1]
+        below = prefix.layer_range(i + 1)
+        if parent[below.start] != cur:
+            return "vertex %s is not a child of %s" % (
+                loc(below.start), loc(cur))
+        for u in below:
+            p = parent[u]
+            if p == cur + 1:
+                cur = p
+            elif p >= 0 and p != cur:
+                return "vertex %s has parent %s but follows a child of %s" % (
+                    loc(u), loc(p), loc(cur))
+        if cur != below.start - 1:
+            return "vertex %s has no child" % (loc(cur + 1),)
+    return None
+
+
+def _upward_violation(prefix, layer, adj):
+    """The first vertex whose upward neighborhood is too large, repeats a
+    layer, reaches a later layer or is not a clique."""
+    loc = prefix.loc
+    for i in range(1, prefix.num_layers + 1):
+        most = prefix.f(i) - 1
+        for v in prefix.layer_range(i):
+            upv = prefix.up[v]
+            if len(upv) > most:
+                return "vertex %s has %d > f(%d)-1 upward neighbors" % (
+                    loc(v), len(upv), i)
+            seen = set()
+            for w in upv:
+                if layer[w] >= i or layer[w] in seen:
+                    return "vertex %s: upward neighbor %s repeats a layer " \
+                           "or is not above" % (loc(v), loc(w))
+                seen.add(layer[w])
+            for a, w in enumerate(upv):
+                for x in upv[a + 1:]:
+                    if x not in adj[w]:
+                        return "vertex %s: upward neighbors %s and %s are " \
+                               "not adjacent" % (loc(v), loc(w), loc(x))
+    return None

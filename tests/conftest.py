@@ -3,6 +3,7 @@ import random
 import pytest
 
 from layered_wheels import build_prefix, parse_f_spec
+from layered_wheels import structure as S
 
 
 def small_prefixes(max_vertices=2000, ells=(4, 5, 6),
@@ -20,6 +21,37 @@ def small_prefixes(max_vertices=2000, ells=(4, 5, 6),
                     break
                 out.append(p)
                 t += 1
+    return out
+
+
+def reference_spans(prefix):
+    """The descendant path of each vertex as (global start, count), or None
+    for a vertex without a child, recovered from the parents: each path
+    runs from its parent's first child to the next parent's first child,
+    the last one to the end of the layer.  The oracle for the tiling half
+    of rule 4 and for the construction tests."""
+    span = [None] * prefix.n_vertices
+    for layer in range(1, prefix.num_layers):
+        parents = prefix.layer_range(layer)
+        nxt = prefix.layer_range(layer + 1)
+        first = {}
+        for u in nxt:
+            p = prefix.parent[u]
+            if p in parents and p not in first:
+                first[p] = u
+        starts = sorted(first.values())
+        for s, end in zip(starts, starts[1:] + [nxt.stop]):
+            span[prefix.parent[s]] = (s, end - s)
+    return span
+
+
+def expected_intersection(prefix, P, Q):
+    """V(P) ∪ V(Q) ∪ the up-closures along the base segment -- the exact
+    value of A ∩ B proved for this construction."""
+    out = set(P.vertices) | set(Q.vertices)
+    for u in S._forward_segment(prefix, P.vertices[0], Q.vertices[0]):
+        out.add(u)
+        out.update(prefix.up[u])
     return out
 
 

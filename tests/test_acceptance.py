@@ -14,7 +14,7 @@ from layered_wheels import widths as W
 from layered_wheels.functions import INF
 from layered_wheels.wheel import SizeCapError
 
-from conftest import small_prefixes
+from conftest import expected_intersection, small_prefixes
 
 
 def report(num, ok, text):
@@ -91,7 +91,7 @@ def test_criterion_05_separation_calculus():
             good = (S.verify_separation_on_prefix(p, sep,
                                                   range(p.n_vertices))
                     and sep.A & sep.B
-                    == frozenset(S.expected_intersection(p, P, Q)))
+                    == frozenset(expected_intersection(p, P, Q)))
             ok &= good
             total += 1
     report(5, ok, "verify_separation + exact A-cap-B equality on %d random "

@@ -8,6 +8,8 @@ from layered_wheels import build_prefix, parse_f_spec
 from layered_wheels import structure as S
 from layered_wheels.functions import INF
 
+from conftest import expected_intersection, reference_spans
+
 
 def random_vertical_path(prefix, start, end_layer, rng):
     verts = [start]
@@ -165,7 +167,7 @@ def test_build_AB_is_verified_separation_with_exact_intersection(rng):
                                                  range(p.n_vertices))
             assert sep.A | sep.B == frozenset(range(p.n_vertices))
             assert sep.A & sep.B == frozenset(
-                S.expected_intersection(p, P, Q))
+                expected_intersection(p, P, Q))
 
 
 def reference_build_AB(prefix, P, Q):
@@ -295,12 +297,13 @@ def test_balanced_separation_trivial_small_set(prefix_68):
 
 def test_balanced_separation_lopsided_target_iterates():
     p = build_prefix(4, parse_f_spec("identity"), 6, size_cap=10 ** 4)
+    span = reference_spans(p)
     desc = {p.vid(1, 1)}
     for layer in range(1, 6):
         nxt = set()
         for g in desc:
-            if p.layer_of(g) == layer and p.span[g]:
-                s, c = p.span[g]
+            if p.layer_of(g) == layer and span[g]:
+                s, c = span[g]
                 nxt.update(range(s, s + c))
         desc |= nxt
     res = S.balanced_separation(p, desc)

@@ -11,6 +11,8 @@ from layered_wheels import (
 )
 from layered_wheels.wheel import SizeCapError, UnknownVertexError
 
+from conftest import reference_spans
+
 
 def test_layer_sizes_ell4_cap3():
     p = build_prefix(4, parse_f_spec("cap:3"), 4)
@@ -42,10 +44,11 @@ def test_rule7_child_pattern():
     p = build_prefix(4, parse_f_spec("cap:3"), 4)
     v = next(g for g in p.layer_range(3) if len(p.up[g]) == 2)
     kids = p.children(v)
-    assert len(kids) == 2 and p.span[p.vid(*p.loc(v))][1] == 4
+    start, count = reference_spans(p)[v]
+    assert len(kids) == 2 and kids[0] == start and count == 4
     w1, w2 = p.up[v]           # sorted by layer
     assert p.layer_of(w1) < p.layer_of(w2)
-    ups = [set(p.up[u]) for u in range(p.span[v][0], sum(p.span[v]))]
+    ups = [set(p.up[u]) for u in range(start, start + count)]
     assert ups == [{v, w2}, set(), {v, w1}, set()]
 
 
@@ -54,9 +57,10 @@ def test_rule6_single_block():
     # exactly ell-2 descendants with the first child taking the closed
     # upward neighborhood
     p = build_prefix(4, parse_f_spec("identity"), 4)
+    span = reference_spans(p)
     for layer in range(1, 4):
         for v in p.layer_range(layer):
-            start, count = p.span[v]
+            start, count = span[v]
             assert count == 2
             assert set(p.up[start]) == {v} | set(p.up[v])
 
@@ -70,7 +74,7 @@ def test_determinism():
 @pytest.mark.parametrize("ell,fs,t,n", [
     (4, "cap:3", 4, 68),
     (6, "cap:4", 6, 8718),
-    (4, "cap:3", 11, 54124),   # scale guard for span recovery
+    (4, "cap:3", 11, 54124),   # scale guard for the JSON read path
 ], ids=["n68", "n8718", "n54124"])
 def test_json_round_trip_byte_identical(ell, fs, t, n):
     p = build_prefix(ell, parse_f_spec(fs), t)
@@ -78,7 +82,7 @@ def test_json_round_trip_byte_identical(ell, fs, t, n):
     text = p.to_json()
     q = WheelPrefix.from_json(text)
     assert q.to_json() == text
-    assert q.span == p.span and q.parent == p.parent and q.up == p.up
+    assert q.parent == p.parent and q.up == p.up
     for layer in range(1, q.num_layers + 1):
         assert all(q.layer_of(g) == layer for g in q.layer_range(layer))
 
@@ -189,6 +193,35 @@ def _cycle_neighbours_up(p):
     p.up[v] += [p.vid(2, 2), p.vid(2, 4)]
 
 
+def _orphan_last_vertex(p):
+    # (4, 38), the one child of (3, 15), moves to (3, 14) with its up entry
+    u = p.vid(4, 38)
+    p.parent[u] = p.vid(3, 14)
+    p.up[u] = [p.vid(3, 14)]
+
+
+def _orphan_middle_vertex(p):
+    # (4, 4), the one child of (3, 1), moves to (3, 2) with its up entry
+    u = p.vid(4, 4)
+    p.parent[u] = p.vid(3, 2)
+    p.up[u] = [p.vid(3, 2)]
+
+
+def _late_child(p):
+    # (4, 5) follows (4, 4), the first child of (3, 1), yet becomes a child
+    # of (3, 0)
+    u = p.vid(4, 5)
+    p.parent[u] = p.vid(3, 0)
+    p.up[u] = [p.vid(3, 0)]
+
+
+def _first_vertex_reparented(p):
+    # (4, 0) moves from (3, 0) to (3, 1) with its up entry
+    u = p.vid(4, 0)
+    p.parent[u] = p.vid(3, 1)
+    p.up[u] = [p.vid(2, 0), p.vid(3, 1)]
+
+
 def _mutated(mutate):
     p = _fresh()
     mutate(p)
@@ -229,9 +262,20 @@ RULE_NAMES = ["layers partition V", "layers induce directed cycles",
     (_cycle_neighbours_up, {
         2: "layer 2 has chord (2, 4) -> (2, 3)",
         5: "vertex (2, 3) has 2 > f(2)-1 upward neighbors"}),
+    (_orphan_last_vertex, {4: "vertex (3, 15) has no child"}),
+    (_orphan_middle_vertex, {
+        4: "vertex (4, 4) has parent (3, 2) but follows a child of (3, 0)"}),
+    (_late_child, {
+        4: "vertex (4, 5) has parent (3, 0) but follows a child of (3, 1)"}),
+    (_first_vertex_reparented, {
+        4: "vertex (4, 0) is not a child of (3, 0)",
+        5: "vertex (4, 0): upward neighbors (2, 0) and (3, 1) are not "
+           "adjacent"}),
 ], ids=["ell-raised", "short-layer", "same-layer-up", "up-from-layer-4",
         "second-previous-layer-up", "null-parent", "cut-up-list",
-        "cycle-neighbours-up"])
+        "cycle-neighbours-up", "orphan-last-vertex", "orphan-middle-vertex",
+        "late-child",
+        "first-vertex-reparented"])
 def test_verify_rules_report_pinned(mutate, failures):
     assert _mutated(mutate).to_dict() == {
         "passed": False,
@@ -271,3 +315,106 @@ def test_random_prefixes_satisfy_rules(ell, fs, t):
         return
     assert verify_rules(p).passed
 
+
+
+# -- the tiling half of rule 4 against descendant spans -------------------
+
+def reference_rule4(p):
+    """Rule 4 checked on the spans recovered from the parents: (the first
+    violation or None, whether it lies in the tiling half)."""
+    layer = p._layers()
+    adj = p.adjacency()
+    for u in range(p.n_vertices):
+        prev = [w for w in adj[u] if layer[w] == layer[u] - 1]
+        if len(prev) > 1:
+            return "vertex %s has %d neighbors in the previous layer" % (
+                p.loc(u), len(prev)), False
+        rec_parent = p.parent[u] if p.parent[u] >= 0 else None
+        got = prev[0] if prev else None
+        if rec_parent != got:
+            return "vertex %s: recorded parent %s but adjacency gives %s" % (
+                p.loc(u),
+                p.loc(rec_parent) if rec_parent is not None else None,
+                p.loc(got) if got is not None else None), False
+    span = reference_spans(p)
+    for i in range(1, p.num_layers):
+        cursor = p.offsets[i]  # position 0 of layer i+1
+        for v in p.layer_range(i):
+            sp = span[v]
+            if sp is None or sp[0] != cursor or sp[1] < 1:
+                return "vertex %s: descendant span %s does not tile " \
+                       "layer %d" % (p.loc(v), sp, i + 1), True
+            lo, cnt = sp
+            below = {w for w in adj[v] if layer[w] == i + 1}
+            if not below:
+                return "vertex %s has no child" % (p.loc(v),), True
+            if not below <= set(range(lo, lo + cnt)):
+                return "vertex %s has a next-layer neighbor outside its " \
+                       "span" % (p.loc(v),), True
+            if lo not in below:
+                return "vertex %s is not adjacent to the first vertex of " \
+                       "its span" % (p.loc(v),), True
+            cursor = lo + cnt
+        if cursor != p.offsets[i] + p.layer_sizes[i]:
+            return "spans of layer %d do not cover layer %d" % (
+                i, i + 1), True
+    return None, False
+
+
+_MUTANT_BASES = [build_prefix(ell, parse_f_spec(fs), t).to_json()
+                 for ell, fs, t in [(4, "cap:3", 4), (4, "identity", 4),
+                                    (5, "cap:3", 3), (6, "cap:4", 3)]]
+
+
+@st.composite
+def json_mutants(draw):
+    """A small prefix's JSON with one to three of: a vertex re-parented
+    together with its up entry, the parent and up of two vertices of one
+    layer swapped, an up entry dropped, a parent nulled."""
+    obj = json.loads(draw(st.sampled_from(_MUTANT_BASES)))
+    recs = obj["vertices"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["reparent", "swap", "drop-up",
+                                     "null-parent"]))
+        rec = draw(st.sampled_from(recs))
+        layer = rec["layer"]
+        if kind == "reparent" and layer > 1:
+            # anywhere in the previous layer, or next to the position
+            # proportional to rec's, where a one-step break is likeliest
+            above, size = obj["layers"][layer - 2], obj["layers"][layer - 1]
+            near = rec["pos"] * above // size
+            new = [layer - 1, draw(st.one_of(
+                st.integers(0, above - 1),
+                st.integers(near - 2, near + 2).map(lambda q: q % above)))]
+            old = rec["parent"]
+            if old is None:
+                rec["up"].append(new)
+            else:
+                rec["up"] = [new if w == old else w for w in rec["up"]]
+            rec["parent"] = new
+        elif kind == "swap":
+            other = draw(st.sampled_from([r for r in recs
+                                          if r["layer"] == layer]))
+            rec["parent"], other["parent"] = other["parent"], rec["parent"]
+            rec["up"], other["up"] = other["up"], rec["up"]
+        elif kind == "drop-up" and rec["up"]:
+            del rec["up"][draw(st.integers(0, len(rec["up"]) - 1))]
+        elif kind == "null-parent":
+            rec["parent"] = None
+    return WheelPrefix.from_json_obj(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_mutants())
+def test_rule4_matches_span_reference_on_json_mutants(p):
+    # the verdicts agree; only the wording of a tiling failure differs
+    got = verify_rules(p).check(4)
+    ref, tiling = reference_rule4(p)
+    assert got.passed == (ref is None)
+    if not tiling:
+        assert got.detail == (ref or "")
+
+
+def test_rule4_reference_passes_built_prefixes(prefixes_2000):
+    for p in prefixes_2000:
+        assert reference_rule4(p) == (None, False)
