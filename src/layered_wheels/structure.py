@@ -146,11 +146,11 @@ def layer_minor_check(prefix):
     witness edge for every pair of layers.
     """
     t = prefix.num_layers
+    layer = prefix._layers()
     witness = {}
-    for v in range(prefix.n_vertices):
-        lv = prefix.layer_of(v)
-        for w in prefix.up[v]:
-            pair = (prefix.layer_of(w), lv)
+    for v, ups in enumerate(prefix.up):
+        for w in ups:
+            pair = (layer[w], layer[v])
             if pair not in witness:
                 witness[pair] = (w, v)
     missing = [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)

@@ -237,9 +237,9 @@ def test_separate_all_with_decomposition(tmp_path, capsys):
 # faster separation or decomposition must not change a bag or a witness
 @pytest.mark.parametrize("ell, f, t, digest", [
     (4, "cap:3", 6,
-     "81ed6279eadcf6b450e8d29c6686de68702caaf528ed6ec057184c04778f055b"),
+     "da1fc895e220bbd7120694b6f0dd86d2c90cdb76e57c6929a38aca14e258ed6a"),
     (5, "identity", 4,
-     "354d5aad8d3600836c2af4babf897d669cd57d5e85ac884a4a14937735b521a9"),
+     "81995a8093fa23228d77a06fc19eafdbdc2df56b83c218886b66f59745a656c8"),
 ], ids=["n444", "n200"])
 def test_separate_report_bytes_pinned(tmp_path, capsys, ell, f, t, digest):
     src = tmp_path / "p.json"
@@ -266,7 +266,7 @@ def test_separate_target_file_report_bytes_pinned(tmp_path, capsys):
                      str(tgt), "--emit-decomposition", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "e7dd5c97c71ca1b154e802434ff8393f5cf313d0bb2e5ae1393952a11edd8a0d"
+        "3415297c6a309e40b2e83c9d95d0c2b1521f66a4f85c9c01c9402622d7b7d223"
 
 
 # sha256 of the default `verify` report: pins the clique witness, which
@@ -379,7 +379,9 @@ def test_separate_small_target_file(tmp_path, capsys):
     ([[1, 0, 5]], "entry 0"),
     ([["a", 0]], "entry 0"),
     ({"x": 1}, "a list"),
-], ids=["short-pair", "bare-ints", "long-pair", "string-layer", "object"])
+    ([], "target set is empty"),
+], ids=["short-pair", "bare-ints", "long-pair", "string-layer", "object",
+        "empty"])
 def test_separate_malformed_target_file_is_an_error(tmp_path, capsys, locs,
                                                     names):
     f = tmp_path / "p.json"

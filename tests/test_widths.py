@@ -12,6 +12,8 @@ from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
 
+from conftest import small_prefixes
+
 
 # -- formula --------------------------------------------------------------
 
@@ -86,9 +88,10 @@ def test_decomposition_single_bag_cases(prefix_68):
     clique = {prefix_68.vid(*v) for v in cert.data["clique"]}
     dec = W.decomposition_from_separators(prefix_68, clique)
     assert len(dec.bags) == 1 and dec.bags[0] == frozenset(clique)
+    # the path of three layer-1 vertices: one bag per edge
     tiny = set(list(prefix_68.layer_range(1))[:3])
     dec2 = W.decomposition_from_separators(prefix_68, tiny)
-    assert len(dec2.bags) == 1
+    assert len(dec2.bags) == 2 and dec2.width == 1
 
 
 def test_decomposition_frees_prefix_without_cyclic_gc():
@@ -108,6 +111,34 @@ def test_decomposition_valid_on_68(prefix_68):
     dec = W.decomposition_from_separators(prefix_68, X)
     assert dec.validate(range(prefix_68.n_vertices), prefix_68.edges())
     assert dec.width >= 3   # >= t-1 by the minor bound
+
+
+PREFIXES_300 = small_prefixes(max_vertices=300)
+
+
+@st.composite
+def targets(draw):
+    """A prefix and a random target X: single vertices and sparse,
+    disconnected sets are common, so the component roots get chained."""
+    p = draw(st.sampled_from(PREFIXES_300))
+    size = draw(st.one_of(st.integers(1, min(32, p.n_vertices)),
+                          st.integers(1, p.n_vertices)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return p, random.Random(seed).sample(range(p.n_vertices), size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets())
+def test_decomposition_valid_on_random_targets(case):
+    p, X = case
+    dec = W.decomposition_from_separators(p, X)
+    order, local = S.induced_adjacency(p, X)
+    edges = [(order[i], order[j]) for i in range(len(order))
+             for j in local[i] if i < j]
+    assert dec.validate(X, edges)
+    assert all(bag <= set(X) for bag in dec.bags)
+    if len(X) <= 32:
+        assert kernels.treewidth_exact(len(order), local) <= dec.width
 
 
 def test_decomposition_validator_catches_violations(prefix_68):
