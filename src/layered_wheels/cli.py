@@ -10,13 +10,15 @@ argparse reports by raising SystemExit(2) from ``main``.
 from __future__ import annotations
 
 import argparse
+import bisect
+import itertools
 import json
 import sys
 
 from . import structure, widths
 from .functions import (INF, SlowFunctionError, CumulativeFunctionError,
                         parse_f_spec)
-from .wheel import (DEFAULT_SIZE_CAP, SizeCapError, WheelPrefix,
+from .wheel import (DEFAULT_SIZE_CAP, PIECE, SizeCapError, WheelPrefix,
                     build_prefix, verify_rules)
 
 
@@ -24,57 +26,96 @@ from .wheel import (DEFAULT_SIZE_CAP, SizeCapError, WheelPrefix,
 
 # graph6 stores six bits per byte, offset by 63
 _G6_OFFSET = bytes((b + 63) % 256 for b in range(256))
+# body bytes in one piece of a streamed graph6 export
+_G6_PIECE = 1 << 16
 
 
 def to_graph6(n, edges):
-    """Standard graph6 encoding of the underlying undirected graph."""
+    """Standard graph6 encoding of the underlying undirected graph: the
+    join of ``graph6_pieces``."""
+    return "".join(graph6_pieces(n, edges))
+
+
+def graph6_pieces(n, edges):
+    """``to_graph6`` as its header, body pieces of at most ``_G6_PIECE``
+    bytes and the final newline.  Too many vertices raise ValueError here,
+    before any piece is made."""
     if n <= 62:
-        head = [n + 63]
+        head = chr(n + 63)
     elif n <= 258047:
-        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError("graph6 export supports at most 258047 vertices")
     # bit k = j(j-1)/2 + i stands for the pair i < j, most significant first
-    body = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for (u, v) in edges:
-        if u != v:
-            i, j = (u, v) if u < v else (v, u)
-            k = j * (j - 1) // 2 + i
-            body[k // 6] |= 32 >> (k % 6)
-    return (bytes(head) + body.translate(_G6_OFFSET)).decode("ascii") + "\n"
+    bits = sorted(v * (v - 1) // 2 + u if u < v else u * (u - 1) // 2 + v
+                  for u, v in edges if u != v)
+    return _graph6_body(head, (n * (n - 1) // 2 + 5) // 6, bits)
+
+
+def _graph6_body(head, size, bits):
+    """The header, then ``size`` body bytes with the sorted ``bits`` set,
+    one piece at a time, then the newline."""
+    yield head
+    lo = 0
+    for start in range(0, size, _G6_PIECE):
+        piece = bytearray(min(_G6_PIECE, size - start))
+        hi = bisect.bisect_left(bits, 6 * (start + len(piece)), lo)
+        for k in bits[lo:hi]:
+            piece[k // 6 - start] |= 32 >> (k % 6)
+        lo = hi
+        yield piece.translate(_G6_OFFSET).decode("ascii")
+    yield "\n"
 
 
 def to_dot(prefix):
-    """DOT digraph with one rank per layer and directed arcs."""
-    lines = ["digraph wheel {", "  rankdir=TB;", "  node [shape=circle];"]
-    names = []
-    for layer, size in enumerate(prefix.layer_sizes, 1):
-        ranked = ['"%d_%d"' % (layer, pos) for pos in range(size)]
-        lines.append("  { rank=same; %s }" % " ".join(ranked))
-        names += ranked
-    heads = [[] for _ in names]
-    for v, ups in enumerate(prefix.up):
-        for w in ups:
-            heads[w].append(v)
+    """DOT digraph with one rank per layer and directed arcs: the join of
+    ``dot_pieces``."""
+    return "".join(dot_pieces(prefix))
+
+
+def dot_pieces(prefix):
+    """``to_dot`` in pieces of at most ``PIECE`` names or arc tails.
+    Upward neighbors must lie in earlier layers, as in a built prefix."""
+    yield "digraph wheel {\n  rankdir=TB;\n  node [shape=circle];\n"
+    layers = list(enumerate(zip(prefix.offsets, prefix.layer_sizes), 1))
+    for layer, (_, size) in layers:
+        name = '"%d_%%d"' % layer
+        for a in range(0, size, PIECE):
+            yield (" " if a else "  { rank=same; ") + " ".join(
+                [name % pos for pos in range(a, min(a + PIECE, size))])
+        yield " }\n"
+    # the upward arcs out of each tail as one string of ready-made lines;
+    # a tail lies in an earlier layer than its heads, never in the last
+    names = []                 # names[g] = the DOT name of g
+    arcs = {}
+    for layer, (start, size) in layers:
+        line = '  %%s -> "%d_%%d";\n' % layer
+        for pos, ups in enumerate(prefix.up[start:start + size]):
+            for w in ups:
+                arcs[w] = arcs.get(w, "") + line % (names[w], pos)
+        if layer < prefix.num_layers:
+            names += ['"%d_%d"' % (layer, pos) for pos in range(size)]
     # arcs in sorted (tail, head) order: the cycle successor of u lies in
     # u's own layer and every upward head in a later one, so it comes first
-    for start, size in zip(prefix.offsets, prefix.layer_sizes):
-        for u in range(start, start + size):
-            tail = names[u]
-            lines.append("  %s -> %s;"
-                         % (tail, names[start + (u - start + 1) % size]))
-            for v in heads[u]:
-                lines.append("  %s -> %s;" % (tail, names[v]))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for layer, (start, size) in layers:
+        cycle = '  "%d_%%d" -> "%d_%%d";\n' % (layer, layer)
+        for a in range(0, size, PIECE):
+            lines = []
+            for pos in range(a, min(a + PIECE, size)):
+                lines.append(cycle % (pos, (pos + 1) % size))
+                lines.append(arcs.pop(start + pos, ""))
+            yield "".join(lines)
+    yield "}\n"
 
 
-def _write(path, text):
+def _write(path, pieces):
+    """Write the text pieces as they come, to stdout for '-' or else to
+    the file at path."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _load_prefix(path):
@@ -110,11 +151,11 @@ def cmd_build(args):
     f = parse_f_spec(args.f)
     prefix = build_prefix(args.ell, f, args.layers, size_cap=args.size_cap)
     if args.format == "json":
-        _write(args.out, prefix.to_json() + "\n")
+        _write(args.out, itertools.chain(prefix.json_pieces(), ["\n"]))
     elif args.format == "dot":
-        _write(args.out, to_dot(prefix))
+        _write(args.out, dot_pieces(prefix))
     else:
-        _write(args.out, to_graph6(prefix.n_vertices, prefix.edges()))
+        _write(args.out, graph6_pieces(prefix.n_vertices, prefix.edges()))
     print("built %d layers, %d vertices (ell=%d, f=%s)"
           % (prefix.num_layers, prefix.n_vertices, prefix.ell, f.descriptor),
           file=sys.stderr)
@@ -170,7 +211,7 @@ def cmd_verify(args):
             "samples": chordal_n, "failures": bad, "passed": bad == 0}
         ok &= bad == 0
     report["passed"] = bool(ok)
-    _write(args.out, json.dumps(report, indent=2) + "\n")
+    _write(args.out, [json.dumps(report, indent=2) + "\n"])
     return 0 if ok else 1
 
 
@@ -202,7 +243,7 @@ def cmd_separate(args):
         report["decomposition"]["independent_width"] = \
             widths.independent_width(prefix, dec)
         ok &= valid
-    _write(args.out, json.dumps(report, indent=2) + "\n")
+    _write(args.out, [json.dumps(report, indent=2) + "\n"])
     print("n=%d k=%d order=%d bound=%s balanced=%s"
           % (res.n, k, res.order, bound, res.balanced),
           file=sys.stderr)
@@ -219,7 +260,7 @@ def cmd_demo(args):
         report = widths.demo_hajebi(args.c, args.ell, args.t, args.samples,
                                     cap, seed=args.seed)
     print(report.pop("summary"), file=sys.stderr)
-    _write(args.out, json.dumps(report, indent=2) + "\n")
+    _write(args.out, [json.dumps(report, indent=2) + "\n"])
     return 0 if report["all_certified"] else 1
 
 

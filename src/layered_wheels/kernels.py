@@ -137,26 +137,25 @@ def clique_size_within(adj, S, cap=None):
     it stops as soon as a clique of size cap is found.  Meant for small S.
     """
     limit = len(S) if cap is None else min(cap, len(S))
-    best = 0
+    return _clique_expand(adj, 0, set(S), 0, limit) if limit > 0 else 0
 
-    def expand(size, cand):
-        # size < limit on entry; True once a clique of size limit is found
-        nonlocal best
-        while cand and size + len(cand) > best:
-            v = cand.pop()
-            if size + 1 == limit:
-                best = limit
-                return True
-            nxt = cand & adj[v]
-            if nxt:
-                if expand(size + 1, nxt):
-                    return True
-            elif size + 1 > best:
-                best = size + 1
-        return False
 
-    if limit > 0:
-        expand(0, set(S))
+def _clique_expand(adj, size, cand, best, limit):
+    """max(best, the size of a largest clique of a size-``size`` clique
+    extended inside ``cand``), stopping once it reaches ``limit``; size <
+    limit on entry.  A module-level recursion, not a closure, so that a
+    call leaves no reference cycle for the garbage collector."""
+    while cand and size + len(cand) > best:
+        v = cand.pop()
+        if size + 1 == limit:
+            return limit
+        nxt = cand & adj[v]
+        if nxt:
+            best = _clique_expand(adj, size + 1, nxt, best, limit)
+            if best == limit:
+                return limit
+        elif size + 1 > best:
+            best = size + 1
     return best
 
 

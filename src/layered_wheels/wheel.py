@@ -20,6 +20,9 @@ from .functions import parse_f_spec
 
 DEFAULT_SIZE_CAP = 200_000
 
+# vertex records, names or arc tails in one piece of a streamed export
+PIECE = 4096
+
 
 class ConstructionError(RuntimeError):
     """Internal consistency failure while extending a prefix."""
@@ -185,28 +188,42 @@ class WheelPrefix:
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
+        """The prefix as one line of JSON: the join of ``json_pieces``."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self):
         """The prefix as one line of JSON, in the layout ``json.dumps``
         gives the object with fields ell, f_spec, num_layers, layers and
         vertices: one {layer, pos, parent, up} record per vertex in id
-        order, each other vertex named by its [layer, pos] pair."""
-        locs = ["[%d, %d]" % (layer, pos)
-                for layer, size in enumerate(self.layer_sizes, 1)
-                for pos in range(size)]
-        records = []
-        g = 0
-        for layer, size in enumerate(self.layer_sizes, 1):
-            for pos in range(size):
-                p = self.parent[g]
-                records.append(
-                    '{"layer": %d, "pos": %d, "parent": %s, "up": [%s]}'
-                    % (layer, pos, locs[p] if p >= 0 else "null",
-                       ", ".join([locs[w] for w in self.up[g]])))
-                g += 1
-        return ('{"ell": %d, "f_spec": %s, "num_layers": %d, "layers": [%s], '
-                '"vertices": [%s]}'
-                % (self.ell, json.dumps(self.f.descriptor), self.num_layers,
-                   ", ".join(map(str, self.layer_sizes)),
-                   ", ".join(records)))
+        order, each other vertex named by its [layer, pos] pair.
+
+        Yields the text in pieces of at most ``PIECE`` records.  Only the
+        vertices of earlier layers get a name: parents and upward
+        neighbors lie there in a built prefix (rules 3 to 5), so the last
+        layer is never named.  A record that refers to its own or a later
+        layer raises IndexError."""
+        yield ('{"ell": %d, "f_spec": %s, "num_layers": %d, "layers": [%s], '
+               '"vertices": ['
+               % (self.ell, json.dumps(self.f.descriptor), self.num_layers,
+                  ", ".join(map(str, self.layer_sizes))))
+        up, parent = self.up, self.parent
+        names = []                 # names[g] = "[layer, pos]" of g
+        sep = ""
+        for layer, (start, size) in enumerate(
+                zip(self.offsets, self.layer_sizes), 1):
+            record = '{"layer": %d, "pos": %%d, "parent": %%s, "up": [%%s]}' \
+                % layer
+            for a in range(start, start + size, PIECE):
+                b = min(a + PIECE, start + size)
+                yield sep + ", ".join([
+                    record % (pos, names[p] if p >= 0 else "null",
+                              ", ".join([names[w] for w in ups]))
+                    for pos, p, ups in zip(range(a - start, b - start),
+                                           parent[a:b], up[a:b])])
+                sep = ", "
+            if layer < self.num_layers:
+                names += ["[%d, %d]" % (layer, pos) for pos in range(size)]
+        yield "]}"
 
     @classmethod
     def from_json_obj(cls, obj):

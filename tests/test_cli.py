@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -105,8 +107,9 @@ def test_graph6_matches_prefix_edges(tmp_path, capsys, t):
     assert edges == set(p.edges())
 
 
-# sha256 of the `build` JSON and DOT exports: a faster writer must not
-# change a byte of either
+# sha256 of the `build` exports: a faster writer must not change a byte.
+# At t=10 the last layer (12,776 records) spans several pieces of the
+# JSON and DOT writers, and at n=3020 the graph6 body spans several pieces.
 @pytest.mark.parametrize("ell, f, t, fmt, digest", [
     (4, "cap:3", 8, "json",
      "09cfb2aadb88c5537a02708d0a935c966e4f447258fb51e688a3e5cdd7ce9975"),
@@ -116,13 +119,53 @@ def test_graph6_matches_prefix_edges(tmp_path, capsys, t):
      "5b3100f36b98fcf6e6b157f742e8d70e801818b89c7fba6c61adc6714c6a6cca"),
     (6, "cap:4", 5, "dot",
      "0272adadd30f7b0f3465eae8787eeb85bfedbf11cc57b1e0416d26e472377932"),
-], ids=["n3020-json", "n3020-dot", "n2094-json", "n2094-dot"])
+    (4, "cap:3", 10, "json",
+     "612132b27cc8054e13150de5edfbfa3038abfc9dd10ddc6bd2a00621f79ea0e6"),
+    (4, "cap:3", 10, "dot",
+     "eedbef071a0b83e75acd512c3e26720702e7d74632d3b9f2b5dca50446e2c466"),
+    (4, "cap:3", 8, "graph6",
+     "3647f661513adf9abb50b4a5f36314f1e9d7dcc1e7640b173fd9732351eada76"),
+], ids=["n3020-json", "n3020-dot", "n2094-json", "n2094-dot",
+        "n20676-json", "n20676-dot", "n3020-graph6"])
 def test_build_export_bytes_pinned(tmp_path, capsys, ell, f, t, fmt, digest):
     out = tmp_path / "p.out"
     code, _, _ = run(capsys, "build", "--ell", str(ell), "--f", f,
                      "--layers", str(t), "--format", fmt, "--out", str(out))
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    # the whole-text functions join the same pieces the file received
+    p = build_prefix(ell, parse_f_spec(f), t)
+    if fmt == "json":
+        text = p.to_json() + "\n"
+    elif fmt == "dot":
+        text = to_dot(p)
+    else:
+        text = to_graph6(p.n_vertices, p.edges())
+    assert text.encode() == data
+
+
+# traced memory of `build` beyond the prefix's own, against the size of
+# the file it writes: the writers hold one piece at a time, not the text
+@pytest.mark.parametrize("fmt, ratio", [("json", 3), ("dot", 3),
+                                        ("graph6", 1)])
+def test_build_export_memory_bounded(tmp_path, capsys, fmt, ratio):
+    out = tmp_path / "p.out"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prefix = build_prefix(4, parse_f_spec("cap:3"), 10)
+        own = tracemalloc.get_traced_memory()[0] - base
+        del prefix
+        tracemalloc.reset_peak()
+        code, _, _ = run(capsys, "build", "--ell", "4", "--f", "cap:3",
+                         "--layers", "10", "--format", fmt, "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak - own < ratio * out.stat().st_size
 
 
 def test_dot_has_layer_ranks():

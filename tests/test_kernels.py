@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from functools import lru_cache
@@ -282,6 +283,21 @@ def test_clique_size_within_matches_max_clique(data):
     got = kernels.clique_size_within([set(a) for a in adj], S, cap)
     assert got == (omega if cap is None else min(cap, omega))
 
+
+
+def test_clique_size_within_leaves_no_garbage():
+    # every call must free what it made without the cycle collector: the
+    # hajebi sampler makes thousands of these calls
+    adj = build_prefix(4, parse_f_spec("cap:3"), 5).adjacency()
+    sets = [adj[v] | {v} for v in range(len(adj))]
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(2000):
+            kernels.clique_size_within(adj, sets[i % len(sets)], 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 def test_clique_against_brute_force():
     rng = random.Random(3)
