@@ -38,8 +38,9 @@ def to_graph6(n, edges):
 
 def graph6_pieces(n, edges):
     """``to_graph6`` as its header, body pieces of at most ``_G6_PIECE``
-    bytes and the final newline.  Too many vertices raise ValueError here,
-    before any piece is made."""
+    bytes and the final newline.  A repeated pair sets its bit again and
+    changes nothing.  Too many vertices raise ValueError here, before any
+    piece is made."""
     if n <= 62:
         head = chr(n + 63)
     elif n <= 258047:
@@ -108,6 +109,19 @@ def dot_pieces(prefix):
     yield "}\n"
 
 
+def _pairs(prefix):
+    """Every edge of the prefix as a vertex pair, read from the layer
+    cycles and the upward lists without building the adjacency; a pair may
+    come more than once."""
+    for start, size in zip(prefix.offsets, prefix.layer_sizes):
+        for g in range(start, start + size - 1):
+            yield g, g + 1
+        yield start + size - 1, start
+    for v, ups in enumerate(prefix.up):
+        for w in ups:
+            yield v, w
+
+
 def _write(path, pieces):
     """Write the text pieces as they come, to stdout for '-' or else to
     the file at path."""
@@ -155,7 +169,7 @@ def cmd_build(args):
     elif args.format == "dot":
         _write(args.out, dot_pieces(prefix))
     else:
-        _write(args.out, graph6_pieces(prefix.n_vertices, prefix.edges()))
+        _write(args.out, graph6_pieces(prefix.n_vertices, _pairs(prefix)))
     print("built %d layers, %d vertices (ell=%d, f=%s)"
           % (prefix.num_layers, prefix.n_vertices, prefix.ell, f.descriptor),
           file=sys.stderr)

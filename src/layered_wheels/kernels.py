@@ -159,10 +159,12 @@ def _clique_expand(adj, size, cand, best, limit):
     return best
 
 
-def max_independent_set(n, adj):
+def max_independent_set(n, adj, floor):
     """An exact maximum independent set (clique in the complement), as a
-    sorted vertex list.  Meant for small graphs (a few hundred vertices)."""
-    if n == 0:
+    sorted vertex list, or [] when no independent set has more than
+    ``floor`` vertices; a search that cannot beat the floor is cut off
+    early.  Meant for small graphs (a few hundred vertices)."""
+    if n <= floor:
         return []
     full = (1 << n) - 1
     masks = [0] * n
@@ -171,8 +173,7 @@ def max_independent_set(n, adj):
         for u in adj[v]:
             m |= 1 << u
         masks[v] = (~(m | (1 << v))) & full
-    best = _clique_bitset(masks, full, 0)
-    return sorted(best)
+    return sorted(_clique_bitset(masks, full, floor))
 
 
 def shortest_hole(n, adj, bound):

@@ -89,10 +89,14 @@ class Separation:
 # -- induced subgraphs and exact invariants -------------------------------
 
 def induced_adjacency(prefix, X):
-    """(vertex list, local adjacency) of the subgraph induced by X."""
+    """(vertex list, local adjacency) of the subgraph induced by the vertex
+    set X.  When X is every vertex, the local ids are the global ones and
+    the adjacency is the prefix's own, not a copy."""
     order = sorted(X)
-    index = {g: i for i, g in enumerate(order)}
     adj = prefix.adjacency()
+    if len(order) == prefix.n_vertices:
+        return order, adj
+    index = {g: i for i, g in enumerate(order)}
     local = [{index[u] for u in adj[g] if u in index} for g in order]
     return order, local
 
@@ -119,7 +123,8 @@ def clique_number_exact(prefix):
 def max_independent_set_exact(prefix, X):
     """Exact independence number of G[X] with a witness."""
     order, local = induced_adjacency(prefix, X)
-    mis = [order[i] for i in kernels.max_independent_set(len(order), local)]
+    mis = [order[i]
+           for i in kernels.max_independent_set(len(order), local, 0)]
     adj = prefix.adjacency()
     ok = all(v not in adj[u] for i, u in enumerate(mis) for v in mis[i + 1:])
     cert = Certificate(

@@ -118,22 +118,44 @@ def decomposition_from_separators(prefix, X):
         raise ValueError("target set is empty")
     adj = prefix.adjacency()
     nbr = {v: adj[v] & xset for v in xset}
-    heap = sorted((len(s), v) for v, s in nbr.items())   # a valid heap
+    # buckets[d] is a min-heap of ids, filled in ascending id order so that
+    # each starts as a heap.  A remaining vertex always has an entry at its
+    # current degree; an entry at any other degree, or for an eliminated
+    # vertex, is dropped when it surfaces.
+    buckets = [[] for _ in range(max(map(len, nbr.values())) + 1)]
+    for v in sorted(xset):
+        buckets[len(nbr[v])].append(v)
     step = {}                        # step[v] = when v was eliminated
     bags = []                        # bags[i] = bag of the i-th elimination
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in step or d != len(nbr[v]):
-            continue                 # stale entry
+    d = 0
+    while nbr:
+        while True:
+            if not buckets[d]:
+                d += 1
+                continue
+            v = heapq.heappop(buckets[d])
+            if v in nbr and len(nbr[v]) == d:
+                break
         later = nbr.pop(v)
         step[v] = len(bags)
         bags.append(later | {v})
         for u in later:
-            nbr[u] |= later
-            nbr[u] -= {u, v}
-            heapq.heappush(heap, (len(nbr[u]), u))
-    parent = [min((step[u] for u in bag if step[u] > i), default=None)
-              for i, bag in enumerate(bags)]
+            nu = nbr[u]
+            du = len(nu)
+            nu |= later
+            nu.discard(u)
+            nu.discard(v)
+            if len(nu) != du:
+                du = len(nu)
+                while len(buckets) <= du:
+                    buckets.append([])
+                heapq.heappush(buckets[du], u)
+        # now nbr[u] holds later - {u} for each u in later, so no
+        # remaining degree is below d - 1
+        d = max(d - 1, 0)
+    # the bag's own vertex is its earliest; the parent is the next one
+    parent = [sorted(map(step.__getitem__, bag))[1] if len(bag) > 1 else None
+              for bag in bags]
     roots = [i for i, p in enumerate(parent) if p is None]
     for r, nxt in zip(roots, roots[1:]):
         parent[r] = nxt
@@ -155,11 +177,27 @@ def decomposition_from_separators(prefix, X):
 
 
 def independent_width(prefix, decomposition):
-    """max over bags of the exact independence number."""
+    """max over bags of the exact independence number.
+
+    The bags are searched largest first, each only for a set larger than
+    the best so far, which the search takes as its floor; once a bag is no
+    larger than the best, no later one can beat it.  Each improving set is
+    re-checked for independence in the prefix.
+    """
+    adj = prefix.adjacency()
     best = 0
-    for bag in decomposition.bags:
-        a, _ = structure.max_independent_set_exact(prefix, bag)
-        best = max(best, a)
+    for bag in sorted(decomposition.bags, key=len, reverse=True):
+        if len(bag) <= best:
+            break
+        order, local = structure.induced_adjacency(prefix, bag)
+        found = kernels.max_independent_set(len(order), local, best)
+        if found:
+            stable = [order[i] for i in found]
+            if any(v in adj[u]
+                   for i, u in enumerate(stable) for v in stable[i + 1:]):
+                raise RuntimeError("the independent set search returned "
+                                   "adjacent vertices")
+            best = len(stable)
     return best
 
 

@@ -1,9 +1,11 @@
+import heapq
 import random
 
 import pytest
 
 from layered_wheels import build_prefix, parse_f_spec
 from layered_wheels import structure as S
+from layered_wheels.widths import TreeDecomposition
 
 
 def small_prefixes(max_vertices=2000, ells=(4, 5, 6),
@@ -43,6 +45,49 @@ def reference_spans(prefix):
         for s, end in zip(starts, starts[1:] + [nxt.stop]):
             span[prefix.parent[s]] = (s, end - s)
     return span
+
+
+def reference_decomposition(prefix, X):
+    """Min-degree elimination of G[X] over a heap of (degree, id) pairs,
+    with the bag merging of ``widths.decomposition_from_separators``: the
+    oracle for its bucket-queue elimination, which must give the same bags
+    and tree edges."""
+    xset = frozenset(X)
+    adj = prefix.adjacency()
+    nbr = {v: adj[v] & xset for v in xset}
+    heap = sorted((len(s), v) for v, s in nbr.items())   # a valid heap
+    step = {}
+    bags = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in step or d != len(nbr[v]):
+            continue                 # stale entry
+        later = nbr.pop(v)
+        step[v] = len(bags)
+        bags.append(later | {v})
+        for u in later:
+            nbr[u] |= later
+            nbr[u] -= {u, v}
+            heapq.heappush(heap, (len(nbr[u]), u))
+    parent = [min((step[u] for u in bag if step[u] > i), default=None)
+              for i, bag in enumerate(bags)]
+    roots = [i for i, p in enumerate(parent) if p is None]
+    for r, nxt in zip(roots, roots[1:]):
+        parent[r] = nxt
+    widest = max(map(len, bags))
+    into = {}
+    for i, p in enumerate(parent):
+        if p is not None and len(bags[i] | bags[p]) <= widest:
+            bags[p] |= bags[i]
+            into[i] = p
+    kept = [i for i in reversed(range(len(bags))) if i not in into]
+    index = {i: k for k, i in enumerate(kept)}
+    for i in reversed(range(len(bags))):
+        if i in into:
+            index[i] = index[into[i]]
+    return TreeDecomposition(
+        [frozenset(bags[i]) for i in kept],
+        [(index[parent[i]], index[i]) for i in kept if parent[i] is not None])
 
 
 def expected_intersection(prefix, P, Q):

@@ -145,6 +145,21 @@ def test_build_export_bytes_pinned(tmp_path, capsys, ell, f, t, fmt, digest):
     assert text.encode() == data
 
 
+def test_build_graph6_builds_no_adjacency(tmp_path, capsys, monkeypatch):
+    # the graph6 writer reads the pairs off the layer cycles and the
+    # upward lists; the bytes are the same as from the edge list
+    def refuse(self):
+        raise AssertionError("graph6 export built the adjacency")
+
+    monkeypatch.setattr(WheelPrefix, "adjacency", refuse)
+    out = tmp_path / "p.g6"
+    code, _, _ = run(capsys, "build", "--ell", "4", "--f", "cap:3",
+                     "--layers", "8", "--format", "graph6", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "3647f661513adf9abb50b4a5f36314f1e9d7dcc1e7640b173fd9732351eada76"
+
+
 # traced memory of `build` beyond the prefix's own, against the size of
 # the file it writes: the writers hold one piece at a time, not the text
 @pytest.mark.parametrize("fmt, ratio", [("json", 3), ("dot", 3),
@@ -283,7 +298,12 @@ def test_separate_all_with_decomposition(tmp_path, capsys):
      "da1fc895e220bbd7120694b6f0dd86d2c90cdb76e57c6929a38aca14e258ed6a"),
     (5, "identity", 4,
      "81995a8093fa23228d77a06fc19eafdbdc2df56b83c218886b66f59745a656c8"),
-], ids=["n444", "n200"])
+    # the instances of the command benchmark's separate workload
+    (4, "cap:3", 8,
+     "d2c35f8f8e5ed428f1352200a7dc95c0c82282ed185efeafcd9d9de347f15174"),
+    (5, "identity", 6,
+     "ab213feae76ebcfafcda41d1b130b20db236bad9356fd4319239b4d7278ead24"),
+], ids=["n444", "n200", "n3020", "n1820"])
 def test_separate_report_bytes_pinned(tmp_path, capsys, ell, f, t, digest):
     src = tmp_path / "p.json"
     out = tmp_path / "sep.json"

@@ -32,6 +32,20 @@ def test_clique_number_matches_f(prefixes_2000):
                                             p.num_layers)
 
 
+def test_induced_adjacency_of_every_vertex_is_the_prefix_adjacency(
+        prefix_68):
+    everything = frozenset(range(prefix_68.n_vertices))
+    order, adj = S.induced_adjacency(prefix_68, everything)
+    assert order == list(range(68))
+    assert adj is prefix_68.adjacency()
+    # the same vertices are the first four layers of the t=5 prefix, where
+    # the general path re-indexes them: the result is equal, not the same
+    p5 = build_prefix(4, parse_f_spec("cap:3"), 5)
+    order5, local = S.induced_adjacency(p5, everything)
+    assert order5 == order
+    assert local == adj and local is not adj
+
+
 def test_hole_floor(prefixes_2000):
     for p in prefixes_2000:
         shortest = S.shortest_hole_up_to(p, p.ell)

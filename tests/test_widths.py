@@ -4,7 +4,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
 from layered_wheels import kernels
@@ -12,7 +12,7 @@ from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
 
-from conftest import small_prefixes
+from conftest import reference_decomposition, small_prefixes
 
 
 # -- formula --------------------------------------------------------------
@@ -139,6 +139,29 @@ def test_decomposition_valid_on_random_targets(case):
     assert all(bag <= set(X) for bag in dec.bags)
     if len(X) <= 32:
         assert kernels.treewidth_exact(len(order), local) <= dec.width
+
+
+# a single vertex, and two layer-1 vertices with no edge between them
+@settings(max_examples=200, deadline=None)
+@given(targets())
+@example((PREFIXES_300[0], [0]))
+@example((PREFIXES_300[-1], [0, 2]))
+def test_decomposition_matches_reference_elimination(case):
+    p, X = case
+    dec = W.decomposition_from_separators(p, X)
+    ref = reference_decomposition(p, X)
+    assert dec.bags == ref.bags
+    assert dec.edges == ref.edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(targets())
+def test_independent_width_is_the_largest_bag_independence(case):
+    p, X = case
+    dec = W.decomposition_from_separators(p, X)
+    unbounded = max(S.max_independent_set_exact(p, bag)[0]
+                    for bag in dec.bags)
+    assert W.independent_width(p, dec) == unbounded
 
 
 def test_decomposition_validator_catches_violations(prefix_68):
