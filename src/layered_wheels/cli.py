@@ -122,6 +122,74 @@ def _pairs(prefix):
             yield v, w
 
 
+def separate_pieces(prefix, sep, fields, dec, dec_fields):
+    """The ``separate`` report as ``json.dumps(report, indent=2)`` and a
+    newline: the sides A and B as sorted [layer, pos] lists, then the
+    (key, value) ``fields``, then, when ``dec`` is given, a "decomposition"
+    object with its bags and tree edges followed by ``dec_fields``.
+
+    Yields the text in pieces of at most ``PIECE`` pairs.  Each pair is
+    formatted from a per-layer template at its fixed indent depth."""
+    ends = prefix.offsets[1:] + [prefix.n_vertices]
+
+    def locs(depth):
+        pad = "\n" + "  " * depth
+        pairs = ["%s[%s  %d,%s  %%d%s]" % (pad, pad, layer, pad, pad)
+                 for layer in range(1, prefix.num_layers + 1)]
+
+        def text(ids):         # sorted ids, split into runs of one layer
+            runs = []
+            i = 0
+            while i < len(ids):
+                layer = bisect.bisect_right(ends, ids[i])
+                j = bisect.bisect_left(ids, ends[layer], i)
+                start, pair = prefix.offsets[layer], pairs[layer]
+                runs.append(",".join([pair % (g - start)
+                                      for g in ids[i:j]]))
+                i = j
+            return ",".join(runs)
+        return text
+
+    side = locs(2)
+    yield '{\n  "A": '
+    yield from _list_pieces(sorted(sep.A), 1, side)
+    yield ',\n  "B": '
+    yield from _list_pieces(sorted(sep.B), 1, side)
+    yield _field_lines(fields, 1)
+    if dec is not None:
+        bag = locs(4)
+        yield ',\n  "decomposition": {\n    "bags": ['
+        for i, b in enumerate(dec.bags):
+            yield ",\n      " if i else "\n      "
+            yield from _list_pieces(sorted(b), 3, bag)
+        edge = "\n      [\n        %d,\n        %d\n      ]"
+        yield '\n    ],\n    "edges": '
+        yield from _list_pieces(dec.edges, 2, lambda edges: ",".join(
+            [edge % e for e in edges]))
+        yield _field_lines(dec_fields, 2) + "\n  }"
+    yield "\n}\n"
+
+
+def _list_pieces(items, depth, text):
+    """A list at ``depth`` as ``json.dumps(indent=2)`` writes it: "[",
+    then ``text`` of each run of at most ``PIECE`` items, then "]"."""
+    if not items:
+        yield "[]"
+        return
+    yield "["
+    for a in range(0, len(items), PIECE):
+        yield ("," if a else "") + text(items[a:a + PIECE])
+    yield "\n" + "  " * depth + "]"
+
+
+def _field_lines(fields, depth):
+    """The (key, value) scalar fields as ``json.dumps(indent=2)`` writes
+    them after an earlier field of an object at ``depth - 1``."""
+    return "".join(",\n%s%s: %s" % ("  " * depth, json.dumps(key),
+                                     json.dumps(value, indent=2))
+                   for key, value in fields)
+
+
 def _write(path, pieces):
     """Write the text pieces as they come, to stdout for '-' or else to
     the file at path."""
@@ -238,26 +306,25 @@ def cmd_separate(args):
     res = structure.balanced_separation(prefix, X)
     k = len(structure.induced_max_clique(prefix, X))
     bound = structure.order_bound(prefix.ell, prefix.f, k)
-    report = res.sep.to_dict(loc=lambda g: list(prefix.loc(g)))
-    report.update(n=res.n, k=k,
-                  order_bound=bound if bound != INF else "inf",
-                  bound_applies=res.bound_applies, balanced=res.balanced,
-                  iterations=res.iterations)
     ok = res.balanced and structure.verify_separation_on_prefix(
         prefix, res.sep, X)
-    report["verified"] = ok
+    fields = [("order", res.order), ("n", res.n), ("k", k),
+              ("order_bound", bound if bound != INF else "inf"),
+              ("bound_applies", res.bound_applies),
+              ("balanced", res.balanced), ("iterations", res.iterations),
+              ("verified", ok)]
+    dec = dec_fields = None
     if args.emit_decomposition:
         dec = widths.decomposition_from_separators(prefix, X)
         adj = prefix.adjacency()
-        edges = [(u, v) for u in X for v in adj[u] if v in X and u < v]
-        valid = dec.validate(X, edges)
-        report["decomposition"] = dec.to_dict(
-            loc=lambda g: list(prefix.loc(g)))
-        report["decomposition"]["valid"] = valid
-        report["decomposition"]["independent_width"] = \
-            widths.independent_width(prefix, dec)
+        valid = dec.validate(X, ((u, v) for u in X for v in adj[u]
+                                 if v in X and u < v))
+        dec_fields = [("width", dec.width), ("valid", valid),
+                      ("independent_width",
+                       widths.independent_width(prefix, dec))]
         ok &= valid
-    _write(args.out, [json.dumps(report, indent=2) + "\n"])
+    _write(args.out, separate_pieces(prefix, res.sep, fields, dec,
+                                     dec_fields))
     print("n=%d k=%d order=%d bound=%s balanced=%s"
           % (res.n, k, res.order, bound, res.balanced),
           file=sys.stderr)

@@ -78,13 +78,6 @@ class Separation:
     def order(self):
         return len(self.A & self.B)
 
-    def to_dict(self, loc):
-        return {
-            "A": sorted(map(loc, self.A)),
-            "B": sorted(map(loc, self.B)),
-            "order": self.order,
-        }
-
 
 # -- induced subgraphs and exact invariants -------------------------------
 

@@ -10,7 +10,9 @@ exact treewidth solver that cross-checks them is ``kernels.treewidth_exact``.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import kernels, structure
@@ -32,56 +34,47 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags) - 1
 
     def validate(self, vertices, graph_edges):
-        """The three decomposition axioms, checked structurally."""
-        nodes = range(len(self.bags))
-        holds = {}                   # holds[v] = indices of the bags with v
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                holds.setdefault(v, set()).add(i)
-        if not all(v in holds for v in vertices):
-            return False
-        empty = frozenset()
-        for (u, v) in graph_edges:
-            if not holds.get(u, empty) & holds.get(v, empty):
-                return False
-        # tree shape: connected and acyclic on the node set
-        if len(self.edges) != len(self.bags) - 1:
-            return False
-        nbr = {i: set() for i in nodes}
-        for (i, j) in self.edges:
-            nbr[i].add(j)
-            nbr[j].add(i)
-        seen = {0} if self.bags else set()
-        stack = [0] if self.bags else []
-        while stack:
-            i = stack.pop()
-            for j in nbr[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(self.bags):
-            return False
-        # per-vertex bag sets induce subtrees
-        for mine in holds.values():
-            root = next(iter(mine))
-            reach = {root}
-            stack = [root]
-            while stack:
-                i = stack.pop()
-                for j in nbr[i]:
-                    if j in mine and j not in reach:
-                        reach.add(j)
-                        stack.append(j)
-            if reach != mine:
-                return False
-        return True
+        """The three decomposition axioms, in O(sum of bag sizes + edges).
 
-    def to_dict(self, loc):
-        return {
-            "bags": [sorted(map(loc, b)) for b in self.bags],
-            "edges": [list(e) for e in self.edges],
-            "width": self.width,
-        }
+        The bags form a tree when there are one fewer tree edges than bags
+        and a search from bag 0 reaches every bag.  In a tree, a vertex's
+        bags form a subtree exactly when they hold one more bag than the
+        tree edges both of whose bags hold the vertex.  Two subtrees meet
+        exactly when one holds the other's top, its bag nearest bag 0, so
+        an edge uv is covered when one end lies in the other's top bag."""
+        bags = self.bags
+        nodes = range(len(bags))
+        if len(self.edges) != len(bags) - 1 or not all(
+                i in nodes and j in nodes for (i, j) in self.edges):
+            return False
+        nbr = [[] for _ in bags]
+        for (i, j) in self.edges:
+            nbr[i].append(j)
+            nbr[j].append(i)
+        order = [0]                  # the bags in search order from bag 0
+        seen = [False] * len(bags)
+        seen[0] = True
+        for i in order:
+            for j in nbr[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    order.append(j)
+        if len(order) != len(bags):
+            return False
+        # count[v] = bags holding v minus tree edges both of whose bags do
+        count = Counter(itertools.chain.from_iterable(bags))
+        count.subtract(itertools.chain.from_iterable(
+            bags[i] & bags[j] for (i, j) in self.edges))
+        if any(c != 1 for c in count.values()):
+            return False
+        top = {}                     # top[v] = v's bag nearest bag 0
+        for i in reversed(order):
+            top.update(dict.fromkeys(bags[i], bags[i]))
+        if not all(v in top for v in vertices):
+            return False
+        none = frozenset()
+        return all(v in top.get(u, none) or u in top.get(v, none)
+                   for (u, v) in graph_edges)
 
 
 def tw_upper_bound_formula(ell, f, omega):
@@ -126,7 +119,7 @@ def decomposition_from_separators(prefix, X):
     for v in sorted(xset):
         buckets[len(nbr[v])].append(v)
     step = {}                        # step[v] = when v was eliminated
-    bags = []                        # bags[i] = bag of the i-th elimination
+    bags = []                        # bags[i] = (v, *later) of step i
     d = 0
     while nbr:
         while True:
@@ -138,7 +131,7 @@ def decomposition_from_separators(prefix, X):
                 break
         later = nbr.pop(v)
         step[v] = len(bags)
-        bags.append(later | {v})
+        bags.append((v, *later))
         for u in later:
             nu = nbr[u]
             du = len(nu)
@@ -153,19 +146,26 @@ def decomposition_from_separators(prefix, X):
         # now nbr[u] holds later - {u} for each u in later, so no
         # remaining degree is below d - 1
         d = max(d - 1, 0)
-    # the bag's own vertex is its earliest; the parent is the next one
-    parent = [sorted(map(step.__getitem__, bag))[1] if len(bag) > 1 else None
+    del nbr, buckets
+    # the parent is the earliest step among the later vertices
+    parent = [min(map(step.__getitem__, bag[1:])) if len(bag) > 1 else None
               for bag in bags]
+    del step
     roots = [i for i, p in enumerate(parent) if p is None]
     for r, nxt in zip(roots, roots[1:]):
         parent[r] = nxt
-    # a parent comes after its children, so one pass merges bottom-up
+    # a parent comes after its children, so one pass merges bottom-up; a
+    # bag becomes a set only when another merges into it
     widest = max(map(len, bags))
     into = {}
     for i, p in enumerate(parent):
-        if p is not None and len(bags[i] | bags[p]) <= widest:
-            bags[p] |= bags[i]
-            into[i] = p
+        if p is not None:
+            union = set(bags[p])
+            union.update(bags[i])
+            if len(union) <= widest:
+                bags[p] = union
+                bags[i] = None
+                into[i] = p
     kept = [i for i in reversed(range(len(bags))) if i not in into]
     index = {i: k for k, i in enumerate(kept)}
     for i in reversed(range(len(bags))):

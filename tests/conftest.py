@@ -1,10 +1,14 @@
 import heapq
+import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from layered_wheels import build_prefix, parse_f_spec
 from layered_wheels import structure as S
+from layered_wheels import widths as W
+from layered_wheels.functions import INF
 from layered_wheels.widths import TreeDecomposition
 
 
@@ -24,6 +28,20 @@ def small_prefixes(max_vertices=2000, ells=(4, 5, 6),
                 out.append(p)
                 t += 1
     return out
+
+
+PREFIXES_300 = small_prefixes(max_vertices=300)
+
+
+@st.composite
+def targets(draw):
+    """A prefix and a random target X: single vertices and sparse,
+    disconnected sets are common, so the component roots get chained."""
+    p = draw(st.sampled_from(PREFIXES_300))
+    size = draw(st.one_of(st.integers(1, min(32, p.n_vertices)),
+                          st.integers(1, p.n_vertices)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return p, random.Random(seed).sample(range(p.n_vertices), size)
 
 
 def reference_spans(prefix):
@@ -88,6 +106,83 @@ def reference_decomposition(prefix, X):
     return TreeDecomposition(
         [frozenset(bags[i]) for i in kept],
         [(index[parent[i]], index[i]) for i in kept if parent[i] is not None])
+
+
+def reference_validate(dec, vertices, graph_edges):
+    """The decomposition axioms by rescanning every bag, O(edges x bags)."""
+    nodes = range(len(dec.bags))
+    covered = set().union(*dec.bags) if dec.bags else set()
+    if not set(vertices) <= covered:
+        return False
+    for (u, v) in graph_edges:
+        if not any(u in b and v in b for b in dec.bags):
+            return False
+    if len(dec.edges) != len(dec.bags) - 1:
+        return False
+    nbr = {i: set() for i in nodes}
+    for (i, j) in dec.edges:
+        nbr[i].add(j)
+        nbr[j].add(i)
+    seen = {0} if dec.bags else set()
+    stack = [0] if dec.bags else []
+    while stack:
+        i = stack.pop()
+        for j in nbr[i]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    if len(seen) != len(dec.bags):
+        return False
+    for v in set(vertices) | covered:
+        holds = {i for i in nodes if v in dec.bags[i]}
+        if not holds:
+            continue
+        root = next(iter(holds))
+        reach = {root}
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in nbr[i]:
+                if j in holds and j not in reach:
+                    reach.add(j)
+                    stack.append(j)
+        if reach != holds:
+            return False
+    return True
+
+
+def reference_separate_report(prefix, X, emit_decomposition):
+    """The text of ``lwheel separate`` on the target X, assembled as nested
+    dicts of [layer, pos] lists and written by ``json.dumps(indent=2)``:
+    the oracle for the streamed report."""
+    X = frozenset(X)
+
+    def loc(g):
+        return list(prefix.loc(g))
+    res = S.balanced_separation(prefix, X)
+    k = len(S.induced_max_clique(prefix, X))
+    bound = S.order_bound(prefix.ell, prefix.f, k)
+    report = {"A": sorted(map(loc, res.sep.A)),
+              "B": sorted(map(loc, res.sep.B)),
+              "order": res.sep.order}
+    report.update(n=res.n, k=k,
+                  order_bound=bound if bound != INF else "inf",
+                  bound_applies=res.bound_applies, balanced=res.balanced,
+                  iterations=res.iterations)
+    report["verified"] = res.balanced and S.verify_separation_on_prefix(
+        prefix, res.sep, X)
+    if emit_decomposition:
+        dec = W.decomposition_from_separators(prefix, X)
+        adj = prefix.adjacency()
+        edges = [(u, v) for u in X for v in adj[u] if v in X and u < v]
+        report["decomposition"] = {
+            "bags": [sorted(map(loc, b)) for b in dec.bags],
+            "edges": [list(e) for e in dec.edges],
+            "width": dec.width,
+            "valid": reference_validate(dec, X, edges),
+            "independent_width": W.independent_width(prefix, dec),
+        }
+    return json.dumps(report, indent=2) + "\n"
 
 
 def expected_intersection(prefix, P, Q):

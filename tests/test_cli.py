@@ -1,14 +1,23 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import os
 import random
+import re
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
 
 from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
-from layered_wheels import structure, widths
+from layered_wheels import cli, structure, widths
 from layered_wheels.cli import main, to_dot, to_graph6
+from layered_wheels.wheel import PIECE
+
+from conftest import PREFIXES_300, reference_separate_report, targets
 
 
 def run(capsys, *argv):
@@ -303,7 +312,10 @@ def test_separate_all_with_decomposition(tmp_path, capsys):
      "d2c35f8f8e5ed428f1352200a7dc95c0c82282ed185efeafcd9d9de347f15174"),
     (5, "identity", 6,
      "ab213feae76ebcfafcda41d1b130b20db236bad9356fd4319239b4d7278ead24"),
-], ids=["n444", "n200", "n3020", "n1820"])
+    # A, B and the bag and edge lists each span several pieces
+    (4, "cap:3", 10,
+     "3fb12d9adc4944d651b9e65b7f600a928ec772d4fb57b52b4cd89de482858567"),
+], ids=["n444", "n200", "n3020", "n1820", "n20676"])
 def test_separate_report_bytes_pinned(tmp_path, capsys, ell, f, t, digest):
     src = tmp_path / "p.json"
     out = tmp_path / "sep.json"
@@ -330,6 +342,56 @@ def test_separate_target_file_report_bytes_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "3415297c6a309e40b2e83c9d95d0c2b1521f66a4f85c9c01c9402622d7b7d223"
+
+
+# one [layer, pos] pair or tree edge as `json.dumps(indent=2)` writes it
+PAIR = re.compile(r"\[\n *\d+,\n *\d+\n *\]")
+
+
+def test_separate_report_streams_bounded_pieces(tmp_path, capsys,
+                                                monkeypatch):
+    src = tmp_path / "p.json"
+    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "10",
+        "--out", str(src))
+    pieces = []
+    monkeypatch.setattr(cli, "_write",
+                        lambda path, text: pieces.extend(text))
+    code, _, _ = run(capsys, "separate", "--in", str(src), "--target", "all",
+                     "--emit-decomposition")
+    assert code == 0
+    counts = [len(PAIR.findall(piece)) for piece in pieces]
+    assert len(pieces) > 1
+    assert max(counts) <= PIECE
+    # every pair lies whole inside one piece
+    assert sum(counts) == len(PAIR.findall("".join(pieces)))
+
+
+CAP3_T4 = next(p for p in PREFIXES_300
+               if (p.ell, p.f.descriptor, p.num_layers) == (4, "cap:3", 4))
+
+
+# a single vertex, a disconnected pair, and a target with A = B
+@settings(max_examples=200, deadline=None)
+@given(targets())
+@example((PREFIXES_300[0], [0]))
+@example((PREFIXES_300[-1], [0, 2]))
+@example((CAP3_T4, [0, 1, 4]))
+def test_separate_report_matches_reference(case):
+    p, X = case
+    with tempfile.TemporaryDirectory() as d:
+        src = os.path.join(d, "p.json")
+        tgt = os.path.join(d, "x.json")
+        out = os.path.join(d, "sep.json")
+        with open(src, "w") as fh:
+            fh.write(p.to_json())
+        with open(tgt, "w") as fh:
+            json.dump([list(p.loc(g)) for g in X], fh)
+        for emit in (False, True):
+            argv = ["separate", "--in", src, "--target", tgt, "--out", out]
+            with contextlib.redirect_stderr(io.StringIO()):
+                main(argv + ["--emit-decomposition"] if emit else argv)
+            with open(out) as fh:
+                assert fh.read() == reference_separate_report(p, X, emit)
 
 
 # sha256 of the default `verify` report: pins the clique witness, which

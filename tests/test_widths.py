@@ -12,7 +12,8 @@ from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
 
-from conftest import reference_decomposition, small_prefixes
+from conftest import (PREFIXES_300, reference_decomposition,
+                      reference_validate, targets)
 
 
 # -- formula --------------------------------------------------------------
@@ -113,20 +114,6 @@ def test_decomposition_valid_on_68(prefix_68):
     assert dec.width >= 3   # >= t-1 by the minor bound
 
 
-PREFIXES_300 = small_prefixes(max_vertices=300)
-
-
-@st.composite
-def targets(draw):
-    """A prefix and a random target X: single vertices and sparse,
-    disconnected sets are common, so the component roots get chained."""
-    p = draw(st.sampled_from(PREFIXES_300))
-    size = draw(st.one_of(st.integers(1, min(32, p.n_vertices)),
-                          st.integers(1, p.n_vertices)))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    return p, random.Random(seed).sample(range(p.n_vertices), size)
-
-
 @settings(max_examples=200, deadline=None)
 @given(targets())
 def test_decomposition_valid_on_random_targets(case):
@@ -178,49 +165,6 @@ def test_decomposition_validator_catches_violations(prefix_68):
         assert not disconnected.validate(vertices, edges)
 
 
-def reference_validate(dec, vertices, graph_edges):
-    """The decomposition axioms by rescanning every bag, O(edges x bags)."""
-    nodes = range(len(dec.bags))
-    covered = set().union(*dec.bags) if dec.bags else set()
-    if not set(vertices) <= covered:
-        return False
-    for (u, v) in graph_edges:
-        if not any(u in b and v in b for b in dec.bags):
-            return False
-    if len(dec.edges) != len(dec.bags) - 1:
-        return False
-    nbr = {i: set() for i in nodes}
-    for (i, j) in dec.edges:
-        nbr[i].add(j)
-        nbr[j].add(i)
-    seen = {0} if dec.bags else set()
-    stack = [0] if dec.bags else []
-    while stack:
-        i = stack.pop()
-        for j in nbr[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != len(dec.bags):
-        return False
-    for v in set(vertices) | covered:
-        holds = {i for i in nodes if v in dec.bags[i]}
-        if not holds:
-            continue
-        root = next(iter(holds))
-        reach = {root}
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in nbr[i]:
-                if j in holds and j not in reach:
-                    reach.add(j)
-                    stack.append(j)
-        if reach != holds:
-            return False
-    return True
-
-
 @st.composite
 def decompositions(draw):
     """A valid decomposition (bags, tree) with graph edges inside bags."""
@@ -247,7 +191,9 @@ def decompositions(draw):
 
 
 MUTATIONS = ("none", "drop-vertex", "drop-tree-edge", "add-cycle-edge",
-             "rewire-tree-edge", "split-vertex", "uncovered-vertex")
+             "rewire-tree-edge", "split-vertex", "uncovered-vertex",
+             "duplicate-tree-edge", "self-loop-tree-edge",
+             "edge-across-subtrees")
 
 
 @settings(max_examples=400, deadline=None)
@@ -279,6 +225,32 @@ def test_validate_matches_reference(case, mutation, data):
         bags[j].add(v)
     elif mutation == "uncovered-vertex":
         vertices = vertices + [len(vertices)]
+    elif mutation == "duplicate-tree-edge" and len(tree) > 1:
+        # the edge count stays right, but the tree falls apart
+        i, j = pick(st.sampled_from(tree))
+        tree.remove(pick(st.sampled_from([e for e in tree if e != (i, j)])))
+        tree.append((j, i))
+    elif mutation == "self-loop-tree-edge" and tree:
+        tree.remove(pick(st.sampled_from(tree)))
+        i = pick(st.integers(0, k - 1))
+        tree.append((i, i))
+    elif mutation == "edge-across-subtrees" and tree:
+        # u's bags and v's bags are disjoint but joined by a tree edge
+        i, j = pick(st.sampled_from(tree))
+        u, v = len(vertices), len(vertices) + 1
+        for w, near, far in ((u, i, j), (v, j, i)):
+            # grown from one end of the tree edge, never across it
+            sub = {near}
+            for _ in range(pick(st.integers(0, k - 1))):
+                grow = sorted({b for e in tree if sub & set(e) for b in e}
+                              - sub - {far})
+                if not grow:
+                    break
+                sub.add(pick(st.sampled_from(grow)))
+            for a in sub:
+                bags[a].add(w)
+        vertices = vertices + [u, v]
+        edges = edges + [(u, v)]
     dec = W.TreeDecomposition([frozenset(b) for b in bags], tree)
     assert dec.validate(vertices, edges) == \
         reference_validate(dec, vertices, edges)
