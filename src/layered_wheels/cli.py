@@ -19,7 +19,7 @@ from . import structure, widths
 from .functions import (INF, SlowFunctionError, CumulativeFunctionError,
                         parse_f_spec)
 from .wheel import (DEFAULT_SIZE_CAP, PIECE, SizeCapError, WheelPrefix,
-                    build_prefix, verify_rules)
+                    build_prefix, canonical_violation, verify_rules)
 
 
 # -- export formats -------------------------------------------------------
@@ -244,12 +244,14 @@ def cmd_build(args):
     return 0
 
 
+CHECKS = ("rules", "canonical", "holes", "clique", "minor")
+
+
 def cmd_verify(args):
-    selected = [name for name in ("rules", "holes", "clique", "minor")
-                if getattr(args, name)]
+    selected = [name for name in CHECKS if getattr(args, name)]
     chordal_n = args.chordal_samples
     if not selected and chordal_n is None:
-        selected = ["rules", "holes", "clique", "minor"]
+        selected = list(CHECKS)
         chordal_n = 100
     if not selected and not chordal_n:
         raise ValueError("no check selected")
@@ -261,6 +263,11 @@ def cmd_verify(args):
         rr = verify_rules(prefix)
         report["checks"]["rules"] = rr.to_dict()
         ok &= rr.passed
+    if "canonical" in selected:
+        detail = canonical_violation(prefix)
+        report["checks"]["canonical"] = {"passed": detail is None,
+                                         "detail": detail or ""}
+        ok &= detail is None
     if "holes" in selected:
         shortest = structure.shortest_hole_up_to(prefix, prefix.ell)
         good = shortest is None or shortest >= prefix.ell
@@ -303,8 +310,13 @@ def cmd_separate(args):
         X = frozenset(range(prefix.n_vertices))
     else:
         X = _load_target(prefix, args.target)
+    # the clique route runs first, so a record that breaks its premise
+    # never reaches the separation loop
+    k, cert = structure.induced_clique_number(prefix, X)
+    if not cert.verdict:
+        raise ValueError("no clique certificate: vertex %s: %s" % (
+            tuple(cert.data["first_violation"]), cert.data["reason"]))
     res = structure.balanced_separation(prefix, X)
-    k = len(structure.induced_max_clique(prefix, X))
     bound = structure.order_bound(prefix.ell, prefix.f, k)
     ok = res.balanced and structure.verify_separation_on_prefix(
         prefix, res.sep, X)
@@ -365,6 +377,7 @@ def make_parser():
     v = sub.add_parser("verify", help="check structural invariants of a prefix")
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--rules", action="store_true")
+    v.add_argument("--canonical", action="store_true")
     v.add_argument("--holes", action="store_true")
     v.add_argument("--clique", action="store_true")
     v.add_argument("--minor", action="store_true")

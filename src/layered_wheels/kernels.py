@@ -1,6 +1,11 @@
 """Compute kernels: exact clique / independent set search, bounded
 chordless-cycle scan, and exact treewidth on tiny graphs.
 
+No command calls ``max_clique``: omega of a prefix, and of a target set,
+is proved from the upward lists (``structure.clique_number_exact``).  It
+stays here as the tests' oracle for that route, and because the command
+benchmark's trace wraps it by this name.
+
 All kernels take ``(n, adj)`` where ``adj`` is a sequence indexed by
 vertex and ``adj[v]`` is the set of v's neighbours; they read it as it is
 and make no copy.  ``clique_size_within`` takes ``(adj, S, cap)`` instead,

@@ -8,7 +8,9 @@ a function explicitly deals in (layer, pos) pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -95,22 +97,124 @@ def induced_adjacency(prefix, X):
 
 
 def induced_max_clique(prefix, X):
+    """A maximum clique of G[X] by the kernel search: the tests' oracle for
+    ``induced_clique_number``, kept here because the command benchmark's
+    trace wraps it by this name."""
     order, local = induced_adjacency(prefix, X)
     return [order[i] for i in kernels.max_clique(len(order), local)]
 
 
 def clique_number_exact(prefix):
-    """Exact clique number with a maximum clique witness certificate."""
+    """omega(G) read off the upward lists, with a two-sided certificate.
+
+    When every layer has >= 4 vertices and every upward entry lies in a
+    strictly earlier layer, a layer holds no triangle and every edge out
+    of a layer's vertex v to an earlier layer goes to up[v].  So the last
+    layer of a clique holds one vertex v of it, or two, v and its cycle
+    successor v+, and the rest lies in up[v] (and in up[v+]).  The upper
+    side, proved from the record, is the largest of 1 + |up[v]| and
+    2 + |up[v] & up[v+]| over the vertices; the lower side is the
+    maximizer's set, checked to be a clique in the adjacency.
+
+    The verdict fails, naming the first violating vertex as
+    ``first_violation`` with a ``reason``, when a layer has fewer than 4
+    vertices, an upward list repeats an entry or holds one that is not in
+    an earlier layer, or the maximizer's set is not a clique.  No search
+    runs in any case.
+    """
+    return induced_clique_number(prefix, None)
+
+
+def induced_clique_number(prefix, X):
+    """omega(G[X]) by the route of ``clique_number_exact``, as (omega,
+    certificate): each upward list is cut down to X, and a pair counts only
+    when v and v+ both lie in X.  X None, or a set of every vertex, stands
+    for the whole prefix."""
+    premise = _up_route_violation(prefix)
+    if premise is not None:
+        g, reason = premise
+        return 0, Certificate(kind="clique", data={
+            "clique": [], "first_violation": list(prefix.loc(g)),
+            "reason": reason}, verdict=False)
+    n = prefix.n_vertices
+    X = None if X is None else frozenset(X)
+    # lens[v] = |up[v] cut to X|, or -1 for v outside X
+    if X is None or len(X) == n:
+        ups = prefix.up
+        lens = list(map(len, ups))
+    else:
+        ups = {v: [w for w in prefix.up[v] if w in X] for v in X}
+        lens = [-1] * n
+        for v, cut in ups.items():
+            lens[v] = len(cut)
+    m = max(lens, default=-1)
+    if m < 0:
+        return 0, Certificate(kind="clique", data={"clique": []},
+                              verdict=True, bound=0)
+    top = lens.index(m)
+    witness = [top, *ups[top]]
+    # a pair beats 1 + m only when both its lists have m entries, and then
+    # it reaches 2 + m, the most any clique can have
+    for v, s in _pairs_at(prefix, lens, m):
+        common = set(ups[v]).intersection(ups[s])
+        if len(common) == m:
+            top = v
+            witness = [v, s, *common]
+            break
+    witness.sort()
     adj = prefix.adjacency()
-    clique = kernels.max_clique(prefix.n_vertices, adj)
-    ok = all(v in adj[u] for i, u in enumerate(clique) for v in clique[i + 1:])
-    cert = Certificate(
-        kind="clique",
-        data={"clique": sorted(prefix.loc(g) for g in clique)},
-        verdict=ok,
-        bound=len(clique),
-    )
-    return len(clique), cert
+    data = {"clique": [prefix.loc(g) for g in witness]}
+    apart = next(((u, w) for i, u in enumerate(witness)
+                  for w in witness[i + 1:] if w not in adj[u]), None)
+    if apart is not None:
+        data.update(first_violation=list(prefix.loc(top)),
+                    reason="its clique candidate holds %s and %s, which "
+                           "are not adjacent" % (prefix.loc(apart[0]),
+                                                 prefix.loc(apart[1])))
+    return len(witness), Certificate(kind="clique", data=data,
+                                     verdict=apart is None,
+                                     bound=len(witness))
+
+
+def _pairs_at(prefix, lens, m):
+    """The vertices v, with their cycle successors v+, for which lens[v]
+    and lens[v+] both equal m, the largest entry, in id order."""
+    for start, size in zip(prefix.offsets, prefix.layer_sizes):
+        seg = lens[start:start + size]
+        both = map((2 * m).__eq__, map(operator.add, seg, seg[1:] + seg[:1]))
+        for v in itertools.compress(range(start, start + size), both):
+            yield v, (v + 1 if v + 1 < start + size else start)
+
+
+def _up_route_violation(prefix):
+    """The first vertex, with the reason, that breaks the premise of the
+    local clique route, or None: each layer has >= 4 vertices, and each
+    upward list holds distinct entries, all in earlier layers.
+
+    Ids run layer by layer, so an entry lies in an earlier layer exactly
+    when it is below its layer's first id.  When every entry does, each
+    one is an edge of its own, so the adjacency has n + sum |up[v]| edges
+    (n of them on the layer cycles) exactly when no list repeats an entry.
+    The vertices are scanned one by one only when these checks fail."""
+    up = prefix.up
+    layers = list(enumerate(zip(prefix.offsets, prefix.layer_sizes), 1))
+    if (min(prefix.layer_sizes) >= 4
+            and all(max(itertools.chain.from_iterable(up[start:start + size]),
+                        default=-1) < start for _, (start, size) in layers)
+            and sum(map(len, prefix.adjacency()))
+            == 2 * (prefix.n_vertices + sum(map(len, up)))):
+        return None
+    for layer, (start, size) in layers:
+        if size < 4:
+            return start, "layer %d has %d < 4 vertices" % (layer, size)
+        for g in range(start, start + size):
+            if len(set(up[g])) != len(up[g]):
+                return g, "its upward list repeats an entry"
+            for w in up[g]:
+                if w >= start:
+                    return g, "its upward entry %s is not in an earlier " \
+                              "layer" % (prefix.loc(w),)
+    return None
 
 
 def max_independent_set_exact(prefix, X):

@@ -338,6 +338,56 @@ def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
     return prefix
 
 
+def canonical_violation(prefix):
+    """None when the record is ``build_prefix(ell, f, t)`` for its own ell,
+    f and t, else the first difference, naming the vertex as (layer, pos)
+    and the field.
+
+    The construction grows one layer at a time, as ``build_prefix`` grows
+    it, and each layer is compared with the record's as soon as it is
+    built: first its size, then its up lists and parents as list slices.
+    A layer whose size differs is named at the first position only one
+    side holds; a layer that would take the construction past the
+    record's size or the default cap, the larger, counts as one.  Only a
+    layer whose lists differ is scanned vertex by vertex.
+    """
+    ell, f, t = prefix.ell, prefix.f, prefix.num_layers
+    up, parent = prefix.up, prefix.parent
+    cap = max(prefix.n_vertices, DEFAULT_SIZE_CAP)
+    name = "build_prefix(%d, %s, %d)" % (ell, f.descriptor, t)
+
+    def where(p, g):
+        return p.loc(g) if g >= 0 else None
+    ref = None
+    for layer, size in enumerate(prefix.layer_sizes, 1):
+        try:
+            if ref is None:
+                ref = build_prefix(ell, f, 1, size_cap=cap)
+            else:
+                ref._extend(cap)
+        except SizeCapError:
+            return "vertex %s: layer %d holds %d vertices, where the layer " \
+                   "of %s passes %d" % ((layer, size), layer, size, name, cap)
+        ref_size = ref.layer_sizes[-1]
+        if ref_size != size:
+            return "vertex %s: layer %d holds %d vertices, where %s has " \
+                   "%d" % ((layer, min(size, ref_size)), layer, size, name,
+                           ref_size)
+        lo, hi = ref.offsets[-1], ref.n_vertices
+        if up[lo:hi] == ref.up[lo:hi] and parent[lo:hi] == ref.parent[lo:hi]:
+            continue
+        for g in range(lo, hi):
+            if up[g] != ref.up[g]:
+                return "vertex %s: up %s, where %s has %s" % (
+                    ref.loc(g), [where(prefix, w) for w in up[g]], name,
+                    [where(ref, w) for w in ref.up[g]])
+            if parent[g] != ref.parent[g]:
+                return "vertex %s: parent %s, where %s has %s" % (
+                    ref.loc(g), where(prefix, parent[g]), name,
+                    where(ref, ref.parent[g]))
+    return None
+
+
 # -- rule verification ----------------------------------------------------
 
 @dataclass

@@ -207,15 +207,19 @@ def ta_lower_bound_certified(prefix):
     The layer clique minor forces some bag of any decomposition to meet
     every layer; any one-per-layer transversal Y of that bag is chordal,
     so it splits into at most omega(Y) <= omega color classes and contains
-    a stable set of size >= t / omega.  The certificate carries the minor,
-    a sample transversal's elimination ordering, its coloring, and the
-    resulting stable set, all independently re-checked.
+    a stable set of size >= t / omega.  omega comes from
+    ``structure.clique_number_exact``, whose upper side is proved from the
+    upward lists, not searched for.  The certificate carries the minor, the
+    clique certificate, a sample transversal's elimination ordering, its
+    coloring, and the resulting stable set, all independently re-checked.
     """
     t = prefix.num_layers
     minor = structure.layer_minor_check(prefix)
     if not minor.verdict:
         raise ValueError("layer clique-minor check failed; no ta bound")
     k, clique_cert = structure.clique_number_exact(prefix)
+    if not clique_cert.verdict:
+        raise ValueError("clique certificate failed; no ta bound")
     bound = -(-t // k)
     path = structure.vertical_path_first_child(prefix, prefix.vid(1, 0), t)
     peo = structure.transversal_chordality_check(prefix, set(path.vertices))

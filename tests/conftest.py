@@ -185,6 +185,36 @@ def reference_separate_report(prefix, X, emit_decomposition):
     return json.dumps(report, indent=2) + "\n"
 
 
+def doctored_records():
+    """Records that break the clique route, as (name, JSON object, the
+    [layer, pos] of the vertex its certificate must name, a phrase of the
+    reason).  Each one adds an up entry to one vertex of the l=4 cap:3
+    t=4 prefix, except the last, a lone 3-vertex layer."""
+    p = build_prefix(4, parse_f_spec("cap:3"), 4)
+    # the first vertex with the longest upward list, which the route takes
+    top = max(range(p.n_vertices), key=lambda g: len(p.up[g]))
+    layer, pos = p.loc(p.up[top][0])
+    edits = [
+        # a second, non-adjacent entry in the first entry's layer
+        ("not-a-clique", top, [layer, (pos + 2) % p.layer_sizes[layer - 1]],
+         "not adjacent"),
+        # the cycle predecessor, the first vertex of the layer
+        ("own-layer", p.vid(3, 1), [3, 0], "not in an earlier layer"),
+        ("later-layer", p.vid(2, 1), [4, 0], "not in an earlier layer"),
+        ("repeated", top, [layer, pos], "repeats an entry"),
+    ]
+    out = []
+    for name, g, entry, reason in edits:
+        obj = json.loads(p.to_json())
+        obj["vertices"][g]["up"].append(entry)
+        out.append((name, obj, list(p.loc(g)), reason))
+    short = {"ell": 4, "f_spec": "cap:3", "num_layers": 1, "layers": [3],
+             "vertices": [{"layer": 1, "pos": i, "parent": None, "up": []}
+                          for i in range(3)]}
+    out.append(("short-layer", short, [1, 0], "layer 1 has 3 < 4 vertices"))
+    return out
+
+
 def expected_intersection(prefix, P, Q):
     """V(P) ∪ V(Q) ∪ the up-closures along the base segment -- the exact
     value of A ∩ B proved for this construction."""

@@ -10,14 +10,15 @@ import tempfile
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
-from layered_wheels import cli, structure, widths
+from layered_wheels import cli, kernels, structure, widths
 from layered_wheels.cli import main, to_dot, to_graph6
 from layered_wheels.wheel import PIECE
 
-from conftest import PREFIXES_300, reference_separate_report, targets
+from conftest import (PREFIXES_300, doctored_records,
+                      reference_separate_report, targets)
 
 
 def run(capsys, *argv):
@@ -207,8 +208,8 @@ def test_verify_pass_and_exit_zero(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["passed"]
-    assert set(rep["checks"]) == {"rules", "holes", "clique", "minor",
-                                  "chordal_transversals"}
+    assert set(rep["checks"]) == {"rules", "canonical", "holes", "clique",
+                                  "minor", "chordal_transversals"}
 
 
 def test_verify_mutated_fails(tmp_path, capsys):
@@ -394,21 +395,22 @@ def test_separate_report_matches_reference(case):
                 assert fh.read() == reference_separate_report(p, X, emit)
 
 
-# sha256 of the default `verify` report: pins the clique witness, which
-# comes from a maximum clique search on the prefix's own adjacency
+# sha256 of the default `verify` report: pins the canonical check and the
+# clique witness, the first vertex with the longest upward list and that
+# list
 @pytest.mark.parametrize("ell, f, t, seed, digest", [
     (4, "cap:3", 6, 0,
-     "fc87788e4359c06586150b16b56f2b47e7ded5233c5cd38a255363ce4e5208da"),
+     "25cea18e09527d699ddc041c6e42ac3e0eef64b3f1e8e9bcb3e3f6f8dccfbeec"),
     (4, "cap:3", 6, 1,
-     "fc87788e4359c06586150b16b56f2b47e7ded5233c5cd38a255363ce4e5208da"),
+     "25cea18e09527d699ddc041c6e42ac3e0eef64b3f1e8e9bcb3e3f6f8dccfbeec"),
     (6, "cap:4", 4, 0,
-     "abd355a64ad12d5d28f403f7ca83c902dde8094fe3b13a51d9392a296eba4fd8"),
+     "a5987fddcedb4e8ea9c15605b18172bf995c9b1eaab1dc58cba9e246f42ec466"),
     (6, "cap:4", 4, 1,
-     "abd355a64ad12d5d28f403f7ca83c902dde8094fe3b13a51d9392a296eba4fd8"),
+     "a5987fddcedb4e8ea9c15605b18172bf995c9b1eaab1dc58cba9e246f42ec466"),
     (5, "identity", 5, 0,
-     "63606f86da959f95995b2e513885b4c88c361c38a838dc38e2e42cd3419bf3f2"),
+     "8bbc98c3acb414b4555c65a507a60a29b711ac635129aa54788f6a456466d402"),
     (7, "cap:3", 4, 0,
-     "1ecf487af9d5056e5bff639d7a1ae1f0aa16592dbfa08668850eb6fadbce8b79"),
+     "81a9aebfd5868665cea5abdb03fe8924f9c06ff6f1ac0ca2b90748b3ce614201"),
 ], ids=["n444-seed0", "n444-seed1", "n510-seed0", "n510-seed1", "n605-seed0",
         "n1127-seed0"])
 def test_verify_report_bytes_pinned(tmp_path, capsys, ell, f, t, seed,
@@ -424,7 +426,7 @@ def test_verify_report_bytes_pinned(tmp_path, capsys, ell, f, t, seed,
 
 
 def test_demo_conjecture85_report_bytes_pinned(tmp_path, capsys):
-    # each row's omega and ta bound come from the clique search of its prefix
+    # each row's omega and ta bound come from the clique route on its prefix
     out = tmp_path / "conjecture85.json"
     code, _, _ = run(capsys, "demo", "conjecture85", "--F", "poly:2",
                      "--c-max", "2", "--size-cap", "200000",
@@ -456,22 +458,26 @@ def test_demo_conjecture85_certifies_each_prefix_once(tmp_path, capsys,
         "0c3dfe36d905443cca3aecbbd368c4b8e867ccca20a8cb06425a85c366cdc71c"
 
 
-def test_separate_searches_root_clique_once(tmp_path, capsys, monkeypatch):
+def test_no_command_runs_the_clique_search(tmp_path, capsys, monkeypatch):
+    # omega is read off the upward lists; the kernel search is an oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernels.max_clique called")
+
+    monkeypatch.setattr(kernels, "max_clique", refuse)
     src = tmp_path / "p.json"
-    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "4",
+    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "5",
         "--out", str(src))
-    searched = []
-    search = structure.induced_max_clique
-
-    def counted(prefix, X, *args, **kwargs):
-        searched.append(len(X))
-        return search(prefix, X, *args, **kwargs)
-
-    monkeypatch.setattr(structure, "induced_max_clique", counted)
+    code, out, _ = run(capsys, "verify", "--in", str(src))
+    assert code == 0 and json.loads(out)["checks"]["clique"]["omega"] == 3
     code, out, _ = run(capsys, "separate", "--in", str(src), "--target",
                        "all", "--emit-decomposition")
-    assert code == 0 and json.loads(out)["decomposition"]["valid"]
-    assert searched == [68]
+    assert code == 0 and json.loads(out)["k"] == 3
+    for argv in (["question84", "--k-max", "3"],
+                 ["conjecture85", "--c-max", "2"],
+                 ["hajebi", "--c", "3", "--ell", "5", "--t", "5",
+                  "--samples", "5"]):
+        code, out, _ = run(capsys, "demo", *argv)
+        assert code == 0 and json.loads(out)["all_certified"], argv
 
 
 def test_demo_hajebi_report_bytes_pinned(tmp_path, capsys):
@@ -554,3 +560,124 @@ def test_demo_reproducible(capsys):
     b = run(capsys, "demo", "hajebi", "--c", "2", "--ell", "5", "--t", "3",
             "--samples", "3", "--seed", "5", "--size-cap", "10000")
     assert a == b
+
+
+@pytest.mark.parametrize("name, obj, where, reason", doctored_records(),
+                         ids=[case[0] for case in doctored_records()])
+def test_doctored_record_fails_verify_and_separate(tmp_path, capsys, name,
+                                                   obj, where, reason):
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--in", str(src))
+    clique = json.loads(out)["checks"]["clique"]
+    assert code == 1 and not clique["passed"]
+    assert clique["certificate"]["data"]["first_violation"] == where
+    code, out, err = run(capsys, "separate", "--in", str(src),
+                         "--emit-decomposition")
+    assert code == 1 and out == ""
+    assert err.startswith("error: no clique certificate: vertex (%d, %d): "
+                          % tuple(where)) and reason in err
+
+
+# -- the canonical check --------------------------------------------------
+
+CAP3_T3 = build_prefix(4, parse_f_spec("cap:3"), 3).to_json()
+
+
+@pytest.mark.parametrize("spec", ["cap:5", "identity", "table:1,2,3,3,3"])
+def test_f_spec_mutants_that_build_the_same_prefix_pass(tmp_path, capsys,
+                                                        spec):
+    # f agrees with cap:3 on layers 1..3, so the file is that prefix
+    obj = json.loads(CAP3_T3)
+    obj["f_spec"] = spec
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--in", str(src))
+    assert code == 0
+    assert json.loads(out)["checks"]["canonical"] == {"passed": True,
+                                                      "detail": ""}
+
+
+CAP3_T4_JSON = build_prefix(4, parse_f_spec("cap:3"), 4).to_json()
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (lambda obj: obj.update(f_spec="cap:4"),
+     "vertex (4, 32): layer 4 holds 40 vertices, where "
+     "build_prefix(4, cap:4, 4) has 32"),
+    (lambda obj: obj.update(ell=5),
+     "vertex (1, 4): layer 1 holds 4 vertices, where "
+     "build_prefix(5, cap:3, 4) has 5"),
+    (lambda obj: obj["vertices"][12]["up"].reverse(),
+     "vertex (3, 0): up [(2, 0), (1, 0)], where build_prefix(4, cap:3, 4) "
+     "has [(1, 0), (2, 0)]"),
+    (lambda obj: obj["vertices"][13].update(parent=[2, 0]),
+     "vertex (3, 1): parent (2, 0), where build_prefix(4, cap:3, 4) has "
+     "None"),
+], ids=["f_spec", "ell", "up-order", "parent"])
+def test_canonical_check_names_the_first_difference(tmp_path, capsys,
+                                                     mutate, detail):
+    obj = json.loads(CAP3_T4_JSON)
+    mutate(obj)
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--in", str(src), "--canonical")
+    rep = json.loads(out)
+    assert code == 1 and set(rep["checks"]) == {"canonical"}
+    assert rep["checks"]["canonical"] == {"passed": False, "detail": detail}
+
+
+F_SPECS = ["cap:3", "cap:4", "cap:5", "identity", "table:1,2,3,3,3",
+           "table:1,2,2,3", "cumulative:poly:2", "cumulative:1,2,5",
+           "question84:coeffs:3", "cap:2", "nonsense"]
+
+
+@st.composite
+def one_field_mutants(draw):
+    """The l=4 cap:3 t=4 prefix's JSON with one field changed: f_spec,
+    ell, one layer size, one up entry (or one added to an empty list) or
+    one parent.  Every slow function starts 1, 2, 3, so only from t=4 on
+    can an f_spec mutant build another prefix."""
+    obj = json.loads(CAP3_T4_JSON)
+    sizes = obj["layers"]
+    recs = obj["vertices"]
+
+    def vertex():
+        layer = draw(st.integers(1, len(sizes)))
+        return [layer, draw(st.integers(0, sizes[layer - 1] - 1))]
+    kind = draw(st.sampled_from(["f_spec", "ell", "layer", "up", "parent"]))
+    if kind == "f_spec":
+        obj["f_spec"] = draw(st.sampled_from(F_SPECS))
+    elif kind == "ell":
+        obj["ell"] = draw(st.integers(3, 7))
+    elif kind == "layer":
+        sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(1, 30))
+    else:
+        rec = draw(st.sampled_from(recs))
+        if kind == "parent":
+            rec["parent"] = draw(st.one_of(st.none(), st.builds(vertex)))
+        elif rec["up"]:
+            rec["up"][draw(st.integers(0, len(rec["up"]) - 1))] = vertex()
+        else:
+            rec["up"].append(vertex())
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_field_mutants())
+def test_verify_one_field_mutant_fails_or_is_canonical(obj):
+    with tempfile.TemporaryDirectory() as d:
+        src = os.path.join(d, "p.json")
+        with open(src, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--in", src])
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1)
+    if code == 0:
+        assert json.loads(out.getvalue())["checks"]["canonical"]["passed"]
+        p = WheelPrefix.from_json_obj(obj)
+        ref = build_prefix(p.ell, p.f, p.num_layers)
+        assert (p.layer_sizes, p.up, p.parent) == \
+            (ref.layer_sizes, ref.up, ref.parent)

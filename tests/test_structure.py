@@ -1,14 +1,16 @@
+import json
 import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layered_wheels import build_prefix, parse_f_spec
+from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
 from layered_wheels import structure as S
 from layered_wheels.functions import INF
 
-from conftest import expected_intersection, reference_spans
+from conftest import (PREFIXES_300, doctored_records, expected_intersection,
+                      reference_spans, targets)
 
 
 def random_vertical_path(prefix, start, end_layer, rng):
@@ -331,3 +333,69 @@ def test_balanced_separation_lopsided_target_iterates():
 def test_balanced_separation_rejects_empty(prefix_68):
     with pytest.raises(ValueError):
         S.balanced_separation(prefix_68, frozenset())
+
+
+# -- omega read off the upward lists --------------------------------------
+
+def _assert_clique_certificate(p, X, k, cert):
+    assert cert.verdict and cert.bound == k
+    witness = [p.vid(*v) for v in cert.data["clique"]]
+    assert len(set(witness)) == k and set(witness) <= set(X)
+    adj = p.adjacency()
+    assert all(w in adj[u] for i, u in enumerate(witness)
+               for w in witness[i + 1:])
+
+
+def test_clique_route_matches_search_on_every_small_prefix():
+    for p in PREFIXES_300:
+        everything = range(p.n_vertices)
+        omega, cert = S.clique_number_exact(p)
+        assert omega == len(S.induced_max_clique(p, everything))
+        _assert_clique_certificate(p, everything, omega, cert)
+        # half of the vertices, drawn at random
+        X = random.Random(p.n_vertices).sample(everything,
+                                               (p.n_vertices + 1) // 2)
+        k, cert = S.induced_clique_number(p, X)
+        assert k == len(S.induced_max_clique(p, X))
+        _assert_clique_certificate(p, X, k, cert)
+
+
+@settings(max_examples=300, deadline=None)
+@given(targets())
+def test_induced_clique_route_matches_search(case):
+    p, X = case
+    k, cert = S.induced_clique_number(p, X)
+    assert k == len(S.induced_max_clique(p, X))
+    _assert_clique_certificate(p, X, k, cert)
+
+
+def test_clique_route_on_empty_and_pair_targets(prefix_68):
+    assert S.induced_clique_number(prefix_68, [])[0] == 0
+    # a layer-1 cycle edge: the pair route, with no upward entry
+    k, cert = S.induced_clique_number(prefix_68, [3, 0])
+    assert k == 2 and cert.data["clique"] == [(1, 0), (1, 3)]
+
+
+@pytest.mark.parametrize("name, obj, where, reason", doctored_records(),
+                         ids=[case[0] for case in doctored_records()])
+def test_clique_route_fails_on_doctored_records(name, obj, where, reason):
+    p = WheelPrefix.from_json_obj(obj)
+    for omega, cert in (S.clique_number_exact(p),
+                        S.induced_clique_number(p, range(p.n_vertices))):
+        assert not cert.verdict
+        assert cert.data["first_violation"] == where, cert.data
+        assert reason in cert.data["reason"]
+
+
+def test_clique_route_takes_a_pair_with_equal_lists():
+    # built prefixes never give two cycle neighbours the same nonempty up
+    # list; copying one onto its successor makes a clique of size 2 + m
+    obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 4).to_json())
+    recs = obj["vertices"]
+    g = next(i for i, r in enumerate(recs) if len(r["up"]) == 2)
+    recs[g + 1]["up"] = list(recs[g]["up"])
+    p = WheelPrefix.from_json_obj(obj)
+    omega, cert = S.clique_number_exact(p)
+    assert omega == 4 == len(S.induced_max_clique(p, range(p.n_vertices)))
+    _assert_clique_certificate(p, range(p.n_vertices), omega, cert)
+    assert {g, g + 1} <= {p.vid(*v) for v in cert.data["clique"]}

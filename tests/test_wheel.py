@@ -9,7 +9,8 @@ from layered_wheels import (
     parse_f_spec,
     verify_rules,
 )
-from layered_wheels.wheel import SizeCapError, UnknownVertexError
+from layered_wheels.wheel import (SizeCapError, UnknownVertexError,
+                                  canonical_violation)
 
 from conftest import reference_spans
 
@@ -418,3 +419,22 @@ def test_rule4_matches_span_reference_on_json_mutants(p):
 def test_rule4_reference_passes_built_prefixes(prefixes_2000):
     for p in prefixes_2000:
         assert reference_rule4(p) == (None, False)
+
+
+def test_canonical_violation_passes_built_prefixes(prefixes_2000):
+    for p in prefixes_2000:
+        assert canonical_violation(p) is None
+
+
+def test_canonical_violation_at_a_layer_past_the_cap():
+    # layers 1..15 are canonical; the construction's layer 16 alone would
+    # bring it past the 200,000-vertex cap, so it is a size mismatch
+    p = build_prefix(4, parse_f_spec("identity"), 15)
+    n = p.n_vertices
+    p.offsets.append(n)
+    p.layer_sizes.append(4)
+    p.up += [[] for _ in range(4)]
+    p.parent += [-1] * 4
+    assert canonical_violation(p) == (
+        "vertex (16, 4): layer 16 holds 4 vertices, where the layer of "
+        "build_prefix(4, identity, 16) passes 200000")
