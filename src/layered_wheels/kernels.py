@@ -1,16 +1,15 @@
 """Compute kernels: exact clique / independent set search, bounded
 chordless-cycle scan, and exact treewidth on tiny graphs.
 
-No command calls ``max_clique``: omega of a prefix, and of a target set,
-is proved from the upward lists (``structure.clique_number_exact``).  It
-stays here as the tests' oracle for that route, and because the command
-benchmark's trace wraps it by this name.
+No command calls ``max_clique``: omega of a prefix, of a target set and
+of each neighbourhood the hajebi sampler tests is read off the upward
+lists (``structure.clique_number_exact``).  It stays here as the tests'
+oracle for that route, and because the command benchmark's trace wraps
+it by this name.
 
 All kernels take ``(n, adj)`` where ``adj`` is a sequence indexed by
 vertex and ``adj[v]`` is the set of v's neighbours; they read it as it is
-and make no copy.  ``clique_size_within`` takes ``(adj, S, cap)`` instead,
-so that a small vertex set of a large graph is searched without
-re-indexing.  The kernels are plain Python; ``BACKEND`` names the
+and make no copy.  The kernels are plain Python; ``BACKEND`` names the
 implementation for run records.
 """
 
@@ -132,36 +131,6 @@ def max_clique(n, adj):
         if len(sub) + 1 > len(best):
             best = [v] + [cand[i] for i in sub]
     return sorted(best)
-
-
-def clique_size_within(adj, S, cap=None):
-    """min(cap, size of a largest clique of G[S]), with adjacency read from
-    ``adj`` as it is (no re-indexing, no witness); ``cap=None`` is no cap.
-
-    Branch and bound on candidate sets, pruned by |clique| + |candidates|;
-    it stops as soon as a clique of size cap is found.  Meant for small S.
-    """
-    limit = len(S) if cap is None else min(cap, len(S))
-    return _clique_expand(adj, 0, set(S), 0, limit) if limit > 0 else 0
-
-
-def _clique_expand(adj, size, cand, best, limit):
-    """max(best, the size of a largest clique of a size-``size`` clique
-    extended inside ``cand``), stopping once it reaches ``limit``; size <
-    limit on entry.  A module-level recursion, not a closure, so that a
-    call leaves no reference cycle for the garbage collector."""
-    while cand and size + len(cand) > best:
-        v = cand.pop()
-        if size + 1 == limit:
-            return limit
-        nxt = cand & adj[v]
-        if nxt:
-            best = _clique_expand(adj, size + 1, nxt, best, limit)
-            if best == limit:
-                return limit
-        elif size + 1 > best:
-            best = size + 1
-    return best
 
 
 def max_independent_set(n, adj, floor):

@@ -374,8 +374,20 @@ def _sample_clique_bounded(prefix, rng, max_omega):
     of size max_omega, so every value is exact.  Every clique of the sample
     lies in its last-added vertex's closed neighbourhood among the vertices
     chosen before it, so the largest value is the sample's clique number.
+
+    The clique number of a set S is read off the upward lists, by the route
+    of ``structure.clique_number_exact``: the largest of 1 + |up[u] & S|
+    over u in S and, where the cycle successor u+ is in S too,
+    2 + |up[u] & up[u+] & S|.  It is exact on a built prefix, whose layers
+    have >= 4 vertices and whose upward lists are cliques of earlier
+    layers.
     """
     adj = prefix.adjacency()
+    up = prefix.up
+    succ = []                   # succ[u] = u+, u's cycle successor
+    for start, size in zip(prefix.offsets, prefix.layer_sizes):
+        succ += range(start + 1, start + size)
+        succ.append(start)
     order = list(range(prefix.n_vertices))
     rng.shuffle(order)
     chosen = set()
@@ -383,7 +395,17 @@ def _sample_clique_bounded(prefix, rng, max_omega):
     if max_omega == 0:
         return values
     for v in order:
-        w = kernels.clique_size_within(adj, adj[v] & chosen, max_omega)
+        nb = adj[v] & chosen
+        w = 0                   # min(max_omega, omega(G[nb]))
+        for u in nb:
+            cut = nb.intersection(up[u])
+            k = 1 + len(cut)
+            if succ[u] in nb:
+                k = max(k, 2 + len(cut.intersection(up[succ[u]])))
+            if k > w:
+                w = k
+                if w >= max_omega:
+                    break
         if w < max_omega:
             chosen.add(v)
             values[v] = w + 1

@@ -2,7 +2,9 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -226,16 +228,6 @@ def test_verify_mutated_fails(tmp_path, capsys):
     assert not json.loads(out)["passed"]
 
 
-def test_verify_with_no_check_selected_is_an_error(tmp_path, capsys):
-    f = tmp_path / "p.json"
-    run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "3",
-        "--out", str(f))
-    code, out, err = run(capsys, "verify", "--in", str(f),
-                         "--chordal-samples", "0")
-    assert code == 1 and out == ""
-    assert err == "error: no check selected\n"
-
-
 @pytest.mark.parametrize("mutate, field", [
     (lambda obj: obj["vertices"][5].update(up=[[9, 9]]), "'up'"),
     (lambda obj: obj.pop("ell"), "'ell'"),
@@ -276,10 +268,10 @@ def test_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--in", str(tmp_path / "no.json"))
     assert code == 1 and out == "" and err.startswith("error: ")
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--in", str(tmp_path / "no.json"),
-              "--chordal-samples", "-3"])
+        main(["build", "--ell", "4", "--f", "cap:3", "--layers", "3",
+              "--size-cap", "-1"])
     assert exc.value.code == 2
-    assert "--chordal-samples" in capsys.readouterr().err
+    assert "--size-cap" in capsys.readouterr().err
     code, out, err = run(capsys, "demo", "conjecture85", "--c-max", "0")
     assert code == 1 and out == "" and err.startswith("error: c_max")
     with pytest.raises(SystemExit) as exc:
@@ -395,22 +387,22 @@ def test_separate_report_matches_reference(case):
                 assert fh.read() == reference_separate_report(p, X, emit)
 
 
-# sha256 of the default `verify` report: pins the canonical check and the
-# clique witness, the first vertex with the longest upward list and that
-# list
+# sha256 of the default `verify` report: pins the canonical check, the
+# clique witness (the first vertex with the longest upward list and that
+# list) and the rule-5 transversal verdict; `--seed` changes nothing
 @pytest.mark.parametrize("ell, f, t, seed, digest", [
     (4, "cap:3", 6, 0,
-     "25cea18e09527d699ddc041c6e42ac3e0eef64b3f1e8e9bcb3e3f6f8dccfbeec"),
+     "0d7bf5438437bc3c3b68eed9b11a9bdefd8d6a561056410396bc7dc4dc3352ee"),
     (4, "cap:3", 6, 1,
-     "25cea18e09527d699ddc041c6e42ac3e0eef64b3f1e8e9bcb3e3f6f8dccfbeec"),
+     "0d7bf5438437bc3c3b68eed9b11a9bdefd8d6a561056410396bc7dc4dc3352ee"),
     (6, "cap:4", 4, 0,
-     "a5987fddcedb4e8ea9c15605b18172bf995c9b1eaab1dc58cba9e246f42ec466"),
+     "61516ad89acd03d601b3627de02af49b822d51516995299767c174000874629b"),
     (6, "cap:4", 4, 1,
-     "a5987fddcedb4e8ea9c15605b18172bf995c9b1eaab1dc58cba9e246f42ec466"),
+     "61516ad89acd03d601b3627de02af49b822d51516995299767c174000874629b"),
     (5, "identity", 5, 0,
-     "8bbc98c3acb414b4555c65a507a60a29b711ac635129aa54788f6a456466d402"),
+     "65a7c8e29700cc26f034b281b49a9f088986f8159fba05845a26191360723b6e"),
     (7, "cap:3", 4, 0,
-     "81a9aebfd5868665cea5abdb03fe8924f9c06ff6f1ac0ca2b90748b3ce614201"),
+     "ae101872085a2a1d68b538309adfe6fff2b72562a711e38a81132623e120cf79"),
 ], ids=["n444-seed0", "n444-seed1", "n510-seed0", "n510-seed1", "n605-seed0",
         "n1127-seed0"])
 def test_verify_report_bytes_pinned(tmp_path, capsys, ell, f, t, seed,
@@ -562,6 +554,35 @@ def test_demo_reproducible(capsys):
     assert a == b
 
 
+def test_verify_proves_every_small_transversal_chordal(tmp_path, capsys):
+    # every one-per-layer transversal of each prefix that has at most
+    # 20,000 of them
+    small = [p for p in PREFIXES_300 if math.prod(p.layer_sizes) <= 20_000]
+    assert len(small) == 29
+    total = 0
+    for p in small:
+        src = tmp_path / "p.json"
+        src.write_text(p.to_json())
+        code, out, _ = run(capsys, "verify", "--in", str(src), "--rules")
+        assert code == 0
+        assert json.loads(out)["checks"]["chordal_transversals"] == {
+            "by": "rule 5", "passed": True}
+        for Y in itertools.product(*map(p.layer_range,
+                                        range(1, p.num_layers + 1))):
+            cert = structure.transversal_chordality_check(p, set(Y))
+            assert cert.verdict, (p.ell, p.f.descriptor, Y)
+            total += 1
+    assert total == 86_699
+
+
+def test_verify_help_hides_seed(capsys):
+    # --seed stays accepted (the pins above pass it) but shows nowhere
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = capsys.readouterr().out
+    assert "--seed" not in text and "--chordal-samples" not in text
+
+
 @pytest.mark.parametrize("name, obj, where, reason", doctored_records(),
                          ids=[case[0] for case in doctored_records()])
 def test_doctored_record_fails_verify_and_separate(tmp_path, capsys, name,
@@ -569,9 +590,15 @@ def test_doctored_record_fails_verify_and_separate(tmp_path, capsys, name,
     src = tmp_path / "p.json"
     src.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "verify", "--in", str(src))
-    clique = json.loads(out)["checks"]["clique"]
+    checks = json.loads(out)["checks"]
+    clique = checks["clique"]
     assert code == 1 and not clique["passed"]
     assert clique["certificate"]["data"]["first_violation"] == where
+    # the four up-list edits break rule 5; the 3-vertex layer breaks rule 2
+    rule5 = next(r for r in checks["rules"]["rules"] if r["rule"] == 5)
+    assert rule5["passed"] == (name == "short-layer")
+    assert checks["chordal_transversals"] == {"by": "rule 5",
+                                              "passed": rule5["passed"]}
     code, out, err = run(capsys, "separate", "--in", str(src),
                          "--emit-decomposition")
     assert code == 1 and out == ""

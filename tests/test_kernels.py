@@ -1,4 +1,3 @@
-import gc
 import itertools
 import random
 from functools import lru_cache
@@ -268,36 +267,6 @@ def test_max_clique_witness_pinned():
     assert kernels._degeneracy_order(n, adj) == reference_degeneracy_order(
         n, adj)
 
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_clique_size_within_matches_max_clique(data):
-    adj = data.draw(graphs())
-    n = len(adj)
-    S = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
-    cap = data.draw(st.none() | st.integers(0, n + 1))
-    order = sorted(S)
-    index = {g: i for i, g in enumerate(order)}
-    sub = [[index[u] for u in adj[g] if u in index] for g in order]
-    omega = len(kernels.max_clique(len(order), sub))
-    got = kernels.clique_size_within([set(a) for a in adj], S, cap)
-    assert got == (omega if cap is None else min(cap, omega))
-
-
-
-def test_clique_size_within_leaves_no_garbage():
-    # every call must free what it made without the cycle collector: the
-    # hajebi sampler makes thousands of these calls
-    adj = build_prefix(4, parse_f_spec("cap:3"), 5).adjacency()
-    sets = [adj[v] | {v} for v in range(len(adj))]
-    gc.collect()
-    gc.disable()
-    try:
-        for i in range(2000):
-            kernels.clique_size_within(adj, sets[i % len(sets)], 3)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 def test_clique_against_brute_force():
     rng = random.Random(3)

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 import weakref
@@ -352,6 +353,7 @@ def _sample_by_induced_search(prefix, rng, max_omega):
 
 @pytest.mark.parametrize("c, ell, t", [(2, 5, 3), (3, 5, 5), (4, 5, 5)])
 def test_sample_clique_bounded_matches_induced_search(c, ell, t):
+    # the hajebi demo's prefix shape: f = cap:(c+1), t+1 layers
     prefix = build_prefix(ell, parse_f_spec("cap:%d" % (c + 1)), t + 1,
                           size_cap=10 ** 5)
     for seed in range(4):
@@ -361,6 +363,53 @@ def test_sample_clique_bounded_matches_induced_search(c, ell, t):
             chosen, k = _sample_by_induced_search(prefix, rng_old, c - 1)
             assert set(values) == chosen
             assert max(values.values(), default=0) == k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PREFIXES_300), st.integers(0, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_sample_clique_bounded_matches_induced_search_on_small_prefixes(
+        prefix, max_omega, seed):
+    rng_new, rng_old = random.Random(seed), random.Random(seed)
+    values = W._sample_clique_bounded(prefix, rng_new, max_omega)
+    chosen, k = _sample_by_induced_search(prefix, rng_old, max_omega)
+    assert set(values) == chosen
+    assert max(values.values(), default=0) == k
+
+
+def test_sample_clique_bounded_counts_cycle_pairs():
+    # built prefixes put no cycle edge in a triangle, so no neighbourhood
+    # holds both u and u+; copying an up list onto its successor makes
+    # cliques {w, u, u+, ...} that only the pair term of the test counts
+    obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 4).to_json())
+    recs = obj["vertices"]
+    g = next(i for i, r in enumerate(recs) if len(r["up"]) == 2)
+    recs[g + 1]["up"] = list(recs[g]["up"])
+    p = WheelPrefix.from_json_obj(obj)
+    for max_omega in range(1, 5):
+        for seed in range(10):
+            values = W._sample_clique_bounded(p, random.Random(seed),
+                                              max_omega)
+            chosen, k = _sample_by_induced_search(p, random.Random(seed),
+                                                  max_omega)
+            assert set(values) == chosen
+            assert max(values.values(), default=0) == k
+
+
+def test_sample_clique_bounded_leaves_no_garbage():
+    # a sample must free what it made without the cycle collector: the
+    # hajebi demo takes one per row
+    prefix = build_prefix(5, parse_f_spec("cap:4"), 6)
+    prefix.adjacency()
+    rng = random.Random(0)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            W._sample_clique_bounded(prefix, rng, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("max_omega", [0, 1])
