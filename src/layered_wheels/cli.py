@@ -85,15 +85,16 @@ def dot_pieces(prefix):
             yield (" " if a else "  { rank=same; ") + " ".join(
                 [name % pos for pos in range(a, min(a + PIECE, size))])
         yield " }\n"
-    # the upward arcs out of each tail as one string of ready-made lines;
-    # a tail lies in an earlier layer than its heads, never in the last
+    # arcs[g] = the upward arcs out of g as one string of ready-made
+    # lines; a tail lies in an earlier layer than its heads, never in the
+    # last, so only earlier layers get a name
     names = []                 # names[g] = the DOT name of g
-    arcs = {}
+    arcs = [""] * prefix.n_vertices
     for layer, (start, size) in layers:
         line = '  %%s -> "%d_%%d";\n' % layer
         for pos, ups in enumerate(prefix.up[start:start + size]):
             for w in ups:
-                arcs[w] = arcs.get(w, "") + line % (names[w], pos)
+                arcs[w] += line % (names[w], pos)
         if layer < prefix.num_layers:
             names += ['"%d_%d"' % (layer, pos) for pos in range(size)]
     # arcs in sorted (tail, head) order: the cycle successor of u lies in
@@ -101,11 +102,12 @@ def dot_pieces(prefix):
     for layer, (start, size) in layers:
         cycle = '  "%d_%%d" -> "%d_%%d";\n' % (layer, layer)
         for a in range(0, size, PIECE):
-            lines = []
-            for pos in range(a, min(a + PIECE, size)):
-                lines.append(cycle % (pos, (pos + 1) % size))
-                lines.append(arcs.pop(start + pos, ""))
-            yield "".join(lines)
+            b = min(a + PIECE, size)
+            lines = [cycle % (pos, pos + 1) for pos in range(a, b)]
+            if b == size:      # the last vertex's arc wraps to position 0
+                lines[-1] = cycle % (size - 1, 0)
+            yield "".join([arc + tail for arc, tail in
+                           zip(lines, arcs[start + a:start + b])])
     yield "}\n"
 
 

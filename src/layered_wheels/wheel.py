@@ -58,12 +58,16 @@ class WheelPrefix:
 
     A prefix holds its layer sizes (with ``offsets``, the global id of
     each layer's position 0), ``up[g]``, the global ids of g's upward
-    neighborhood sorted by layer, and ``parent[g]``, the unique neighbor of
-    g in the previous layer or -1.  Everything else is implicit.  The
-    cycle arc out of a vertex goes to the next position of its layer, the
-    last position wrapping to 0.  The descendant path of v runs from v's
-    first child to the vertex before the first child of the next vertex
-    of v's layer; the last vertex's path runs to the end of the layer.
+    neighborhood as a tuple sorted by layer, and ``parent[g]``, the unique
+    neighbor of g in the previous layer or -1.  Everything else is
+    implicit.  Every ``up`` entry is a tuple, never a list: a list never
+    equals a tuple, so ``canonical_violation`` would find a mixed record
+    unlike the construction, and tuples of ints leave the garbage
+    collector's lists where lists would stay.  The cycle arc out of a
+    vertex goes to the next position of its layer, the last position
+    wrapping to 0.  The descendant path of v runs from v's first child to
+    the vertex before the first child of the next vertex of v's layer;
+    the last vertex's path runs to the end of the layer.
     """
 
     def __init__(self, ell, f):
@@ -169,19 +173,21 @@ class WheelPrefix:
 
         self.offsets.append(self.n_vertices)
         self.layer_sizes.append(new_size)
+        up, parent = self.up, self.parent
+        # the ell - 3 vertices after each block's first share the empty tuple
+        pad_up, pad_parent = ((),) * (ell - 3), (-1,) * (ell - 3)
         for v, n_v in zip(top, widths):
-            upv = self.up[v]
+            upv = up[v]
             if n_v == ell - 2 and len(upv) < fi1 - 1:
-                blocks = [upv + [v]]
+                blocks = [upv + (v,)]
             else:
-                blocks = [upv[:j] + upv[j + 1:] + [v]
+                blocks = [upv[:j] + upv[j + 1:] + (v,)
                           for j in range(len(upv))]
             for first_up in blocks:
-                self.up.append(first_up)
-                self.parent.append(v)
-                for _ in range(ell - 3):
-                    self.up.append([])
-                    self.parent.append(-1)
+                up.append(first_up)
+                parent.append(v)
+                up += pad_up
+                parent += pad_parent
         self._adj = None
         self._layer = None
 
@@ -213,9 +219,13 @@ class WheelPrefix:
                 zip(self.offsets, self.layer_sizes), 1):
             record = '{"layer": %d, "pos": %%d, "parent": %%s, "up": [%%s]}' \
                 % layer
+            # most records have neither a parent nor an upward neighbor
+            empty = '{"layer": %d, "pos": %%d, "parent": null, "up": []}' \
+                % layer
             for a in range(start, start + size, PIECE):
                 b = min(a + PIECE, start + size)
                 yield sep + ", ".join([
+                    empty % pos if p < 0 and not ups else
                     record % (pos, names[p] if p >= 0 else "null",
                               ", ".join([names[w] for w in ups]))
                     for pos, p, ups in zip(range(a - start, b - start),
@@ -301,10 +311,7 @@ class WheelPrefix:
                         raise ValueError("vertices out of order at index %d"
                                          % g)
                     field = "up"
-                    ids = []
-                    for w in rec[field]:
-                        ids.append(vertex_id(w))
-                    up.append(ids)
+                    up.append(tuple(map(vertex_id, rec[field])))
                     field = "parent"
                     if rec[field] is not None:
                         parent[g] = vertex_id(rec[field])
@@ -331,7 +338,7 @@ def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
     # layer 1 is the directed cycle of length ell, with no upward neighbors
     prefix.layer_sizes = [ell]
     prefix.offsets = [0]
-    prefix.up = [[] for _ in range(ell)]
+    prefix.up = [()] * ell
     prefix.parent = [-1] * ell
     for _ in range(t - 1):
         prefix._extend(size_cap)

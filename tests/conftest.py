@@ -185,6 +185,49 @@ def reference_separate_report(prefix, X, emit_decomposition):
     return json.dumps(report, indent=2) + "\n"
 
 
+def reference_json(prefix):
+    """``json.dumps`` of the prefix as nested dicts and [layer, pos] lists:
+    the oracle for the streamed JSON writer."""
+    def loc(g):
+        return list(prefix.loc(g))
+    return json.dumps({
+        "ell": prefix.ell, "f_spec": prefix.f.descriptor,
+        "num_layers": prefix.num_layers, "layers": prefix.layer_sizes,
+        "vertices": [
+            {"layer": layer, "pos": pos,
+             "parent": loc(p) if p >= 0 else None,
+             "up": [loc(w) for w in ups]}
+            for (layer, pos), p, ups in zip(
+                map(prefix.loc, range(prefix.n_vertices)), prefix.parent,
+                prefix.up)]})
+
+
+def reference_dot(prefix):
+    """The DOT digraph with the arcs out of each tail gathered in a dict of
+    growing strings, one cycle arc and one tail string at a time: the
+    oracle for ``cli.dot_pieces``."""
+    out = ["digraph wheel {\n  rankdir=TB;\n  node [shape=circle];\n"]
+    layers = list(enumerate(zip(prefix.offsets, prefix.layer_sizes), 1))
+    for layer, (_, size) in layers:
+        out.append("  { rank=same; " + " ".join(
+            ['"%d_%d"' % (layer, pos) for pos in range(size)]) + " }\n")
+    names = []
+    arcs = {}
+    for layer, (start, size) in layers:
+        line = '  %%s -> "%d_%%d";\n' % layer
+        for pos, ups in enumerate(prefix.up[start:start + size]):
+            for w in ups:
+                arcs[w] = arcs.get(w, "") + line % (names[w], pos)
+        names += ['"%d_%d"' % (layer, pos) for pos in range(size)]
+    for layer, (start, size) in layers:
+        cycle = '  "%d_%%d" -> "%d_%%d";\n' % (layer, layer)
+        for pos in range(size):
+            out.append(cycle % (pos, (pos + 1) % size))
+            out.append(arcs.pop(start + pos, ""))
+    out.append("}\n")
+    return "".join(out)
+
+
 def doctored_records():
     """Records that break the clique route, as (name, JSON object, the
     [layer, pos] of the vertex its certificate must name, a phrase of the

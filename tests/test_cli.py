@@ -19,7 +19,7 @@ from layered_wheels import cli, kernels, structure, widths
 from layered_wheels.cli import main, to_dot, to_graph6
 from layered_wheels.wheel import PIECE
 
-from conftest import (PREFIXES_300, doctored_records,
+from conftest import (PREFIXES_300, doctored_records, reference_dot,
                       reference_separate_report, targets)
 
 
@@ -193,6 +193,12 @@ def test_build_export_memory_bounded(tmp_path, capsys, fmt, ratio):
         tracemalloc.stop()
     assert code == 0
     assert peak - own < ratio * out.stat().st_size
+
+
+def test_dot_matches_reference():
+    # at l=6 cap:4 t=6 the last layer spans two pieces
+    for p in PREFIXES_300 + [build_prefix(6, parse_f_spec("cap:4"), 6)]:
+        assert to_dot(p) == reference_dot(p)
 
 
 def test_dot_has_layer_ranks():

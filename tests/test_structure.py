@@ -68,7 +68,7 @@ def test_layer_minor(prefixes_2000):
 def test_layer_minor_mutation():
     q = build_prefix(4, parse_f_spec("cap:3"), 4)
     for g in q.layer_range(3):
-        q.up[g] = [w for w in q.up[g] if q.layer_of(w) != 1]
+        q.up[g] = tuple(w for w in q.up[g] if q.layer_of(w) != 1)
     cert = S.layer_minor_check(q)
     assert not cert.verdict
     assert cert.data["first_missing_pair"] == [1, 3]

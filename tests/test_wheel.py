@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from layered_wheels import (
 from layered_wheels.wheel import (SizeCapError, UnknownVertexError,
                                   canonical_violation)
 
-from conftest import reference_spans
+from conftest import PREFIXES_300, reference_json, reference_spans
 
 
 def test_layer_sizes_ell4_cap3():
@@ -88,6 +89,47 @@ def test_json_round_trip_byte_identical(ell, fs, t, n):
         assert all(q.layer_of(g) == layer for g in q.layer_range(layer))
 
 
+def test_up_entries_are_tuples():
+    # a list never equals a tuple, so one list entry would make the
+    # canonical check of a round-tripped record report a false mismatch
+    for p in PREFIXES_300:
+        q = WheelPrefix.from_json(p.to_json())
+        assert all(type(ups) is tuple for ups in p.up + q.up)
+        assert canonical_violation(q) is None
+
+
+def test_up_entries_untracked_by_the_collector():
+    # tuples of ints leave the collector's lists at the first collection
+    # that sees them, where per-vertex lists would stay for good
+    p = build_prefix(6, parse_f_spec("cap:4"), 6)
+    gc.collect()
+    assert not any(map(gc.is_tracked, p.up))
+
+
+def test_json_writer_matches_reference():
+    for p in PREFIXES_300:
+        assert p.to_json() == reference_json(p)
+
+
+def _null_parent_record(obj):
+    # a record that keeps its up entries but loses its parent
+    next(v for v in obj["vertices"] if v["parent"])["parent"] = None
+
+
+def _empty_up_record(obj):
+    # a record that keeps its parent but loses its up entries
+    next(v for v in obj["vertices"] if v["parent"])["up"] = []
+
+
+@pytest.mark.parametrize("edit", [_null_parent_record, _empty_up_record],
+                         ids=["null-parent", "empty-up"])
+def test_json_writer_on_parsed_mutants(edit):
+    obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 4).to_json())
+    edit(obj)
+    q = WheelPrefix.from_json_obj(obj)
+    assert q.to_json() == reference_json(q) == json.dumps(obj)
+
+
 @pytest.mark.parametrize("spec", [
     "identity", "cap:4", "table:1,2,3,3,4", "cumulative:1,2,5",
     "cumulative:poly:2", "question84:poly:2", "question84:coeffs:3",
@@ -135,7 +177,7 @@ def test_up_closed_neighborhood_is_clique():
     p = build_prefix(4, parse_f_spec("cap:4"), 5, size_cap=10 ** 4)
     adj = p.adjacency()
     for g in range(p.n_vertices):
-        closed = [g] + p.up[g]
+        closed = (g,) + p.up[g]
         for i, u in enumerate(closed):
             for v in closed[i + 1:]:
                 assert v in adj[u]
@@ -166,16 +208,16 @@ def _shorten_layer_1(p):
 
 
 def _same_layer_up(p):
-    p.up[p.vid(3, 7)].append(p.vid(3, 0))
+    p.up[p.vid(3, 7)] += (p.vid(3, 0),)
 
 
 def _up_from_layer_4(p):
-    p.up[p.vid(1, 2)].append(p.vid(4, 0))
+    p.up[p.vid(1, 2)] += (p.vid(4, 0),)
 
 
 def _second_previous_layer_up(p):
     u = p.vid(3, 0)
-    p.up[u].append(next(v for v in p.layer_range(2) if v != p.parent[u]))
+    p.up[u] += (next(v for v in p.layer_range(2) if v != p.parent[u]),)
 
 
 def _null_parent(p):
@@ -191,21 +233,21 @@ def _cycle_neighbours_up(p):
     # the predecessor's entry repeats the cycle arc (2, 2) -> (2, 3); the
     # successor's entry is the chord (2, 4) -> (2, 3)
     v = p.vid(2, 3)
-    p.up[v] += [p.vid(2, 2), p.vid(2, 4)]
+    p.up[v] += (p.vid(2, 2), p.vid(2, 4))
 
 
 def _orphan_last_vertex(p):
     # (4, 38), the one child of (3, 15), moves to (3, 14) with its up entry
     u = p.vid(4, 38)
     p.parent[u] = p.vid(3, 14)
-    p.up[u] = [p.vid(3, 14)]
+    p.up[u] = (p.vid(3, 14),)
 
 
 def _orphan_middle_vertex(p):
     # (4, 4), the one child of (3, 1), moves to (3, 2) with its up entry
     u = p.vid(4, 4)
     p.parent[u] = p.vid(3, 2)
-    p.up[u] = [p.vid(3, 2)]
+    p.up[u] = (p.vid(3, 2),)
 
 
 def _late_child(p):
@@ -213,14 +255,14 @@ def _late_child(p):
     # of (3, 0)
     u = p.vid(4, 5)
     p.parent[u] = p.vid(3, 0)
-    p.up[u] = [p.vid(3, 0)]
+    p.up[u] = (p.vid(3, 0),)
 
 
 def _first_vertex_reparented(p):
     # (4, 0) moves from (3, 0) to (3, 1) with its up entry
     u = p.vid(4, 0)
     p.parent[u] = p.vid(3, 1)
-    p.up[u] = [p.vid(2, 0), p.vid(3, 1)]
+    p.up[u] = (p.vid(2, 0), p.vid(3, 1))
 
 
 def _mutated(mutate):
@@ -433,7 +475,7 @@ def test_canonical_violation_at_a_layer_past_the_cap():
     n = p.n_vertices
     p.offsets.append(n)
     p.layer_sizes.append(4)
-    p.up += [[] for _ in range(4)]
+    p.up += [()] * 4
     p.parent += [-1] * 4
     assert canonical_violation(p) == (
         "vertex (16, 4): layer 16 holds 4 vertices, where the layer of "

@@ -61,7 +61,7 @@ def test_minor_lower_bound_fails_on_mutation():
     # with no edge between layers 1 and 3 the minor certifies nothing
     q = build_prefix(4, parse_f_spec("cap:3"), 4)
     for g in q.layer_range(3):
-        q.up[g] = [w for w in q.up[g] if q.layer_of(w) != 1]
+        q.up[g] = tuple(w for w in q.up[g] if q.layer_of(w) != 1)
     lo, cert = W.tw_lower_bound_minor(q)
     assert not cert.verdict and lo == 3
     assert cert.data["first_missing_pair"] == [1, 3]
