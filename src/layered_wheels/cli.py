@@ -111,19 +111,6 @@ def dot_pieces(prefix):
     yield "}\n"
 
 
-def _pairs(prefix):
-    """Every edge of the prefix as a vertex pair, read from the layer
-    cycles and the upward lists without building the adjacency; a pair may
-    come more than once."""
-    for start, size in zip(prefix.offsets, prefix.layer_sizes):
-        for g in range(start, start + size - 1):
-            yield g, g + 1
-        yield start + size - 1, start
-    for v, ups in enumerate(prefix.up):
-        for w in ups:
-            yield v, w
-
-
 def separate_pieces(prefix, sep, fields, dec, dec_fields):
     """The ``separate`` report as ``json.dumps(report, indent=2)`` and a
     newline: the sides A and B as sorted [layer, pos] lists, then the
@@ -239,7 +226,7 @@ def cmd_build(args):
     elif args.format == "dot":
         _write(args.out, dot_pieces(prefix))
     else:
-        _write(args.out, graph6_pieces(prefix.n_vertices, _pairs(prefix)))
+        _write(args.out, graph6_pieces(prefix.n_vertices, prefix.edges()))
     print("built %d layers, %d vertices (ell=%d, f=%s)"
           % (prefix.num_layers, prefix.n_vertices, prefix.ell, f.descriptor),
           file=sys.stderr)
@@ -285,11 +272,8 @@ def cmd_verify(args):
             "passed": cert.verdict, "certificate": cert.to_dict()}
         ok &= cert.verdict
     if rr is not None:
-        # rule 5 puts every up entry in an earlier layer and makes every up
-        # list a clique; the layer cycles stay inside their layers, so in a
-        # one-per-layer transversal a vertex's neighbours in earlier layers
-        # lie in its up list, and the descending-layer order is a perfect
-        # elimination order of every transversal
+        # a rule-5 pass proves every one-per-layer transversal chordal
+        # (wheel.upward_violation)
         good = rr.check(5).passed
         report["checks"]["chordal_transversals"] = {"by": "rule 5",
                                                     "passed": good}
@@ -390,20 +374,26 @@ def make_parser():
     s.set_defaults(func=cmd_separate)
 
     d = sub.add_parser("demo", help="run a counterexample demo")
-    d.add_argument("which", choices=("question84", "conjecture85", "hajebi"))
-    d.add_argument("--g", default="poly:2", help="growth target for question84")
-    d.add_argument("--F", default="poly:2", help="cumulative spec for "
-                   "conjecture85")
-    d.add_argument("--ell", type=int, default=4)
-    d.add_argument("--k-max", type=int, default=3)
-    d.add_argument("--c-max", type=int, default=2)
-    d.add_argument("--c", type=int, default=2)
-    d.add_argument("--t", type=int, default=4)
-    d.add_argument("--samples", type=count, default=50)
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--size-cap", type=count, default=DEFAULT_SIZE_CAP)
-    d.add_argument("--out", default="-")
     d.set_defaults(func=cmd_demo)
+    demos = d.add_subparsers(dest="which", required=True)
+    # every demo reads these two, and each takes only the options it reads
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--size-cap", type=count, default=DEFAULT_SIZE_CAP)
+    common.add_argument("--out", default="-")
+    q = demos.add_parser("question84", parents=[common])
+    q.add_argument("--g", default="poly:2", help="growth target")
+    q.add_argument("--ell", type=int, default=4)
+    q.add_argument("--k-max", type=int, default=3)
+    c = demos.add_parser("conjecture85", parents=[common])
+    c.add_argument("--F", default="poly:2", help="cumulative spec")
+    c.add_argument("--ell", type=int, default=4)
+    c.add_argument("--c-max", type=int, default=2)
+    h = demos.add_parser("hajebi", parents=[common])
+    h.add_argument("--c", type=int, default=2)
+    h.add_argument("--ell", type=int, default=5)
+    h.add_argument("--t", type=int, default=4)
+    h.add_argument("--samples", type=count, default=50)
+    h.add_argument("--seed", type=int, default=0)
     return p
 
 

@@ -273,7 +273,10 @@ def transversal_chordality_check(prefix, X):
     """Perfect elimination ordering of a one-per-layer transversal.
 
     Removes the highest-layer vertex first and verifies it is simplicial
-    at each step; the resulting order certifies chordality of G[X].
+    at each step; the resulting order certifies chordality of G[X].  The
+    tests' oracle for the rule-5 proof that every transversal is chordal
+    (``wheel.upward_violation``), kept here because the command
+    benchmark's trace wraps it by this name.
     """
     layers = {}
     for g in X:
@@ -300,29 +303,6 @@ def transversal_chordality_check(prefix, X):
         verdict=ok and not remaining,
         bound=None,
     )
-
-
-def transversal_coloring(prefix, peo_cert):
-    """Greedy coloring along the reverse of the elimination ordering.
-
-    On a chordal transversal X this uses exactly omega colors, so the
-    largest color class is a stable set of size >= |X| / omega.
-    """
-    if not peo_cert.verdict:
-        raise ValueError("transversal is not chordal; no coloring certificate")
-    order = [prefix.vid(*v) for v in peo_cert.data["order"]]
-    adj = prefix.adjacency()
-    color = {}
-    for v in reversed(order):
-        used = {color[u] for u in adj[v] if u in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    classes = {}
-    for v, c in color.items():
-        classes.setdefault(c, []).append(v)
-    return classes
 
 
 # -- vertical and augmenting paths ----------------------------------------
@@ -368,12 +348,6 @@ def _chain(prefix, v, X, t_max, cache):
         cur = nxt
         layer += 1
     return VerticalPath(prefix.layer_of(v), verts, flags)
-
-
-def vertical_path_first_child(prefix, v, end_layer):
-    """The plain vertical path taking the first child at every step: with
-    no target vertex every arc counts as augmenting."""
-    return _chain(prefix, v, frozenset(), end_layer, {})
 
 
 # -- separations ----------------------------------------------------------

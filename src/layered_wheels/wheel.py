@@ -148,8 +148,19 @@ class WheelPrefix:
         return self._adj
 
     def edges(self):
-        adj = self.adjacency()
-        return [(u, v) for u in range(self.n_vertices) for v in adj[u] if u < v]
+        """Every edge as a pair of global ids, read from the layer cycles
+        and the upward lists without building the adjacency.  In a record
+        that passes rule 5 and whose layers hold >= 3 vertices each, every
+        edge comes once, as (smaller id, larger id); otherwise a pair may
+        repeat or come reversed."""
+        for start, size in zip(self.offsets, self.layer_sizes):
+            last = start + size - 1
+            for g in range(start, last):
+                yield g, g + 1
+            yield start, last
+        for v, ups in enumerate(self.up):
+            for w in ups:
+                yield w, v
 
     # -- construction -----------------------------------------------------
 
@@ -494,7 +505,7 @@ def verify_rules(prefix):
 
     # rule 5: upward neighborhoods are small cliques, one vertex per layer
     add(5, "upward neighborhoods are per-layer cliques",
-        _upward_violation(prefix, layer, adj))
+        upward_violation(prefix))
 
     return report
 
@@ -544,10 +555,17 @@ def _tiling_violation(prefix):
     return None
 
 
-def _upward_violation(prefix, layer, adj):
-    """The first vertex whose upward neighborhood is too large, repeats a
-    layer, reaches a later layer or is not a clique."""
+def upward_violation(prefix):
+    """Rule 5: the first vertex whose upward neighborhood is too large,
+    repeats a layer, reaches a later layer or is not a clique, or None.
+
+    A pass proves every one-per-layer transversal chordal: the layer
+    cycles stay inside their layers, so in a transversal a vertex's
+    neighbours in earlier layers lie in its up list, which is a clique,
+    and the descending-layer order is a perfect elimination order."""
     loc = prefix.loc
+    layer = prefix._layers()
+    adj = prefix.adjacency()
     for i in range(1, prefix.num_layers + 1):
         most = prefix.f(i) - 1
         for v in prefix.layer_range(i):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import kernels, structure
 from .functions import INF
-from .wheel import SizeCapError, build_prefix
+from .wheel import SizeCapError, build_prefix, upward_violation
 
 SEPARATOR_CONSTANT = 15
 
@@ -209,9 +209,10 @@ def ta_lower_bound_certified(prefix):
     so it splits into at most omega(Y) <= omega color classes and contains
     a stable set of size >= t / omega.  omega comes from
     ``structure.clique_number_exact``, whose upper side is proved from the
-    upward lists, not searched for.  The certificate carries the minor, the
-    clique certificate, a sample transversal's elimination ordering, its
-    coloring, and the resulting stable set, all independently re-checked.
+    upward lists, not searched for.  Rule 5 (``wheel.upward_violation``)
+    proves every transversal chordal at once, so the certificate carries
+    the minor, the clique certificate and rule 5's verdict, with its first
+    violation as the detail.
     """
     t = prefix.num_layers
     minor = structure.layer_minor_check(prefix)
@@ -221,16 +222,7 @@ def ta_lower_bound_certified(prefix):
     if not clique_cert.verdict:
         raise ValueError("clique certificate failed; no ta bound")
     bound = -(-t // k)
-    path = structure.vertical_path_first_child(prefix, prefix.vid(1, 0), t)
-    peo = structure.transversal_chordality_check(prefix, set(path.vertices))
-    classes = structure.transversal_coloring(prefix, peo)
-    stable = max(classes.values(), key=len)
-    adj = prefix.adjacency()
-    stable_ok = all(v not in adj[u]
-                    for i, u in enumerate(stable) for v in stable[i + 1:])
-    verdict = (minor.verdict and clique_cert.verdict and peo.verdict
-               and stable_ok and len(classes) <= k
-               and len(stable) >= -(-t // len(classes)) >= bound)
+    detail = upward_violation(prefix)
     cert = structure.Certificate(
         kind="ta-lower",
         data={
@@ -238,11 +230,11 @@ def ta_lower_bound_certified(prefix):
             "omega": k,
             "minor": minor.to_dict(),
             "clique": clique_cert.to_dict(),
-            "peo": peo.to_dict(),
-            "num_colors": len(classes),
-            "stable": sorted(prefix.loc(g) for g in stable),
+            "chordal_transversals": {"by": "rule 5",
+                                     "passed": detail is None,
+                                     "detail": detail or ""},
         },
-        verdict=verdict,
+        verdict=minor.verdict and clique_cert.verdict and detail is None,
         bound=bound,
     )
     return bound, cert
@@ -428,6 +420,8 @@ def demo_hajebi(c, ell, t, samples, size_cap, seed=0):
         raise ValueError("c must be >= 2, got %d" % c)
     if ell < 5:
         raise ValueError("ell must be >= 5, got %d" % ell)
+    if t < 0:
+        raise ValueError("t must be >= 0, got %d" % t)
     f = parse_f_spec("cap:%d" % (c + 1))
     prefix = build_prefix(ell, f, t + 1, size_cap=size_cap)
     omega, cert = structure.clique_number_exact(prefix)

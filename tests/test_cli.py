@@ -552,6 +552,33 @@ def test_demo_subcommand(tmp_path, capsys):
     assert rep["all_certified"] and "sample" in err
 
 
+def test_demo_hajebi_runs_with_no_options(capsys):
+    # hajebi needs ell >= 5, and its --ell defaults to 5
+    code, out, _ = run(capsys, "demo", "hajebi")
+    rep = json.loads(out)
+    assert code == 0 and rep["all_certified"]
+    assert (rep["c"], rep["ell"], rep["t"], rep["samples"]) == (2, 5, 4, 50)
+
+
+@pytest.mark.parametrize("argv", [
+    ["question84", "--samples", "3", "--c", "9", "--t", "2"],
+    ["conjecture85", "--k-max", "3"],
+    ["hajebi", "--g", "poly:2"],
+])
+def test_demo_rejects_another_demos_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in err
+
+
+def test_demo_hajebi_names_the_t_given(capsys):
+    code, out, err = run(capsys, "demo", "hajebi", "--t", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: t must be >= 0, got -1\n"
+
+
 def test_demo_reproducible(capsys):
     a = run(capsys, "demo", "hajebi", "--c", "2", "--ell", "5", "--t", "3",
             "--samples", "3", "--seed", "5", "--size-cap", "10000")
@@ -562,7 +589,8 @@ def test_demo_reproducible(capsys):
 
 def test_verify_proves_every_small_transversal_chordal(tmp_path, capsys):
     # every one-per-layer transversal of each prefix that has at most
-    # 20,000 of them
+    # 20,000 of them is chordal, and holds the ceil(t / omega) stable set
+    # that ta_lower_bound_certified's bound rests on
     small = [p for p in PREFIXES_300 if math.prod(p.layer_sizes) <= 20_000]
     assert len(small) == 29
     total = 0
@@ -573,10 +601,15 @@ def test_verify_proves_every_small_transversal_chordal(tmp_path, capsys):
         assert code == 0
         assert json.loads(out)["checks"]["chordal_transversals"] == {
             "by": "rule 5", "passed": True}
+        omega, _ = structure.clique_number_exact(p)
+        bound = -(-p.num_layers // omega)
         for Y in itertools.product(*map(p.layer_range,
                                         range(1, p.num_layers + 1))):
             cert = structure.transversal_chordality_check(p, set(Y))
             assert cert.verdict, (p.ell, p.f.descriptor, Y)
+            order, local = structure.induced_adjacency(p, Y)
+            alpha = len(kernels.max_independent_set(len(order), local, 0))
+            assert alpha >= bound, (p.ell, p.f.descriptor, Y)
             total += 1
     assert total == 86_699
 

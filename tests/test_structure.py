@@ -83,19 +83,6 @@ def test_transversals_are_chordal(prefixes_2000, rng):
             assert cert.verdict, (p.ell, p.f.descriptor, sorted(Y))
 
 
-def test_transversal_coloring_bounds(prefix_68, rng):
-    omega, _ = S.clique_number_exact(prefix_68)
-    for _ in range(20):
-        Y = {rng.choice(list(prefix_68.layer_range(l))) for l in range(1, 5)}
-        peo = S.transversal_chordality_check(prefix_68, Y)
-        classes = S.transversal_coloring(prefix_68, peo)
-        assert len(classes) <= omega
-        adj = prefix_68.adjacency()
-        for cls in classes.values():
-            assert all(v not in adj[u]
-                       for i, u in enumerate(cls) for v in cls[i + 1:])
-
-
 def test_transversal_rejects_two_per_layer(prefix_68):
     with pytest.raises(ValueError):
         S.transversal_chordality_check(
@@ -244,8 +231,8 @@ def test_build_AB_restricted_matches_reference(case):
 
 
 def test_build_AB_rejects_mismatched_paths(prefix_68):
-    P = S.vertical_path_first_child(prefix_68, prefix_68.vid(1, 0), 4)
-    Q = S.vertical_path_first_child(prefix_68, prefix_68.vid(2, 3), 4)
+    P = S._chain(prefix_68, prefix_68.vid(1, 0), frozenset(), 4, {})
+    Q = S._chain(prefix_68, prefix_68.vid(2, 3), frozenset(), 4, {})
     with pytest.raises(ValueError):
         S.build_AB(prefix_68, P, Q, range(prefix_68.n_vertices))
 
@@ -253,8 +240,8 @@ def test_build_AB_rejects_mismatched_paths(prefix_68):
 def test_verify_separation_detects_crossing_edge(prefix_68):
     p = prefix_68
     X = range(p.n_vertices)
-    P = S.vertical_path_first_child(p, p.vid(1, 0), 4)
-    Q = S.vertical_path_first_child(p, p.vid(1, 2), 4)
+    P = S._chain(p, p.vid(1, 0), frozenset(), 4, {})
+    Q = S._chain(p, p.vid(1, 2), frozenset(), 4, {})
     good = S.build_AB(p, P, Q, X)
     assert S.verify_separation_on_prefix(p, good, X)
     # a separator vertex dropped from B leaves its B-only neighbours

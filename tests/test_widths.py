@@ -289,6 +289,31 @@ def test_ta_lower_bound(prefix_68):
     assert W.ta_lower_bound_certified(p22)[0] == 1
 
 
+def test_ta_lower_bound_on_small_prefixes():
+    # ceil(t / omega) with omega from the kernel search, and rule 5 passes
+    for p in PREFIXES_300:
+        ta, cert = W.ta_lower_bound_certified(p)
+        omega = len(S.induced_max_clique(p, range(p.n_vertices)))
+        assert ta == -(-p.num_layers // omega) and cert.verdict, \
+            (p.ell, p.f.descriptor, p.num_layers)
+        assert cert.data["chordal_transversals"] == {
+            "by": "rule 5", "passed": True, "detail": ""}
+
+
+def test_ta_lower_bound_fails_on_a_non_clique_up_list():
+    # (1, 0) and (2, 1) are not adjacent, so some transversal through
+    # (3, 2) need not be chordal; the minor and the clique certificate
+    # still pass, so only rule 5 can refuse the bound
+    p = build_prefix(4, parse_f_spec("cap:3"), 5)
+    p.up[p.vid(3, 2)] = (p.vid(1, 0), p.vid(2, 1))
+    p._adj = None
+    ta, cert = W.ta_lower_bound_certified(p)
+    assert ta == 2 and not cert.verdict
+    chordal = cert.data["chordal_transversals"]
+    assert chordal["by"] == "rule 5" and not chordal["passed"]
+    assert chordal["detail"].startswith("vertex (3, 2): ")
+
+
 def test_ta_consistency_with_decomposition(prefix_68):
     ta, _ = W.ta_lower_bound_certified(prefix_68)
     dec = W.decomposition_from_separators(prefix_68,
@@ -464,3 +489,6 @@ def test_demo_hajebi_rejects_bad_parameters():
         W.demo_hajebi(1, 5, 3, 1, 10 ** 4)
     with pytest.raises(ValueError):
         W.demo_hajebi(2, 4, 3, 1, 10 ** 4)
+    # t is checked as given, not as the t + 1 layers the demo builds
+    with pytest.raises(ValueError, match=r"^t must be >= 0, got -1$"):
+        W.demo_hajebi(2, 5, -1, 1, 10 ** 4)
