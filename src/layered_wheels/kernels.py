@@ -1,5 +1,7 @@
-"""Compute kernels: exact clique / independent set search, bounded
-chordless-cycle scan, and exact treewidth on tiny graphs.
+"""Compute kernels: exact clique / independent set search, the exact
+bounded hole check (a peel of the vertices no short hole needs, then a
+pruned chordless-cycle scan of what is left), and exact treewidth on
+tiny graphs.
 
 No command calls ``max_clique``: omega of a prefix, of a target set and
 of each neighbourhood the hajebi sampler tests is read off the upward
@@ -153,6 +155,119 @@ def max_independent_set(n, adj, floor):
 def shortest_hole(n, adj, bound):
     """Length of a shortest chordless cycle of length in [4, bound], or None.
 
+    For bound >= 5 an exact peel (``_peel``) first drops every vertex
+    that no hole shorter than bound passes through; the pruned scan
+    (``_pruned_scan``) then searches the vertices left for such a hole.
+    When it finds none, every hole left has length exactly bound, and a
+    scan of the whole graph at bound stops at its first hit.  Self-loops
+    are ignored.
+    """
+    if bound < 4:
+        return None
+    if bound == 4:
+        return _pruned_scan(n, adj, bound, 4)
+    core = _peel(n, adj, bound - 1)
+    if core:
+        index = {v: i for i, v in enumerate(core)}
+        sub = [{index[u] for u in adj[v] if u in index and u != v}
+               for v in core]
+        best = _pruned_scan(len(core), sub, bound - 1, 4)
+        if best is not None:
+            return best
+    return _pruned_scan(n, adj, bound, bound)
+
+
+def _peel(n, adj, limit):
+    """Drop vertices, while any qualifies, that no hole of length <=
+    limit passes through, and return the ascending list of vertices left.
+
+    Degrees count live neighbours other than the vertex itself.  A vertex
+    goes when:
+
+    - its degree is <= 1, or it is simplicial (its live neighbours are
+      pairwise adjacent), since a hole passes through neither;
+    - it lies on a run, a maximal path of k degree-2 vertices between
+      end vertices a and b, and every hole through the run is shorter
+      than 4 or longer than limit.  A hole through a run holds all of
+      it: if a = b it is the (k+1)-cycle; if a ~ b it is the run plus
+      the edge ab, with k + 2 vertices; otherwise it has >= k + 3;
+    - it lies on a cycle component of k degree-2 vertices, and k < 4 or
+      k > limit.
+
+    A run or cycle that may hold a hole of length <= limit stays.  A
+    hole of length <= limit thus keeps all its vertices, and a hole of
+    the core (an induced subgraph) is a hole of the graph, so both have
+    the same shortest hole of length <= limit.
+    """
+    deg = [len(a) - (v in a) for v, a in enumerate(adj)]
+    alive = bytearray(b"\x01") * n
+    queued = bytearray(b"\x01") * n
+    # degree-2 vertices first, each group from the last id down: on a
+    # wheel the last layer's runs go first and the cascade climbs from it
+    queue = [v for v in reversed(range(n)) if deg[v] == 2]
+    queue += [v for v in reversed(range(n)) if deg[v] != 2]
+    # the loop also visits the vertices appended while it runs
+    for v in queue:
+        if not queued[v]:
+            continue
+        queued[v] = 0
+        if deg[v] == 2:
+            run = [v]
+            ends = []
+            for nxt in [u for u in adj[v] if alive[u] and u != v]:
+                prev, cur = v, nxt
+                while cur != v and deg[cur] == 2:
+                    run.append(cur)
+                    for u in adj[cur]:
+                        if u != prev and u != cur and alive[u]:
+                            break
+                    prev, cur = cur, u
+                if cur == v:
+                    break
+                ends.append(cur)
+            k = len(run)
+            if not ends:
+                hole = k
+            elif ends[0] == ends[1]:
+                hole = k + 1
+            elif ends[1] in adj[ends[0]]:
+                hole = k + 2
+            else:
+                hole = k + 3
+            if 4 <= hole <= limit:
+                # kept: its vertices come back only when an end changes
+                for u in run:
+                    queued[u] = 0
+                continue
+            for u in run:
+                alive[u] = 0
+                queued[u] = 0
+            for a in ends:
+                deg[a] -= 1
+                if not queued[a]:
+                    queued[a] = 1
+                    queue.append(a)
+            continue
+        if deg[v] > 2:
+            nb = [u for u in adj[v] if alive[u] and u != v]
+            if not all(all(map(adj[u].__contains__, nb[i + 1:]))
+                       for i, u in enumerate(nb)):
+                continue
+        alive[v] = 0
+        for u in adj[v]:
+            if alive[u]:
+                deg[u] -= 1
+                if not queued[u]:
+                    queued[u] = 1
+                    queue.append(u)
+    return [v for v in range(n) if alive[v]]
+
+
+def _pruned_scan(n, adj, limit, floor):
+    """Length of a shortest hole of length in [4, limit], or None.  The
+    caller knows of no hole shorter than floor (4 assumes nothing), so
+    the first hole of length <= floor ends the search.
+
     A hole with a vertex of degree >= 3 is found from its smallest such
     vertex s, by a DFS over chordless paths from s through vertices that
     are above s or have degree 2 (so degree-2 vertices take any id on the
@@ -160,14 +275,11 @@ def shortest_hole(n, adj, bound):
     vertices, taken to depth limit // 2: it extends to w only while
     len(path) + dist[w] <= limit, the current length cap.  A hole made
     only of degree-2 vertices is a whole cycle component; one O(n) pass
-    finds those, and it runs only while no 4-hole has been found.  The
-    depth cap keeps the scan polynomial for fixed bound.
+    finds those.  The depth cap keeps the scan polynomial for fixed
+    limit.
     """
-    if bound < 4:
-        return None
     deg = [len(a) for a in adj]
     best = None
-    limit = bound
     for s in range(n):
         if deg[s] < 3:
             continue
@@ -201,7 +313,7 @@ def shortest_hole(n, adj, bound):
                         # vertices; extending past w would leave a chord
                         if len(path) >= 3:
                             best = len(path) + 1
-                            if best == 4:
+                            if best <= floor:
                                 return best
                             limit = best - 1
                         continue

@@ -234,7 +234,10 @@ def max_independent_set_exact(prefix, X):
 
 
 def shortest_hole_up_to(prefix, bound):
-    """Shortest chordless cycle of length <= bound, or None (exhaustive)."""
+    """Shortest chordless cycle of length in [4, bound], or None.  Exact:
+    ``kernels.shortest_hole`` peels the vertices no hole shorter than
+    bound needs, scans what is left, and then looks for a hole of length
+    bound."""
     if bound < 4:
         raise ValueError("hole bound must be >= 4, got %d" % bound)
     adj = prefix.adjacency()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .functions import parse_f_spec
 
@@ -566,10 +567,13 @@ def upward_violation(prefix):
     loc = prefix.loc
     layer = prefix._layers()
     adj = prefix.adjacency()
+    up = prefix.up
     for i in range(1, prefix.num_layers + 1):
         most = prefix.f(i) - 1
-        for v in prefix.layer_range(i):
-            upv = prefix.up[v]
+        span = prefix.layer_range(i)
+        # an empty up list breaks nothing (f >= 1), so only the others run
+        for v in compress(span, up[span.start:span.stop]):
+            upv = up[v]
             if len(upv) > most:
                 return "vertex %s has %d > f(%d)-1 upward neighbors" % (
                     loc(v), len(upv), i)

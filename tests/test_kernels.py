@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from layered_wheels import build_prefix, kernels, parse_f_spec
 
+from conftest import PREFIXES_300
+
 
 def random_graph(rng, n, p):
     adj = [set() for _ in range(n)]
@@ -216,7 +218,12 @@ def graphs(draw):
 def hole_cases(draw):
     """(n, adj, bound) with bound in 3..8: random graphs, the same with
     edges subdivided (many degree-2 vertices), disjoint cycles of lengths
-    3..bound+1, and cycles beside a random part, all randomly relabelled."""
+    3..bound+1, and cycles beside a random part.  Shapes that reach each
+    case of the kernel's peel are added to any of them: a path of 2..5
+    vertices closing on one vertex, a path of 1..3 vertices joining the
+    ends of an edge, a pendant tree, and a cycle with one or two
+    simplicial vertices hung on one of its edges; so are a few
+    self-loops.  Everything is randomly relabelled."""
     bound = draw(st.integers(3, 8))
     kind = draw(st.sampled_from(["random", "subdivided", "cycles", "mixed"]))
     n = 0
@@ -240,6 +247,41 @@ def hole_cases(draw):
             part = range(n, n + length)
             edges += [(part[i], part[i - 1]) for i in range(length)]
             n += length
+    shapes = ["closed run", "ear", "tree", "hung"]
+    for shape in draw(st.lists(st.sampled_from(shapes), max_size=3)):
+        if shape == "hung":
+            length = draw(st.integers(3, bound + 1))
+            part = range(n, n + length)
+            edges += [(part[i], part[i - 1]) for i in range(length)]
+            # one or two vertices that close a clique with the first edge
+            hung = range(n + length, n + length + draw(st.integers(1, 2)))
+            edges += itertools.combinations([n, n + 1, *hung], 2)
+            n = hung.stop
+            continue
+        if n < 2:
+            continue
+        a = draw(st.integers(0, n - 1))
+        if shape == "tree":
+            size = draw(st.integers(1, 4))
+            nodes = [a, *range(n, n + size)]
+            edges += [(nodes[j], nodes[draw(st.integers(0, j - 1))])
+                      for j in range(1, size + 1)]
+            n += size
+            continue
+        if shape == "closed run":
+            b = a
+            k = draw(st.integers(2, 5))
+        else:
+            b = draw(st.integers(0, n - 2))
+            b += b >= a
+            edges.append((a, b))
+            k = draw(st.integers(1, 3))
+        path = [a, *range(n, n + k), b]
+        edges += zip(path, path[1:])
+        n += k
+    if n:
+        edges += [(v, v) for v in draw(st.lists(st.integers(0, n - 1),
+                                                max_size=2))]
     perm = draw(st.permutations(range(n)))
     adj = [set() for _ in range(n)]
     for u, v in edges:
@@ -321,8 +363,10 @@ def test_shortest_hole_against_brute_force():
 @given(hole_cases())
 def test_shortest_hole_matches_reference(case):
     n, adj, bound = case
-    assert (kernels.shortest_hole(n, adj, bound)
-            == reference_shortest_hole(n, adj, bound))
+    got = kernels.shortest_hole(n, adj, bound)
+    assert got == reference_shortest_hole(n, adj, bound)
+    if n <= 8:
+        assert got == oracle_shortest_hole(n, adj, bound)
 
 
 def test_shortest_hole_matches_reference_on_prefixes():
@@ -335,6 +379,36 @@ def test_shortest_hole_matches_reference_on_prefixes():
                     == reference_shortest_hole(n, adj, bound))
 
 
+def test_peel_empties_prefixes():
+    # at limit ell-1 the last layer's runs go, then its first children
+    # (simplicial on their up cliques), and so on up the layers: no core
+    # is left for the pruned scan
+    for p in PREFIXES_300:
+        if p.ell >= 5:
+            assert kernels._peel(p.n_vertices, p.adjacency(), p.ell - 1) \
+                == [], (p.ell, p.f.descriptor, p.num_layers)
+
+
+@pytest.mark.parametrize("change, shortest", [
+    (lambda p, up: up + (p.vid(1, 3),), 5),   # closes a 5-hole
+    (lambda p, up: up + (p.vid(1, 2),), 4),   # closes a 4-hole
+    (lambda p, up: up + (p.vid(3, 0),), 6),   # a self-loop
+    (lambda p, up: up[1:], 4),                # drops an up entry
+])
+def test_shortest_hole_on_prefix_mutants(change, shortest):
+    # one doctored up list of an ell=6 prefix; the entries that close a
+    # short hole or drop an edge leave a core for the peel's scan, and at
+    # each bound the result equals the pruned scan of the whole graph
+    p = build_prefix(6, parse_f_spec("cap:4"), 5)
+    g = p.vid(3, 0)
+    p.up[g] = change(p, p.up[g])
+    n, adj = p.n_vertices, p.adjacency()
+    assert kernels.shortest_hole(n, adj, 6) == shortest
+    for bound in (5, 6, 7):
+        assert (kernels.shortest_hole(n, adj, bound)
+                == kernels._pruned_scan(n, adj, bound, 4))
+
+
 def test_shortest_hole_known_graphs():
     assert kernels.shortest_hole(5, cycle(5), 10) == 5
     assert kernels.shortest_hole(4, complete(4), 10) is None
@@ -342,6 +416,13 @@ def test_shortest_hole_known_graphs():
     petersen = [[1, 4, 5], [0, 2, 6], [1, 3, 7], [2, 4, 8], [0, 3, 9],
                 [0, 7, 8], [1, 8, 9], [2, 5, 9], [3, 5, 6], [4, 6, 7]]
     assert kernels.shortest_hole(10, petersen, 10) == 5
+    # theta graph: hubs 0 and 7 joined by runs of 1, 2 and 3 vertices, so
+    # holes of 5, 6 and 7; at bound 6 the peel must keep the 2-run, whose
+    # ends are not adjacent, as its shortest hole has k + 3 = 5 vertices
+    theta = [[1, 5, 6], [0, 3], [6, 7], [1, 4], [3, 7], [0, 7], [0, 2],
+             [2, 4, 5]]
+    assert [kernels.shortest_hole(8, theta, b) for b in (4, 5, 6, 7)] \
+        == [None, 5, 5, 5]
 
 
 def test_treewidth_against_subset_dp():
