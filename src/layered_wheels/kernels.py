@@ -158,15 +158,13 @@ def shortest_hole(n, adj, bound):
     For bound >= 5 an exact peel (``_peel``) first drops every vertex
     that no hole shorter than bound passes through; the pruned scan
     (``_pruned_scan``) then searches the vertices left for such a hole.
-    When it finds none, every hole left has length exactly bound, and a
-    scan of the whole graph at bound stops at its first hit.  Self-loops
-    are ignored.
+    When it finds none, or at bound 4, every hole left has length exactly
+    bound, and a scan of the whole graph at bound stops at its first hit.
+    Self-loops are ignored.
     """
     if bound < 4:
         return None
-    if bound == 4:
-        return _pruned_scan(n, adj, bound, 4)
-    core = _peel(n, adj, bound - 1)
+    core = _peel(n, adj, bound - 1) if bound > 4 else []
     if core:
         index = {v: i for i, v in enumerate(core)}
         sub = [{index[u] for u in adj[v] if u in index and u != v}

@@ -34,15 +34,14 @@ class Certificate:
     kind: str                  # clique | minor | peo | stable | ta-lower
     data: dict
     verdict: bool
-    bound: int | float | None = None
+    bound: int | None = None
 
     def to_dict(self):
         return {
             "kind": self.kind,
             "data": self.data,
             "verdict": "pass" if self.verdict else "fail",
-            "bound": None if self.bound is None
-                     else (self.bound if self.bound != math.inf else "inf"),
+            "bound": self.bound,
         }
 
 

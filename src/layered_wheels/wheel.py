@@ -14,7 +14,6 @@ position 0 of layer i+1 is the first descendant of position 0 of layer i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import compress
 
 from .functions import parse_f_spec
@@ -171,16 +170,16 @@ class WheelPrefix:
         ell = self.ell
         top = list(self.layer_range(i))
 
-        widths = []
+        # a full up list gives f(i+1)-1 blocks of ell-2 vertices, any
+        # shorter list one block
+        new_size = 0
         for v in top:
             m = len(self.up[v])
             if m > fi1 - 1:
                 raise ConstructionError(
                     "vertex %s has %d upward neighbors but f(%d)-1 = %d"
                     % (self.loc(v), m, i + 1, fi1 - 1))
-            widths.append((fi1 - 1) * (ell - 2) if m == fi1 - 1 else ell - 2)
-
-        new_size = sum(widths)
+            new_size += (fi1 - 1) * (ell - 2) if m == fi1 - 1 else ell - 2
         _check_size_cap(i + 1, self.n_vertices + new_size, size_cap)
 
         self.offsets.append(self.n_vertices)
@@ -188,9 +187,9 @@ class WheelPrefix:
         up, parent = self.up, self.parent
         # the ell - 3 vertices after each block's first share the empty tuple
         pad_up, pad_parent = ((),) * (ell - 3), (-1,) * (ell - 3)
-        for v, n_v in zip(top, widths):
+        for v in top:
             upv = up[v]
-            if n_v == ell - 2 and len(upv) < fi1 - 1:
+            if len(upv) < fi1 - 1:
                 blocks = [upv + (v,)]
             else:
                 blocks = [upv[:j] + upv[j + 1:] + (v,)
@@ -409,36 +408,6 @@ def canonical_violation(prefix):
 
 # -- rule verification ----------------------------------------------------
 
-@dataclass
-class RuleCheck:
-    rule: int
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class RulesReport:
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def check(self, rule):
-        return next(c for c in self.checks if c.rule == rule)
-
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "rules": [
-                {"rule": c.rule, "name": c.name, "passed": c.passed,
-                 "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
-
 def verify_rules(prefix):
     """Check the five structural rules of the construction on the prefix
     record: its layer sizes, upward neighborhoods and parents.
@@ -446,18 +415,20 @@ def verify_rules(prefix):
     The layer cycles are implicit, so every other arc is an upward entry
     w -> v.  Rules 4 and 5 read the cached ``prefix.adjacency()``, which
     the later checks of ``lwheel verify`` reuse.  Failures never raise;
-    each rule gets a pass/fail entry with the first violation found.
+    the result is the object ``lwheel verify`` writes as ``checks.rules``:
+    {"passed": ..., "rules": [{"rule", "name", "passed", "detail"}, ...]}
+    in rule order, each detail the first violation found or "".
     """
     n = prefix.n_vertices
     sizes = prefix.layer_sizes
     layer = prefix._layers()
     adj = prefix.adjacency()
 
-    report = RulesReport()
+    rules = []
 
     def add(rule, name, violation):
-        report.checks.append(RuleCheck(rule, name, violation is None,
-                                       violation or ""))
+        rules.append({"rule": rule, "name": name, "passed": violation is None,
+                      "detail": violation or ""})
 
     # rule 1: layers partition the vertex set
     v1 = None
@@ -508,7 +479,7 @@ def verify_rules(prefix):
     add(5, "upward neighborhoods are per-layer cliques",
         upward_violation(prefix))
 
-    return report
+    return {"passed": all(r["passed"] for r in rules), "rules": rules}
 
 
 def _parent_violation(prefix, layer, adj):

@@ -31,7 +31,7 @@ def test_criterion_01_construction_fidelity():
     checked = 0
     ok = True
     for p in family(20_000, (4, 5), ("identity", "cap:3", "cap:4")):
-        ok &= verify_rules(p).passed
+        ok &= verify_rules(p)["passed"]
         checked += 1
     p68 = build_prefix(4, parse_f_spec("cap:3"), 4)
     sizes_ok = p68.layer_sizes == [4, 8, 16, 40]

@@ -14,7 +14,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
+from layered_wheels import (WheelPrefix, build_prefix, parse_f_spec,
+                            verify_rules)
 from layered_wheels import cli, kernels, structure, widths
 from layered_wheels.cli import main, to_dot, to_graph6
 from layered_wheels.wheel import PIECE
@@ -232,6 +233,8 @@ def test_verify_mutated_fails(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--in", str(f), "--rules")
     assert code == 1
     assert not json.loads(out)["passed"]
+    assert json.loads(out)["checks"]["rules"] == verify_rules(
+        WheelPrefix.from_json(f.read_text()))
 
 
 @pytest.mark.parametrize("mutate, field", [
