@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import kernels
 
@@ -43,31 +43,6 @@ class Certificate:
             "verdict": "pass" if self.verdict else "fail",
             "bound": self.bound,
         }
-
-
-@dataclass
-class VerticalPath:
-    """A parent-to-descendant chain p_i, p_{i+1}, ..., one vertex per layer.
-
-    ``arc_augmenting[j]`` records whether the arc out of vertices[j] was
-    augmenting with respect to the target set it was built for.
-    """
-
-    start_layer: int
-    vertices: list
-    arc_augmenting: list = field(default_factory=list)
-
-    @property
-    def truncation_layer(self):
-        return self.start_layer + len(self.vertices) - 1
-
-    def drop_first(self):
-        return VerticalPath(self.start_layer + 1, self.vertices[1:],
-                            self.arc_augmenting[1:])
-
-    def tail_augmenting(self):
-        """True when the path minus its first vertex is fully augmenting."""
-        return all(self.arc_augmenting[1:])
 
 
 @dataclass(frozen=True)
@@ -308,6 +283,8 @@ def transversal_chordality_check(prefix, X):
 
 
 # -- vertical and augmenting paths ----------------------------------------
+# A vertical path p_i, p_{i+1}, ... is the list of its vertex ids, one per
+# layer from layer_of(p_i) up, each a child of the one before.
 
 def _is_augmenting(prefix, v, u, X):
     """Whether the arc vu is augmenting for X: N^up(u) and N^up[v] meet X
@@ -317,14 +294,12 @@ def _is_augmenting(prefix, v, u, X):
 
 def augmenting_child(prefix, v, X):
     """The smallest-position child u of v with an augmenting arc vu,
-    falling back to the first child; returns (u, is_augmenting)."""
+    falling back to the first child."""
     kids = prefix.children(v)
     if not kids:
         raise ValueError("vertex %s has no children" % (prefix.loc(v),))
-    for u in kids:
-        if _is_augmenting(prefix, v, u, X):
-            return u, True
-    return kids[0], False
+    return next((u for u in kids if _is_augmenting(prefix, v, u, X)),
+                kids[0])
 
 
 def augmenting_path(prefix, v, X, chooser_cache):
@@ -337,19 +312,13 @@ def augmenting_path(prefix, v, X, chooser_cache):
 
 
 def _chain(prefix, v, X, t_max, cache):
-    verts = [v]
-    flags = []
-    cur = v
-    layer = prefix.layer_of(v)
-    while layer < t_max:
-        if cur not in cache:
-            cache[cur] = augmenting_child(prefix, cur, X)
-        nxt, aug = cache[cur]
-        verts.append(nxt)
-        flags.append(aug)
-        cur = nxt
-        layer += 1
-    return VerticalPath(prefix.layer_of(v), verts, flags)
+    path = [v]
+    for _ in range(prefix.layer_of(v), t_max):
+        if v not in cache:
+            cache[v] = augmenting_child(prefix, v, X)
+        v = cache[v]
+        path.append(v)
+    return path
 
 
 # -- separations ----------------------------------------------------------
@@ -374,16 +343,16 @@ def build_AB(prefix, P, Q, X):
     lies on the forward segment p_j..q_j exactly when its cyclic offset
     from p_j is at most that of q_j.
     """
-    if P.start_layer != Q.start_layer:
+    i = prefix.layer_of(P[0])
+    if prefix.layer_of(Q[0]) != i:
         raise ValueError("paths start in different layers (%d vs %d)"
-                         % (P.start_layer, Q.start_layer))
-    if P.truncation_layer != Q.truncation_layer:
+                         % (i, prefix.layer_of(Q[0])))
+    if len(P) != len(Q):
         raise ValueError("paths end in different layers (%d vs %d)"
-                         % (P.truncation_layer, Q.truncation_layer))
-    i = P.start_layer
-    m = P.truncation_layer
+                         % (i + len(P) - 1, i + len(Q) - 1))
+    m = i + len(P) - 1
     closure = set()
-    for u in _forward_segment(prefix, P.vertices[0], Q.vertices[0]):
+    for u in _forward_segment(prefix, P[0], Q[0]):
         closure.add(u)
         closure.update(prefix.up[u])
     hi = bisect_left(X, prefix.offsets[i - 1] + prefix.layer_sizes[i - 1])
@@ -392,8 +361,8 @@ def build_AB(prefix, P, Q, X):
     for j in range(i + 1, m + 1):
         size = prefix.layer_sizes[j - 1]
         lo, hi = hi, bisect_left(X, prefix.offsets[j - 1] + size)
-        pj = P.vertices[j - i]
-        qj = Q.vertices[j - i]
+        pj = P[j - i]
+        qj = Q[j - i]
         span = (qj - pj) % size
         for x in X[lo:hi]:
             if (x - pj) % size <= span:
@@ -451,9 +420,10 @@ def balanced_separation(prefix, X):
     keep a fair separation, and while the A-side is too big either drop the
     base layer or reroute through a parented interior vertex.
 
-    The order is within ``order_bound(ell, f, omega(G[X]))`` when both
-    maintained path tails are fully augmenting (``bound_applies``); callers
-    that check the bound compute the clique number themselves.
+    The order is within ``order_bound(ell, f, omega(G[X]))`` when every
+    arc after the first, on the final P and on the final Q, is augmenting
+    (``bound_applies``); callers that check the bound compute the clique
+    number themselves.
     """
     if not X:
         raise ValueError("target set is empty")
@@ -469,38 +439,27 @@ def balanced_separation(prefix, X):
     P = augmenting_path(prefix, prefix.vid(1, 0), X, cache)
     Q = augmenting_path(prefix, prefix.vid(1, 2), X, cache)
     P, Q, sep = _fair_pair(prefix, ((P, Q), (Q, P)), order)
-    i = 1
+    i = 1              # the base layer, layer_of(P[0])
     iterations = 0
-    monitor = None
-    while True:
-        if 3 * len(sep.A - sep.B) <= 2 * n:
-            break
+    monitor = (0, 0)   # (i, -len(seg)) must rise at every step
+    while 3 * len(sep.A - sep.B) > 2 * n:
         iterations += 1
-        p1 = P.vertices[1]
-        q1 = Q.vertices[1]
-        seg = _forward_segment(prefix, p1, q1)
-        interior = seg[1:-1] if len(seg) >= 2 else []
-        state = (i, len(seg))
-        if monitor is not None and not (state[0] > monitor[0] or
-                                        (state[0] == monitor[0] and
-                                         state[1] < monitor[1])):
+        seg = _forward_segment(prefix, P[1], Q[1])
+        if (i, -len(seg)) <= monitor:
             raise ProgressError("no progress at layer %d, segment %d"
-                                % state)
-        monitor = state
-        parented = [u for u in interior if prefix.parent[u] >= 0]
-        if not parented:
-            P, Q = P.drop_first(), Q.drop_first()
+                                % (i, len(seg)))
+        monitor = (i, -len(seg))
+        u = next((u for u in seg[1:-1] if prefix.parent[u] >= 0), None)
+        if u is None:
+            P, Q = P[1:], Q[1:]
             i += 1
             sep = build_AB(prefix, P, Q, order)
-            continue
-        u = parented[0]
-        v = prefix.parent[u]
-        tail = _chain(prefix, u, X, P.truncation_layer, cache)
-        R = VerticalPath(i, [v] + tail.vertices,
-                         [_is_augmenting(prefix, v, u, X)]
-                         + tail.arc_augmenting)
-        P, Q, sep = _fair_pair(prefix, ((P, R), (R, Q)), order)
-    aug_ok = P.tail_augmenting() and Q.tail_augmenting()
+        else:
+            R = [prefix.parent[u]] + _chain(prefix, u, X, i + len(P) - 1,
+                                            cache)
+            P, Q, sep = _fair_pair(prefix, ((P, R), (R, Q)), order)
+    aug_ok = all(_is_augmenting(prefix, v, u, X)
+                 for path in (P, Q) for v, u in zip(path[1:], path[2:]))
     balanced = (3 * len(sep.A - sep.B) <= 2 * n
                 and 3 * len(sep.B - sep.A) <= 2 * n)
     return BalancedSeparationResult(sep, n, sep.order, aug_ok, balanced,

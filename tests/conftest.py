@@ -261,8 +261,8 @@ def doctored_records():
 def expected_intersection(prefix, P, Q):
     """V(P) ∪ V(Q) ∪ the up-closures along the base segment -- the exact
     value of A ∩ B proved for this construction."""
-    out = set(P.vertices) | set(Q.vertices)
-    for u in S._forward_segment(prefix, P.vertices[0], Q.vertices[0]):
+    out = set(P) | set(Q)
+    for u in S._forward_segment(prefix, P[0], Q[0]):
         out.add(u)
         out.update(prefix.up[u])
     return out

@@ -104,7 +104,7 @@ def _random_path(prefix, start, end_layer, rng):
     for _ in range(prefix.layer_of(start), end_layer):
         cur = rng.choice(prefix.children(cur))
         verts.append(cur)
-    return S.VerticalPath(prefix.layer_of(start), verts)
+    return verts
 
 
 def test_criterion_06_balanced_separations():

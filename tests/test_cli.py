@@ -346,6 +346,27 @@ def test_separate_target_file_report_bytes_pinned(tmp_path, capsys):
         "3415297c6a309e40b2e83c9d95d0c2b1521f66a4f85c9c01c9402622d7b7d223"
 
 
+def test_separate_iterating_report_bytes_pinned(tmp_path, capsys):
+    # the first quarter of every layer: the A-side of the first fair pair
+    # is too big, so the loop drops base layers and reroutes
+    src = tmp_path / "p.json"
+    tgt = tmp_path / "x.json"
+    out = tmp_path / "sep.json"
+    p = build_prefix(4, parse_f_spec("identity"), 6)
+    src.write_text(p.to_json())
+    tgt.write_text(json.dumps([[l, pos]
+                               for l, size in enumerate(p.layer_sizes, 1)
+                               for pos in range(size) if 4 * pos < size]))
+    code, _, _ = run(capsys, "separate", "--in", str(src), "--target",
+                     str(tgt), "--emit-decomposition", "--out", str(out))
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert (rep["n"], rep["iterations"], rep["bound_applies"]) == (63, 3, True)
+    assert (rep["order"], rep["order_bound"]) == (11, 42)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "3761b8359a13c4119242bd63e436edea5177887ce9af4dcdba4ffef628f8ec38"
+
+
 # one [layer, pos] pair or tree edge as `json.dumps(indent=2)` writes it
 PAIR = re.compile(r"\[\n *\d+,\n *\d+\n *\]")
 

@@ -19,7 +19,7 @@ def random_vertical_path(prefix, start, end_layer, rng):
     for _ in range(prefix.layer_of(start), end_layer):
         cur = rng.choice(prefix.children(cur))
         verts.append(cur)
-    return S.VerticalPath(prefix.layer_of(start), verts)
+    return verts
 
 
 # -- cliques, holes, minors, transversals ---------------------------------
@@ -98,7 +98,7 @@ def test_vertical_paths_with_distinct_starts_are_disjoint(rng):
         a, b = rng.sample(list(p.layer_range(layer)), 2)
         P = random_vertical_path(p, a, 5, rng)
         Q = random_vertical_path(p, b, 5, rng)
-        assert not set(P.vertices) & set(Q.vertices)
+        assert not set(P) & set(Q)
 
 
 def test_upward_sets_stay_inside_path_closure(rng):
@@ -108,21 +108,26 @@ def test_upward_sets_stay_inside_path_closure(rng):
         layer = rng.randint(1, 4)
         start = rng.choice(list(p.layer_range(layer)))
         P = random_vertical_path(p, start, 5, rng)
-        allowed = set(P.vertices) | set(p.up[start])
-        for v in P.vertices:
+        allowed = set(P) | set(p.up[start])
+        for v in P:
             assert {v} | set(p.up[v]) <= allowed
 
 
 def test_augmenting_arc_definition(rng):
+    # the chosen child is the smallest-position child u whose N^up(u) meets
+    # X as N^up[v] does, or the first child when no child's does
     p = build_prefix(4, parse_f_spec("cap:3"), 4)
-    xs = frozenset(rng.sample(range(p.n_vertices), 30))
-    for _ in range(20):
-        v = rng.choice([g for g in range(p.n_vertices)
-                        if p.layer_of(g) < p.num_layers])
-        u, aug = S.augmenting_child(p, v, xs)
-        assert u in p.children(v)
-        if aug:
-            assert set(p.up[u]) & xs == ({v} | set(p.up[v])) & xs
+    seen = set()
+    for xs in (frozenset(rng.sample(range(p.n_vertices), 30)),
+               frozenset(range(p.n_vertices))):
+        for v in range(p.offsets[-1]):
+            kids = p.children(v)
+            good = [u for u in kids
+                    if set(p.up[u]) & xs == ({v} | set(p.up[v])) & xs]
+            assert S.augmenting_child(p, v, xs) == (good or kids)[0]
+            seen.add(bool(good))
+    # with every vertex as X, (3, 0) has no augmenting child
+    assert seen == {True, False}
 
 
 def test_augmenting_path_vertex_count_bound(rng):
@@ -135,9 +140,10 @@ def test_augmenting_path_vertex_count_bound(rng):
         if F(k + 1) == INF:
             continue
         path = S.augmenting_path(p, p.vid(1, 0), xs, {})
-        if not path.tail_augmenting():
+        if not all(S._is_augmenting(p, v, u, xs)
+                   for v, u in zip(path[1:], path[2:])):
             continue
-        assert len(set(path.vertices) & xs) <= F(k + 1) + k - 1
+        assert len(set(path) & xs) <= F(k + 1) + k - 1
 
 
 def test_augmenting_path_top_layer_matches_layer_scan(rng):
@@ -150,8 +156,8 @@ def test_augmenting_path_top_layer_matches_layer_scan(rng):
         v = rng.choice(range(p.offsets[-1]))
         top = max((p.layer_of(g) for g in xs), default=p.layer_of(v))
         path = S.augmenting_path(p, v, xs, {})
-        assert path.truncation_layer == max(p.layer_of(v),
-                                            min(p.num_layers, top))
+        assert p.layer_of(path[-1]) == max(p.layer_of(v),
+                                           min(p.num_layers, top))
 
 
 # -- separations ----------------------------------------------------------
@@ -175,15 +181,15 @@ def test_build_AB_is_verified_separation_with_exact_intersection(rng):
 
 def reference_build_AB(prefix, P, Q):
     """(A(P,Q), B(P,Q)) as sets over every vertex of layers 1..m."""
-    i = P.start_layer
+    i = prefix.layer_of(P[0])
     A, B = set(), set()
-    for u in S._forward_segment(prefix, P.vertices[0], Q.vertices[0]):
+    for u in S._forward_segment(prefix, P[0], Q[0]):
         A.add(u)
         A.update(prefix.up[u])
     for j in range(1, i + 1):
         B.update(prefix.layer_range(j))
-    for j in range(i + 1, P.truncation_layer + 1):
-        pj, qj = P.vertices[j - i], Q.vertices[j - i]
+    for j in range(i + 1, i + len(P)):
+        pj, qj = P[j - i], Q[j - i]
         fw = set(S._forward_segment(prefix, pj, qj))
         A.update(fw)
         B.update({pj, qj} | (set(prefix.layer_range(j)) - fw))
@@ -232,9 +238,12 @@ def test_build_AB_restricted_matches_reference(case):
 
 def test_build_AB_rejects_mismatched_paths(prefix_68):
     P = S._chain(prefix_68, prefix_68.vid(1, 0), frozenset(), 4, {})
-    Q = S._chain(prefix_68, prefix_68.vid(2, 3), frozenset(), 4, {})
-    with pytest.raises(ValueError):
-        S.build_AB(prefix_68, P, Q, range(prefix_68.n_vertices))
+    for b, b_top, message in [
+            ((2, 3), 4, r"paths start in different layers \(1 vs 2\)"),
+            ((1, 2), 3, r"paths end in different layers \(4 vs 3\)")]:
+        Q = S._chain(prefix_68, prefix_68.vid(*b), frozenset(), b_top, {})
+        with pytest.raises(ValueError, match=message):
+            S.build_AB(prefix_68, P, Q, range(prefix_68.n_vertices))
 
 
 def test_verify_separation_detects_crossing_edge(prefix_68):
@@ -268,7 +277,7 @@ def test_fair_initial_separation(prefix_68):
     first, second, sep = S._fair_pair(prefix_68, ((P, Q), (Q, P)),
                                       sorted(X))
     assert 3 * len(sep.A & X) >= len(X)
-    assert first.vertices[0] != second.vertices[0]
+    assert first[0] != second[0]
     assert sep == S.build_AB(prefix_68, first, second, sorted(X))
 
 
@@ -298,7 +307,8 @@ def test_balanced_separation_trivial_small_set(prefix_68):
     assert res.sep.A == res.sep.B == X
 
 
-def test_balanced_separation_lopsided_target_iterates():
+def _lopsided_target():
+    """The l=4 identity t=6 prefix and the descendants of (1, 1)."""
     p = build_prefix(4, parse_f_spec("identity"), 6, size_cap=10 ** 4)
     span = reference_spans(p)
     desc = {p.vid(1, 1)}
@@ -309,12 +319,35 @@ def test_balanced_separation_lopsided_target_iterates():
                 s, c = span[g]
                 nxt.update(range(s, s + c))
         desc |= nxt
+    return p, desc
+
+
+def test_balanced_separation_lopsided_target_iterates():
+    p, desc = _lopsided_target()
     res = S.balanced_separation(p, desc)
     assert res.iterations > 0
     assert res.balanced
     if res.bound_applies:
         assert res.order <= S.order_bound(
             p.ell, p.f, len(S.induced_max_clique(p, desc)))
+
+
+def test_balanced_separation_monitor_stops_a_stalled_loop(monkeypatch):
+    # a reroute that hands back the first fair pair leaves the base layer
+    # and the segment as they were
+    p, desc = _lopsided_target()
+    fair_pair = S._fair_pair
+    first = []
+
+    def stalled(prefix, pairs, order):
+        if not first:
+            first.append(fair_pair(prefix, pairs, order))
+        return first[0]
+
+    monkeypatch.setattr(S, "_fair_pair", stalled)
+    with pytest.raises(S.ProgressError,
+                       match="no progress at layer 1, segment 5"):
+        S.balanced_separation(p, desc)
 
 
 def test_balanced_separation_rejects_empty(prefix_68):
