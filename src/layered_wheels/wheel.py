@@ -251,9 +251,9 @@ class WheelPrefix:
         """Parse the object that ``json.loads`` makes of ``to_json``.
 
         A missing field, a wrongly shaped entry, a non-integer ell, layer,
-        pos or coordinate, a layer size that is not a positive integer, an
-        empty layer list or a num_layers that disagrees with it raises
-        ValueError naming the field.
+        pos or coordinate, an ``up`` that is not a list, a layer size that
+        is not a positive integer, an empty layer list or a num_layers that
+        disagrees with it raises ValueError naming the field.
         """
         field = "f_spec"
         try:
@@ -322,7 +322,10 @@ class WheelPrefix:
                         raise ValueError("vertices out of order at index %d"
                                          % g)
                     field = "up"
-                    up.append(tuple(map(vertex_id, rec[field])))
+                    ups = rec[field]
+                    if type(ups) is not list:
+                        raise ValueError("not a list: %s" % json.dumps(ups))
+                    up.append(tuple(map(vertex_id, ups)))
                     field = "parent"
                     if rec[field] is not None:
                         parent[g] = vertex_id(rec[field])
@@ -413,16 +416,18 @@ def verify_rules(prefix):
     record: its layer sizes, upward neighborhoods and parents.
 
     The layer cycles are implicit, so every other arc is an upward entry
-    w -> v.  Rules 4 and 5 read the cached ``prefix.adjacency()``, which
-    the later checks of ``lwheel verify`` reuse.  Failures never raise;
-    the result is the object ``lwheel verify`` writes as ``checks.rules``:
+    w -> v.  Rules 2 to 4 read the ``up`` lists in one pass.  Rule 5 reads
+    the cached ``prefix.adjacency()``, which the later checks of ``lwheel
+    verify`` reuse, and so does the neighbor count of a vertex that fails
+    rule 4.  Failures never raise; the result is the object ``lwheel
+    verify`` writes as ``checks.rules``:
     {"passed": ..., "rules": [{"rule", "name", "passed", "detail"}, ...]}
     in rule order, each detail the first violation found or "".
     """
     n = prefix.n_vertices
     sizes = prefix.layer_sizes
     layer = prefix._layers()
-    adj = prefix.adjacency()
+    up = prefix.up
 
     rules = []
 
@@ -436,18 +441,39 @@ def verify_rules(prefix):
         v1 = "layer sizes sum to %d, have %d vertices" % (sum(sizes), n)
     add(1, "layers partition V", v1)
 
-    # the cycle arcs stay in their layer, so every chord (rule 2) and
-    # every downward arc (rule 3) is an upward entry w -> v; the cycle arc
-    # into v comes from the vertex one position before it
+    # the cycle arcs stay in their layer, so every chord (rule 2), every
+    # downward arc (rule 3) and every edge between consecutive layers
+    # (rule 4) is an upward entry w -> v; the cycle arc into v comes from
+    # the vertex one position before it.  prev[u] is the first neighbor of
+    # u found in the previous layer, or -1; ``twice`` gets each vertex
+    # with a second, distinct one.
     chords = [[] for _ in range(len(sizes) + 1)]
     downward = None
-    for v in range(n):
-        for w in prefix.up[v]:
-            if layer[w] > layer[v]:
-                if downward is None:
-                    downward = (w, v)
-            elif layer[w] == layer[v] and (v - w) % sizes[layer[v] - 1] != 1:
-                chords[layer[v]].append((w, v))
+    prev = [-1] * n
+    twice = []
+    for i, size in enumerate(sizes, 1):
+        span = prefix.layer_range(i)
+        for v in compress(span, up[span.start:span.stop]):
+            for w in up[v]:
+                lw = layer[w]
+                if lw < i - 1:
+                    continue
+                if lw == i - 1:
+                    u, x = v, w
+                elif lw == i:
+                    if (v - w) % size != 1:
+                        chords[i].append((w, v))
+                    continue
+                else:
+                    if downward is None:
+                        downward = (w, v)
+                    if lw > i + 1:
+                        continue
+                    u, x = w, v
+                if prev[u] < 0:
+                    prev[u] = x
+                elif prev[u] != x:
+                    twice.append(u)
 
     # rule 2: each layer induces a directed cycle of length >= ell; a chord
     # is an entry from v's own layer other than v's cycle predecessor
@@ -473,7 +499,7 @@ def verify_rules(prefix):
     # rule 4: unique parent; descendant paths tile the next layer, so every
     # vertex below the top layer has a child
     add(4, "descendant paths tile the next layer",
-        _parent_violation(prefix, layer, adj) or _tiling_violation(prefix))
+        _parent_violation(prefix, prev, twice) or _tiling_violation(prefix))
 
     # rule 5: upward neighborhoods are small cliques, one vertex per layer
     add(5, "upward neighborhoods are per-layer cliques",
@@ -482,22 +508,26 @@ def verify_rules(prefix):
     return {"passed": all(r["passed"] for r in rules), "rules": rules}
 
 
-def _parent_violation(prefix, layer, adj):
-    """The first vertex whose recorded parent is not its one neighbor in
-    the previous layer (or -1 when it has none)."""
+def _parent_violation(prefix, prev, twice):
+    """The first vertex in id order that has two neighbors in the previous
+    layer, or whose recorded parent is not ``prev``, its one neighbor
+    there (-1 for none).  The count of the first is read off its adjacency
+    set, which merges repeated and two-way entries."""
+    parent = prefix.parent
+    if not twice and prev == parent:
+        return None
     loc = prefix.loc
-    for u in range(prefix.n_vertices):
-        prev = [w for w in adj[u] if layer[w] == layer[u] - 1]
-        if len(prev) > 1:
-            return "vertex %s has %d neighbors in the previous layer" % (
-                loc(u), len(prev))
-        rec_parent = prefix.parent[u] if prefix.parent[u] >= 0 else None
-        got = prev[0] if prev else None
-        if rec_parent != got:
-            return "vertex %s: recorded parent %s but adjacency gives %s" % (
-                loc(u), loc(rec_parent) if rec_parent is not None else None,
-                loc(got) if got is not None else None)
-    return None
+    u = next((g for g, (got, rec) in enumerate(zip(prev, parent))
+              if got != rec), len(prev))
+    if min(twice, default=len(prev)) <= u:
+        u = min(twice)
+        layer = prefix._layers()
+        count = sum(layer[w] == layer[u] - 1 for w in prefix.adjacency()[u])
+        return "vertex %s has %d neighbors in the previous layer" % (
+            loc(u), count)
+    return "vertex %s: recorded parent %s but adjacency gives %s" % (
+        loc(u), loc(parent[u]) if parent[u] >= 0 else None,
+        loc(prev[u]) if prev[u] >= 0 else None)
 
 
 def _tiling_violation(prefix):

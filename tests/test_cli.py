@@ -252,10 +252,13 @@ def test_verify_mutated_fails(tmp_path, capsys):
     (lambda obj: obj["vertices"][9].update(pos=5.0), "'pos'"),
     (lambda obj: obj["vertices"][5].update(up=[[1, 0.0]]), "'up'"),
     (lambda obj: obj["vertices"][5].update(parent=[1, 0.0]), "'parent'"),
+    # vertex 5 is a padding vertex, whose up list is empty
+    (lambda obj: obj["vertices"][5].update(up=""), "'up': not a list"),
+    (lambda obj: obj["vertices"][5].update(up={}), "'up': not a list"),
 ], ids=["unknown-up-vertex", "missing-ell", "short-parent",
         "num-layers-mismatch", "no-layers", "float-ell", "string-layers",
         "negative-layer", "float-layer", "float-pos", "float-up",
-        "float-parent"])
+        "float-parent", "string-up", "object-up"])
 def test_verify_malformed_json_is_an_error(tmp_path, capsys, mutate, field):
     f = tmp_path / "p.json"
     run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "3",

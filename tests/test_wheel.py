@@ -11,7 +11,8 @@ from layered_wheels import (
     verify_rules,
 )
 from layered_wheels.wheel import (SizeCapError, UnknownVertexError,
-                                  canonical_violation)
+                                  _tiling_violation, canonical_violation,
+                                  upward_violation)
 
 from conftest import PREFIXES_300, reference_json, reference_spans
 
@@ -220,6 +221,15 @@ def _second_previous_layer_up(p):
     p.up[u] += (next(v for v in p.layer_range(2) if v != p.parent[u]),)
 
 
+def _three_previous_layer_neighbours(p):
+    # (2, 1) twice, (2, 5), and (3, 0) in the up list of its parent (2, 0):
+    # the adjacency merges the repeat and the two-way edge, so (3, 0) has
+    # three neighbors in layer 2
+    u = p.vid(3, 0)
+    p.up[u] += (p.vid(2, 1), p.vid(2, 5), p.vid(2, 1))
+    p.up[p.parent[u]] += (u,)
+
+
 def _null_parent(p):
     p.parent[p.vid(3, 0)] = -1
 
@@ -296,6 +306,10 @@ RULE_NAMES = ["layers partition V", "layers induce directed cycles",
     (_second_previous_layer_up, {
         4: "vertex (3, 0) has 2 neighbors in the previous layer",
         5: "vertex (3, 0) has 3 > f(3)-1 upward neighbors"}),
+    (_three_previous_layer_neighbours, {
+        3: "arc (3, 0) -> (2, 0) goes downward in layers",
+        4: "vertex (3, 0) has 3 neighbors in the previous layer",
+        5: "vertex (2, 0) has 2 > f(2)-1 upward neighbors"}),
     (_null_parent, {
         4: "vertex (3, 0): recorded parent None but adjacency gives (2, 0)"}),
     (_cut_up_list, {
@@ -315,7 +329,8 @@ RULE_NAMES = ["layers partition V", "layers induce directed cycles",
         5: "vertex (4, 0): upward neighbors (2, 0) and (3, 1) are not "
            "adjacent"}),
 ], ids=["ell-raised", "short-layer", "same-layer-up", "up-from-layer-4",
-        "second-previous-layer-up", "null-parent", "cut-up-list",
+        "second-previous-layer-up", "three-previous-layer-neighbours",
+        "null-parent", "cut-up-list",
         "cycle-neighbours-up", "orphan-last-vertex", "orphan-middle-vertex",
         "late-child",
         "first-vertex-reparented"])
@@ -404,6 +419,37 @@ def reference_rule4(p):
     return None, False
 
 
+def reference_rules23(p):
+    """Rules 2 and 3 from a walk over every vertex and every up entry:
+    (the first chord or short layer, the first downward arc), each None
+    when the rule holds."""
+    layer = p._layers()
+    sizes = p.layer_sizes
+    chords = [[] for _ in range(len(sizes) + 1)]
+    downward = None
+    for v in range(p.n_vertices):
+        for w in p.up[v]:
+            if layer[w] > layer[v]:
+                if downward is None:
+                    downward = (w, v)
+            elif layer[w] == layer[v] and (v - w) % sizes[layer[v] - 1] != 1:
+                chords[layer[v]].append((w, v))
+    v2 = None
+    for i, size in enumerate(sizes, 1):
+        if size < p.ell:
+            v2 = "layer %d has %d < ell vertices" % (i, size)
+            break
+        if chords[i]:
+            u, v = min(chords[i])
+            v2 = "layer %d has chord %s -> %s" % (i, p.loc(u), p.loc(v))
+            break
+    v3 = None
+    if downward is not None:
+        v3 = "arc %s -> %s goes downward in layers" % (
+            p.loc(downward[0]), p.loc(downward[1]))
+    return v2, v3
+
+
 _MUTANT_BASES = [build_prefix(ell, parse_f_spec(fs), t).to_json()
                  for ell, fs, t in [(4, "cap:3", 4), (4, "identity", 4),
                                     (5, "cap:3", 3), (6, "cap:4", 3)]]
@@ -413,22 +459,31 @@ _MUTANT_BASES = [build_prefix(ell, parse_f_spec(fs), t).to_json()
 def json_mutants(draw):
     """A small prefix's JSON with one to three of: a vertex re-parented
     together with its up entry, the parent and up of two vertices of one
-    layer swapped, an up entry dropped, a parent nulled."""
+    layer swapped, an up entry dropped, a parent nulled, and an up entry
+    added that is from the next layer, a repeat, the vertex itself or from
+    the vertex's own layer."""
     obj = json.loads(draw(st.sampled_from(_MUTANT_BASES)))
     recs = obj["vertices"]
+    sizes = obj["layers"]
+
+    def near(pos, size, other):
+        # anywhere in a layer of other vertices, or next to the position
+        # proportional to pos, where a one-step break is likeliest
+        mid = pos * other // size
+        return draw(st.one_of(
+            st.integers(0, other - 1),
+            st.integers(mid - 2, mid + 2).map(lambda q: q % other)))
+
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["reparent", "swap", "drop-up",
-                                     "null-parent"]))
+                                     "null-parent", "next-layer-up",
+                                     "repeat-up", "self-up",
+                                     "own-layer-up"]))
         rec = draw(st.sampled_from(recs))
         layer = rec["layer"]
+        size = sizes[layer - 1]
         if kind == "reparent" and layer > 1:
-            # anywhere in the previous layer, or next to the position
-            # proportional to rec's, where a one-step break is likeliest
-            above, size = obj["layers"][layer - 2], obj["layers"][layer - 1]
-            near = rec["pos"] * above // size
-            new = [layer - 1, draw(st.one_of(
-                st.integers(0, above - 1),
-                st.integers(near - 2, near + 2).map(lambda q: q % above)))]
+            new = [layer - 1, near(rec["pos"], size, sizes[layer - 2])]
             old = rec["parent"]
             if old is None:
                 rec["up"].append(new)
@@ -444,18 +499,42 @@ def json_mutants(draw):
             del rec["up"][draw(st.integers(0, len(rec["up"]) - 1))]
         elif kind == "null-parent":
             rec["parent"] = None
+        elif kind == "next-layer-up" and layer < len(sizes):
+            # a downward arc that gives the next-layer vertex a neighbor
+            # in its previous layer, often its parent again
+            rec["up"].append([layer + 1,
+                              near(rec["pos"], size, sizes[layer])])
+        elif kind == "repeat-up" and rec["up"]:
+            rec["up"].append(list(draw(st.sampled_from(rec["up"]))))
+        elif kind == "self-up":
+            rec["up"].append([layer, rec["pos"]])
+        elif kind == "own-layer-up":
+            # anywhere in the layer, or the cycle predecessor or successor
+            rec["up"].append([layer, draw(st.one_of(
+                st.integers(0, size - 1),
+                st.sampled_from([-1, 1]).map(
+                    lambda d: (rec["pos"] + d) % size)))])
     return WheelPrefix.from_json_obj(obj)
 
 
 @settings(max_examples=300, deadline=None)
 @given(json_mutants())
-def test_rule4_matches_span_reference_on_json_mutants(p):
-    # the verdicts agree; only the wording of a tiling failure differs
-    got = verify_rules(p)["rules"][3]
-    ref, tiling = reference_rule4(p)
-    assert got["passed"] == (ref is None)
-    if not tiling:
-        assert got["detail"] == (ref or "")
+def test_verify_rules_matches_references_on_json_mutants(p):
+    v2, v3 = reference_rules23(p)
+    v4, tiling = reference_rule4(p)
+    if tiling:
+        # the verdicts agree; only the wording of a tiling failure differs
+        v4 = _tiling_violation(p)
+        assert v4 is not None
+    details = [None, v2, v3, v4, upward_violation(p)]
+    report = verify_rules(p)
+    assert report == {
+        "passed": all(d is None for d in details),
+        "rules": [{"rule": rule, "name": name, "passed": d is None,
+                   "detail": d or ""}
+                  for rule, (name, d) in enumerate(zip(RULE_NAMES, details),
+                                                   1)],
+    }
 
 
 def test_rule4_reference_passes_built_prefixes(prefixes_2000):
