@@ -359,6 +359,31 @@ def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
     return prefix
 
 
+def exported_prefix(text):
+    """``build_prefix(ell, f, t)`` when the text is exactly its JSON export,
+    ``to_json`` with or without a final newline, else None.
+
+    Only the header, the text before the vertex list, is parsed; its ell,
+    f_spec and num_layers build the prefix at the default cap, and the
+    export is compared with the text piece by piece, stopping at the first
+    piece that differs.  A header that does not build gives None."""
+    head, sep, _ = text.partition(', "vertices": [')
+    if not sep:
+        return None
+    try:
+        obj = json.loads(head + "}")
+        prefix = build_prefix(obj["ell"], parse_f_spec(obj["f_spec"]),
+                              obj["num_layers"])
+    except _MALFORMED + (SizeCapError, ConstructionError):
+        return None
+    at = 0
+    for piece in prefix.json_pieces():
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return prefix if text[at:] in ("", "\n") else None
+
+
 def canonical_violation(prefix):
     """None when the record is ``build_prefix(ell, f, t)`` for its own ell,
     f and t, else the first difference, naming the vertex as (layer, pos)
@@ -416,11 +441,12 @@ def verify_rules(prefix):
     record: its layer sizes, upward neighborhoods and parents.
 
     The layer cycles are implicit, so every other arc is an upward entry
-    w -> v.  Rules 2 to 4 read the ``up`` lists in one pass.  Rule 5 reads
-    the cached ``prefix.adjacency()``, which the later checks of ``lwheel
-    verify`` reuse, and so does the neighbor count of a vertex that fails
-    rule 4.  Failures never raise; the result is the object ``lwheel
-    verify`` writes as ``checks.rules``:
+    w -> v.  Rules 2 to 4 read the ``up`` lists in one pass, and rule 5
+    reads them too, pair by pair (``upward_violation``).  Only the
+    neighbor count of a vertex that fails rule 4 builds the adjacency.
+    Failures never raise, also when the layer sizes sum past the vertex
+    count; the result is the object ``lwheel verify`` writes as
+    ``checks.rules``:
     {"passed": ..., "rules": [{"rule", "name", "passed", "detail"}, ...]}
     in rule order, each detail the first violation found or "".
     """
@@ -536,17 +562,19 @@ def _tiling_violation(prefix):
     set must start with (i, 0) at position 0, then each repeat the one
     before or step to the next vertex of layer i, and end on its last
     vertex.  This holds exactly when the descendant paths tile layer i+1,
-    one path per vertex of layer i, each starting at a child."""
+    one path per vertex of layer i, each starting at a child.  Layer
+    positions past the last record, which rule 1 names, are not walked."""
     parent = prefix.parent
     loc = prefix.loc
     for i in range(1, prefix.num_layers):
         cur = prefix.offsets[i - 1]
         below = prefix.layer_range(i + 1)
+        if below.start >= len(parent):
+            break
         if parent[below.start] != cur:
             return "vertex %s is not a child of %s" % (
                 loc(below.start), loc(cur))
-        for u in below:
-            p = parent[u]
+        for u, p in zip(below, parent[below.start:below.stop]):
             if p == cur + 1:
                 cur = p
             elif p >= 0 and p != cur:
@@ -564,10 +592,13 @@ def upward_violation(prefix):
     A pass proves every one-per-layer transversal chordal: the layer
     cycles stay inside their layers, so in a transversal a vertex's
     neighbours in earlier layers lie in its up list, which is a clique,
-    and the descending-layer order is a perfect elimination order."""
+    and the descending-layer order is a perfect elimination order.
+
+    The pairs of an up list are tested once its entries are known to lie
+    in distinct layers, where no cycle arc joins two of them: w and x are
+    adjacent exactly when one is in the up list of the other."""
     loc = prefix.loc
     layer = prefix._layers()
-    adj = prefix.adjacency()
     up = prefix.up
     for i in range(1, prefix.num_layers + 1):
         most = prefix.f(i) - 1
@@ -586,7 +617,7 @@ def upward_violation(prefix):
                 seen.add(layer[w])
             for a, w in enumerate(upv):
                 for x in upv[a + 1:]:
-                    if x not in adj[w]:
+                    if w not in up[x] and x not in up[w]:
                         return "vertex %s: upward neighbors %s and %s are " \
                                "not adjacent" % (loc(v), loc(w), loc(x))
     return None

@@ -774,3 +774,54 @@ def test_verify_one_field_mutant_fails_or_is_canonical(obj):
         ref = build_prefix(p.ell, p.f, p.num_layers)
         assert (p.layer_sizes, p.up, p.parent) == \
             (ref.layer_sizes, ref.up, ref.parent)
+
+
+# -- the export read by byte comparison ----------------------------------
+
+def _reports(capsys, src):
+    """The exit code and output of default ``verify`` and of ``separate
+    --target all --emit-decomposition`` on the file."""
+    return [run(capsys, *argv)[:2] for argv in [
+        ("verify", "--in", str(src)),
+        ("separate", "--in", str(src), "--target", "all",
+         "--emit-decomposition")]]
+
+
+def test_reports_identical_for_the_export_and_a_relaid_copy(tmp_path,
+                                                            capsys):
+    # the export takes the byte comparison; an indent=1 copy, with or
+    # without the final newline, is parsed and compared list by list
+    exact = tmp_path / "exact.json"
+    relaid = tmp_path / "relaid.json"
+    for p in PREFIXES_300:
+        exact.write_text(p.to_json() + "\n")
+        assert cli._load_prefix(exact)[1]
+        want = _reports(capsys, exact)
+        text = json.dumps(json.loads(p.to_json()), indent=1)
+        for copy in (text, text + "\n"):
+            relaid.write_text(copy)
+            assert not cli._load_prefix(relaid)[1]
+            assert _reports(capsys, relaid) == want
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("ell", 3, "prefix field 'ell': ell must be >= 4, got 3"),
+    ("f_spec", "bogus", "prefix field 'f_spec': cannot parse f spec "
+     "'bogus'"),
+    ("num_layers", 0, "prefix field 'num_layers': 0, but the file holds 3 "
+     "layers"),
+    ("num_layers", 40, "prefix field 'num_layers': 40, but the file holds "
+     "3 layers"),
+    ("ell", "4", "prefix field 'ell': not an integer: \"4\""),
+], ids=["ell-3", "bogus-f", "no-layers", "past-the-cap", "string-ell"])
+def test_header_that_does_not_build_is_parsed(tmp_path, capsys, field,
+                                              value, error):
+    # the header alone cannot be built, so the file is parsed, and the
+    # parse names the field
+    obj = json.loads(CAP3_T3)
+    obj[field] = value
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(obj))
+    for command in ("verify", "separate"):
+        assert run(capsys, command, "--in", str(src)) == (
+            1, "", "error: %s\n" % error)

@@ -2,7 +2,7 @@ import gc
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layered_wheels import (
     WheelPrefix,
@@ -12,7 +12,7 @@ from layered_wheels import (
 )
 from layered_wheels.wheel import (SizeCapError, UnknownVertexError,
                                   _tiling_violation, canonical_violation,
-                                  upward_violation)
+                                  exported_prefix)
 
 from conftest import PREFIXES_300, reference_json, reference_spans
 
@@ -145,6 +145,81 @@ def test_json_round_trip_every_spec_form(spec):
     assert [g(i) for i in range(1, 31)] == [f(i) for i in range(1, 31)]
 
 
+# -- reading a file that is exactly its export ---------------------------
+
+def _fields(p):
+    return (p.ell, p.f.descriptor, p.layer_sizes, p.offsets, p.up, p.parent)
+
+
+def test_exported_prefix_is_the_parsed_prefix():
+    for p in PREFIXES_300:
+        text = p.to_json()
+        for exact in (text, text + "\n"):
+            q = exported_prefix(exact)
+            assert q is not None
+            assert _fields(q) == _fields(WheelPrefix.from_json(exact))
+
+
+# characters that keep an edited export close to valid JSON
+_EXPORT_CHARS = '0123456789[]{}, :"\nlnu-.'
+
+
+@st.composite
+def export_edits(draw):
+    """A small prefix's export, with or without its final newline, and
+    the same text with one character replaced, deleted or inserted."""
+    p = draw(st.sampled_from(PREFIXES_300))
+    text = p.to_json() + draw(st.sampled_from(["", "\n"]))
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(_EXPORT_CHARS))
+    edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+    if edit == "insert":
+        edited = text[:at] + char + text[at:]
+    elif edit == "delete" or at == len(text):
+        edited = text[:at] + text[at + 1:]
+    else:
+        edited = text[:at] + char + text[at + 1:]
+    return p, edited
+
+
+_SMALL = PREFIXES_300[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(export_edits())
+@example((_SMALL, _SMALL.to_json() + "\n\n"))
+@example((_SMALL, " " + _SMALL.to_json()))
+@example((_SMALL, _SMALL.to_json()[:-1]))
+@example((_SMALL, json.dumps(json.loads(_SMALL.to_json()), indent=1)))
+def test_exported_prefix_refuses_any_edit(case):
+    # every byte is compared: a text that reads back is the export of the
+    # prefix it gives, and an edit past the header, which fixes the
+    # prefix, reads back only as the export itself
+    p, edited = case
+    q = exported_prefix(edited)
+    if q is not None:
+        assert edited in (q.to_json(), q.to_json() + "\n")
+        assert _fields(q) == _fields(WheelPrefix.from_json(edited))
+    text = p.to_json()
+    head = text[:text.index(', "vertices": [')]
+    if edited.startswith(head) and edited not in (text, text + "\n"):
+        assert q is None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ell", 3), ("ell", "4"), ("ell", 4.0), ("ell", 10 ** 9),
+    ("f_spec", "bogus"), ("f_spec", 5), ("f_spec", "cumulative:1,2,2"),
+    ("num_layers", 0), ("num_layers", 40), ("num_layers", "3"),
+], ids=["ell-3", "string-ell", "float-ell", "huge-ell", "bogus-f",
+        "int-f", "bad-cumulative-f", "no-layers", "past-the-cap",
+        "string-layers"])
+def test_exported_prefix_is_none_for_a_header_that_does_not_build(field,
+                                                                   value):
+    obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 3).to_json())
+    obj[field] = value
+    assert exported_prefix(json.dumps(obj)) is None
+
+
 def test_layer_of_bounds_and_extend():
     p = build_prefix(4, parse_f_spec("cap:3"), 3)
     n = p.n_vertices
@@ -185,9 +260,12 @@ def test_up_closed_neighborhood_is_clique():
 
 
 def test_verify_rules_pass_on_built_prefixes(prefixes_2000):
+    # a passing record needs no adjacency
     for p in prefixes_2000:
-        report = verify_rules(p)
+        q = WheelPrefix.from_json(p.to_json())
+        report = verify_rules(q)
         assert report["passed"], report
+        assert q._adj is None
 
 
 # Each mutation doctors the record of a freshly built prefix (n=68, layers
@@ -275,6 +353,21 @@ def _first_vertex_reparented(p):
     p.up[u] = (p.vid(2, 0), p.vid(3, 1))
 
 
+def _last_layer_past_the_records(p):
+    # no record holds (4, 40)
+    p.layer_sizes[-1] += 1
+
+
+def _layer_without_records(p):
+    p.offsets.append(p.n_vertices)
+    p.layer_sizes.append(80)
+
+
+def _last_layer_short_of_the_records(p):
+    # (4, 39) falls outside the layers
+    p.layer_sizes[-1] -= 1
+
+
 def _mutated(mutate):
     p = _fresh()
     mutate(p)
@@ -328,12 +421,19 @@ RULE_NAMES = ["layers partition V", "layers induce directed cycles",
         4: "vertex (4, 0) is not a child of (3, 0)",
         5: "vertex (4, 0): upward neighbors (2, 0) and (3, 1) are not "
            "adjacent"}),
+    # rule 1 names a sum past the records, and no rule raises
+    (_last_layer_past_the_records,
+     {1: "layer sizes sum to 69, have 68 vertices"}),
+    (_layer_without_records, {1: "layer sizes sum to 148, have 68 vertices"}),
+    (_last_layer_short_of_the_records,
+     {1: "layer sizes sum to 67, have 68 vertices"}),
 ], ids=["ell-raised", "short-layer", "same-layer-up", "up-from-layer-4",
         "second-previous-layer-up", "three-previous-layer-neighbours",
         "null-parent", "cut-up-list",
         "cycle-neighbours-up", "orphan-last-vertex", "orphan-middle-vertex",
         "late-child",
-        "first-vertex-reparented"])
+        "first-vertex-reparented", "last-layer-past-the-records",
+        "layer-without-records", "last-layer-short-of-the-records"])
 def test_verify_rules_report_pinned(mutate, failures):
     assert _mutated(mutate) == {
         "passed": False,
@@ -450,6 +550,29 @@ def reference_rules23(p):
     return v2, v3
 
 
+def reference_rule5(p):
+    """Rule 5 with the pairs of each up list tested on the adjacency."""
+    layer = p._layers()
+    adj = p.adjacency()
+    for v in range(p.n_vertices):
+        i, upv = layer[v], p.up[v]
+        if len(upv) > p.f(i) - 1:
+            return "vertex %s has %d > f(%d)-1 upward neighbors" % (
+                p.loc(v), len(upv), i)
+        seen = set()
+        for w in upv:
+            if layer[w] >= i or layer[w] in seen:
+                return "vertex %s: upward neighbor %s repeats a layer " \
+                       "or is not above" % (p.loc(v), p.loc(w))
+            seen.add(layer[w])
+        for a, w in enumerate(upv):
+            for x in upv[a + 1:]:
+                if x not in adj[w]:
+                    return "vertex %s: upward neighbors %s and %s are " \
+                           "not adjacent" % (p.loc(v), p.loc(w), p.loc(x))
+    return None
+
+
 _MUTANT_BASES = [build_prefix(ell, parse_f_spec(fs), t).to_json()
                  for ell, fs, t in [(4, "cap:3", 4), (4, "identity", 4),
                                     (5, "cap:3", 3), (6, "cap:4", 3)]]
@@ -526,7 +649,7 @@ def test_verify_rules_matches_references_on_json_mutants(p):
         # the verdicts agree; only the wording of a tiling failure differs
         v4 = _tiling_violation(p)
         assert v4 is not None
-    details = [None, v2, v3, v4, upward_violation(p)]
+    details = [None, v2, v3, v4, reference_rule5(p)]
     report = verify_rules(p)
     assert report == {
         "passed": all(d is None for d in details),
