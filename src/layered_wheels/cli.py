@@ -16,8 +16,7 @@ import json
 import sys
 
 from . import structure, widths
-from .functions import (INF, SlowFunctionError, CumulativeFunctionError,
-                        parse_f_spec)
+from .functions import INF, parse_f_spec
 from .wheel import (DEFAULT_SIZE_CAP, PIECE, SizeCapError, WheelPrefix,
                     build_prefix, canonical_violation, exported_prefix,
                     verify_rules)
@@ -409,8 +408,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SlowFunctionError, CumulativeFunctionError, SizeCapError,
-            ValueError, OSError) as exc:
+    except (SizeCapError, ValueError, OSError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -88,7 +88,7 @@ def clique_number_exact(prefix):
     successor v+, and the rest lies in up[v] (and in up[v+]).  The upper
     side, proved from the record, is the largest of 1 + |up[v]| and
     2 + |up[v] & up[v+]| over the vertices; the lower side is the
-    maximizer's set, checked to be a clique in the adjacency.
+    maximizer's set, checked to be a clique read off the record.
 
     The verdict fails, naming the first violating vertex as
     ``first_violation`` with a ``reason``, when a layer has fewer than 4
@@ -136,10 +136,10 @@ def induced_clique_number(prefix, X):
             witness = [v, s, *common]
             break
     witness.sort()
-    adj = prefix.adjacency()
     data = {"clique": [prefix.loc(g) for g in witness]}
     apart = next(((u, w) for i, u in enumerate(witness)
-                  for w in witness[i + 1:] if w not in adj[u]), None)
+                  for w in witness[i + 1:] if not prefix.adjacent(u, w)),
+                 None)
     if apart is not None:
         data.update(first_violation=list(prefix.loc(top)),
                     reason="its clique candidate holds %s and %s, which "
@@ -163,25 +163,17 @@ def _pairs_at(prefix, lens, m):
 def _up_route_violation(prefix):
     """The first vertex, with the reason, that breaks the premise of the
     local clique route, or None: each layer has >= 4 vertices, and each
-    upward list holds distinct entries, all in earlier layers.
-
-    Ids run layer by layer, so an entry lies in an earlier layer exactly
-    when it is below its layer's first id.  When every entry does, each
-    one is an edge of its own, so the adjacency has n + sum |up[v]| edges
-    (n of them on the layer cycles) exactly when no list repeats an entry.
-    The vertices are scanned one by one only when these checks fail."""
+    upward list holds distinct entries, all in earlier layers.  Ids run
+    layer by layer, so an entry lies in an earlier layer exactly when it
+    is below its layer's first id."""
     up = prefix.up
-    layers = list(enumerate(zip(prefix.offsets, prefix.layer_sizes), 1))
-    if (min(prefix.layer_sizes) >= 4
-            and all(max(itertools.chain.from_iterable(up[start:start + size]),
-                        default=-1) < start for _, (start, size) in layers)
-            and sum(map(len, prefix.adjacency()))
-            == 2 * (prefix.n_vertices + sum(map(len, up)))):
-        return None
-    for layer, (start, size) in layers:
+    for layer, (start, size) in enumerate(zip(prefix.offsets,
+                                              prefix.layer_sizes), 1):
         if size < 4:
             return start, "layer %d has %d < 4 vertices" % (layer, size)
-        for g in range(start, start + size):
+        # an empty list breaks nothing, so only the others are scanned
+        for g in itertools.compress(range(start, start + size),
+                                    up[start:start + size]):
             if len(set(up[g])) != len(up[g]):
                 return g, "its upward list repeats an entry"
             for w in up[g]:
@@ -196,8 +188,8 @@ def max_independent_set_exact(prefix, X):
     order, local = induced_adjacency(prefix, X)
     mis = [order[i]
            for i in kernels.max_independent_set(len(order), local, 0)]
-    adj = prefix.adjacency()
-    ok = all(v not in adj[u] for i, u in enumerate(mis) for v in mis[i + 1:])
+    ok = not any(prefix.adjacent(u, v)
+                 for i, u in enumerate(mis) for v in mis[i + 1:])
     cert = Certificate(
         kind="stable",
         data={"stable": sorted(prefix.loc(g) for g in mis)},

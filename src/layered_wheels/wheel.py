@@ -14,7 +14,7 @@ position 0 of layer i+1 is the first descendant of position 0 of layer i.
 from __future__ import annotations
 
 import json
-from itertools import compress
+from itertools import compress, repeat
 
 from .functions import parse_f_spec
 
@@ -161,6 +161,18 @@ class WheelPrefix:
         for v, ups in enumerate(self.up):
             for w in ups:
                 yield w, v
+
+    def adjacent(self, u, w):
+        """``w in adjacency()[u]``, read off the record without building
+        the adjacency: one of u and w lists the other in ``up``, or they
+        are neighbors on their layer cycle."""
+        if w in self.up[u] or u in self.up[w]:
+            return True
+        layer = self._layers()
+        if layer[u] != layer[w]:
+            return False
+        size = self.layer_sizes[layer[u] - 1]
+        return (u - w) % size in (1, size - 1)
 
     # -- construction -----------------------------------------------------
 
@@ -442,8 +454,8 @@ def verify_rules(prefix):
 
     The layer cycles are implicit, so every other arc is an upward entry
     w -> v.  Rules 2 to 4 read the ``up`` lists in one pass, and rule 5
-    reads them too, pair by pair (``upward_violation``).  Only the
-    neighbor count of a vertex that fails rule 4 builds the adjacency.
+    reads them too, pair by pair (``upward_violation``).  The neighbor
+    count of a vertex that fails rule 4 is read off the record.
     Failures never raise, also when the layer sizes sum past the vertex
     count; the result is the object ``lwheel verify`` writes as
     ``checks.rules``:
@@ -537,8 +549,8 @@ def verify_rules(prefix):
 def _parent_violation(prefix, prev, twice):
     """The first vertex in id order that has two neighbors in the previous
     layer, or whose recorded parent is not ``prev``, its one neighbor
-    there (-1 for none).  The count of the first is read off its adjacency
-    set, which merges repeated and two-way entries."""
+    there (-1 for none).  The count of the first is read off the record,
+    once per vertex of the previous layer."""
     parent = prefix.parent
     if not twice and prev == parent:
         return None
@@ -547,8 +559,8 @@ def _parent_violation(prefix, prev, twice):
               if got != rec), len(prev))
     if min(twice, default=len(prev)) <= u:
         u = min(twice)
-        layer = prefix._layers()
-        count = sum(layer[w] == layer[u] - 1 for w in prefix.adjacency()[u])
+        count = sum(map(prefix.adjacent, repeat(u),
+                        prefix.layer_range(prefix._layers()[u] - 1)))
         return "vertex %s has %d neighbors in the previous layer" % (
             loc(u), count)
     return "vertex %s: recorded parent %s but adjacency gives %s" % (
@@ -592,11 +604,7 @@ def upward_violation(prefix):
     A pass proves every one-per-layer transversal chordal: the layer
     cycles stay inside their layers, so in a transversal a vertex's
     neighbours in earlier layers lie in its up list, which is a clique,
-    and the descending-layer order is a perfect elimination order.
-
-    The pairs of an up list are tested once its entries are known to lie
-    in distinct layers, where no cycle arc joins two of them: w and x are
-    adjacent exactly when one is in the up list of the other."""
+    and the descending-layer order is a perfect elimination order."""
     loc = prefix.loc
     layer = prefix._layers()
     up = prefix.up
@@ -617,7 +625,7 @@ def upward_violation(prefix):
                 seen.add(layer[w])
             for a, w in enumerate(upv):
                 for x in upv[a + 1:]:
-                    if w not in up[x] and x not in up[w]:
+                    if not prefix.adjacent(w, x):
                         return "vertex %s: upward neighbors %s and %s are " \
                                "not adjacent" % (loc(v), loc(w), loc(x))
     return None

@@ -182,9 +182,9 @@ def independent_width(prefix, decomposition):
     The bags are searched largest first, each only for a set larger than
     the best so far, which the search takes as its floor; once a bag is no
     larger than the best, no later one can beat it.  Each improving set is
-    re-checked for independence in the prefix.
+    re-checked for independence on the record, not on the adjacency the
+    search read.
     """
-    adj = prefix.adjacency()
     best = 0
     for bag in sorted(decomposition.bags, key=len, reverse=True):
         if len(bag) <= best:
@@ -193,7 +193,7 @@ def independent_width(prefix, decomposition):
         found = kernels.max_independent_set(len(order), local, best)
         if found:
             stable = [order[i] for i in found]
-            if any(v in adj[u]
+            if any(prefix.adjacent(u, v)
                    for i, u in enumerate(stable) for v in stable[i + 1:]):
                 raise RuntimeError("the independent set search returned "
                                    "adjacent vertices")

@@ -271,6 +271,21 @@ def test_verify_malformed_json_is_an_error(tmp_path, capsys, mutate, field):
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("command", ["verify", "separate", "target"])
+def test_deeply_nested_json_is_an_error(tmp_path, capsys, command):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    if command == "target":
+        src = tmp_path / "p.json"
+        src.write_text(build_prefix(4, parse_f_spec("cap:3"), 3).to_json())
+        argv = ["separate", "--in", str(src), "--target", str(nested)]
+    else:
+        argv = [command, "--in", str(nested)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_codes(tmp_path, capsys):
     # 2: argparse usage error; 1: input or runtime error
     with pytest.raises(SystemExit) as exc:
@@ -551,23 +566,45 @@ def test_separate_malformed_target_file_is_an_error(tmp_path, capsys, locs,
     assert err.startswith("error: ") and names in err
 
 
-def test_clique_number_searches_the_prefix_adjacency(tmp_path, capsys,
-                                                      monkeypatch, prefix_68):
-    # omega of the whole prefix needs no re-indexed copy of its adjacency
-    induced = structure.induced_adjacency
+def _rule4_mutants(p):
+    """The two rule-4 mutants of a built prefix's record: (3, 0) with
+    (2, 1) added to its up list, a second neighbor in the previous layer,
+    and the first vertex with a parent moved to the next parent, its up
+    entry with it."""
+    two = json.loads(p.to_json())
+    rec = next(v for v in two["vertices"] if (v["layer"], v["pos"]) == (3, 0))
+    rec["up"].append([2, 1])
+    moved = json.loads(p.to_json())
+    rec = next(v for v in moved["vertices"] if v["parent"])
+    old = rec["parent"]
+    rec["parent"] = [old[0], old[1] + 1]
+    rec["up"] = [rec["parent"] if w == old else w for w in rec["up"]]
+    return [two, moved]
 
-    def refuse_whole_prefix(prefix, X):
-        if len(set(X)) == prefix.n_vertices:
-            raise AssertionError("re-indexed copy of the whole prefix")
-        return induced(prefix, X)
 
-    monkeypatch.setattr(structure, "induced_adjacency", refuse_whole_prefix)
-    omega, cert = structure.clique_number_exact(prefix_68)
-    assert omega == 3 and cert.verdict
-    src = tmp_path / "p.json"
-    src.write_text(prefix_68.to_json())
-    code, out, _ = run(capsys, "verify", "--in", str(src))
-    assert code == 0 and json.loads(out)["passed"]
+def test_record_checks_build_no_adjacency(tmp_path, capsys, monkeypatch):
+    # the rules, the canonical check, omega, the minor and the omega and
+    # minor demos read the record: with the adjacency refused, every
+    # report is the one they give with it
+    records = [json.loads(p.to_json()) for p in PREFIXES_300]
+    records += [obj for _, obj, _, _ in doctored_records()]
+    records += _rule4_mutants(build_prefix(4, parse_f_spec("cap:3"), 5))
+    runs = []
+    for i, obj in enumerate(records):
+        src = tmp_path / ("p%d.json" % i)
+        src.write_text(json.dumps(obj))
+        runs.append(["verify", "--in", str(src), "--rules", "--canonical",
+                     "--clique", "--minor"])
+    runs += [["demo", "conjecture85", "--c-max", "2"],
+             ["demo", "question84", "--k-max", "3"]]
+    expected = [run(capsys, *argv) for argv in runs]
+
+    def refuse(self):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(WheelPrefix, "adjacency", refuse)
+    for argv, want in zip(runs, expected):
+        assert run(capsys, *argv) == want, argv
 
 
 def test_demo_subcommand(tmp_path, capsys):

@@ -259,6 +259,40 @@ def test_up_closed_neighborhood_is_clique():
                 assert v in adj[u]
 
 
+@st.composite
+def arbitrary_records(draw):
+    """A record of 1- to 6-vertex layers whose up entries are any ids:
+    the vertex itself, its own layer, a later layer, or a repeat."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    n = sum(sizes)
+    p = WheelPrefix(4, parse_f_spec("identity"))
+    p.layer_sizes = sizes
+    p.offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    p.up = [tuple(draw(st.lists(st.integers(0, n - 1), max_size=4)))
+            for _ in range(n)]
+    p.parent = [-1] * n
+    return p
+
+
+def _assert_adjacent_is_the_adjacency(p):
+    adj = p.adjacency()
+    for u in range(p.n_vertices):
+        for w in range(p.n_vertices):
+            assert p.adjacent(u, w) == (w in adj[u]), (p.loc(u), p.loc(w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_records())
+def test_adjacent_is_adjacency_membership(p):
+    _assert_adjacent_is_the_adjacency(p)
+
+
+def test_adjacent_is_adjacency_membership_on_built_prefixes():
+    for p in PREFIXES_300:
+        if p.n_vertices <= 120:
+            _assert_adjacent_is_the_adjacency(p)
+
+
 def test_verify_rules_pass_on_built_prefixes(prefixes_2000):
     # a passing record needs no adjacency
     for p in prefixes_2000:
