@@ -313,9 +313,8 @@ def cmd_separate(args):
     dec = dec_fields = None
     if args.emit_decomposition:
         dec = widths.decomposition_from_separators(prefix, X)
-        adj = prefix.adjacency()
-        valid = dec.validate(X, ((u, v) for u in X for v in adj[u]
-                                 if v in X and u < v))
+        valid = dec.validate(X, ((u, v) for u, v in prefix.edges()
+                                 if u in X and v in X))
         dec_fields = [("width", dec.width), ("valid", valid),
                       ("independent_width",
                        widths.independent_width(prefix, dec))]

@@ -58,15 +58,20 @@ class Separation:
 # -- induced subgraphs and exact invariants -------------------------------
 
 def induced_adjacency(prefix, X):
-    """(vertex list, local adjacency) of the subgraph induced by the vertex
-    set X.  When X is every vertex, the local ids are the global ones and
-    the adjacency is the prefix's own, not a copy."""
+    """(vertex list, local adjacency) of G[X], read off the record: each
+    vertex's cycle successor and upward entries, when both ends lie in X.
+    Local ids ascend with the global ones; the sets are the caller's."""
     order = sorted(X)
-    adj = prefix.adjacency()
-    if len(order) == prefix.n_vertices:
-        return order, adj
     index = {g: i for i, g in enumerate(order)}
-    local = [{index[u] for u in adj[g] if u in index} for g in order]
+    local = [set() for _ in order]
+    up = prefix.up
+    for first, size in zip(prefix.offsets, prefix.layer_sizes):
+        lo, hi = bisect_left(order, first), bisect_left(order, first + size)
+        for i, g in enumerate(order[lo:hi], lo):
+            for j in map(index.get, (first + (g + 1 - first) % size, *up[g])):
+                if j is not None:
+                    local[i].add(j)
+                    local[j].add(i)
     return order, local
 
 
@@ -368,14 +373,15 @@ def build_AB(prefix, P, Q, X):
 
 def verify_separation_on_prefix(prefix, sep, vertices):
     """Independent separation check of G[X] for X = ``vertices``: A and B
-    cover X and no edge of G[X] joins A-only to B-only.  Edges that leave X
-    are ignored.  Usable on separations from files."""
+    cover X and no edge of the record (``edges``) inside X joins A-only
+    to B-only.  Usable on separations from files."""
     vs = set(vertices)
     if not vs <= (sep.A | sep.B):
         return False
-    adj = prefix.adjacency()
+    a_only = (sep.A - sep.B) & vs
     b_only = (sep.B - sep.A) & vs
-    return not any(adj[u] & b_only for u in (sep.A - sep.B) & vs)
+    return not any(u in a_only and v in b_only or u in b_only and v in a_only
+                   for u, v in prefix.edges())
 
 
 def _fair_pair(prefix, pairs, order):

@@ -14,6 +14,7 @@ position 0 of layer i+1 is the first descendant of position 0 of layer i.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
 
 from .functions import parse_f_spec
@@ -81,6 +82,7 @@ class WheelPrefix:
         self.parent = []
         self._adj = None
         self._layer = None         # _layer[g] = layer of g (built on use)
+        self._kids = None          # the ids sorted by parent (built on use)
 
     # -- indexing ---------------------------------------------------------
 
@@ -122,10 +124,14 @@ class WheelPrefix:
         return range(start, start + self.layer_sizes[layer - 1])
 
     def children(self, g):
-        """The vertices whose parent is g, in position order."""
-        kids = [u for u in self.adjacency()[g] if self.parent[u] == g]
-        kids.sort()
-        return kids
+        """The neighbors of g whose parent is g, in position order, read
+        off the record: an index of the ids by parent, and ``adjacent``."""
+        by_parent = self.parent.__getitem__
+        if self._kids is None:
+            self._kids = sorted(range(self.n_vertices), key=by_parent)
+        lo = bisect_left(self._kids, g, key=by_parent)
+        hi = bisect_right(self._kids, g, lo, key=by_parent)
+        return [u for u in self._kids[lo:hi] if self.adjacent(g, u)]
 
     # -- graph views ------------------------------------------------------
 
@@ -211,8 +217,7 @@ class WheelPrefix:
                 parent.append(v)
                 up += pad_up
                 parent += pad_parent
-        self._adj = None
-        self._layer = None
+        self._adj = self._layer = self._kids = None
 
     # -- serialization ----------------------------------------------------
 

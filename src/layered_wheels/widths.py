@@ -98,7 +98,8 @@ def tw_lower_bound_minor(prefix):
 
 def decomposition_from_separators(prefix, X):
     """A valid tree decomposition of G[X] by min-degree elimination
-    (Bodlaender & Koster, Inf. Comput. 2010), ties to the smallest id.
+    (Bodlaender & Koster, Inf. Comput. 2010) on the local ids of
+    ``structure.induced_adjacency``, ties to the smallest id.
 
     Each bag is a vertex plus its remaining neighbours and hangs below the
     bag of its earliest-eliminated later neighbour; the component roots are
@@ -106,30 +107,27 @@ def decomposition_from_separators(prefix, X):
     than the widest bag.  The name predates this route and stays because
     the benchmark's trace wraps the function by it.
     """
-    xset = frozenset(X)
-    if not xset:
+    order, nbr = structure.induced_adjacency(prefix, X)
+    if not order:
         raise ValueError("target set is empty")
-    adj = prefix.adjacency()
-    nbr = {v: adj[v] & xset for v in xset}
-    # buckets[d] is a min-heap of ids, filled in ascending id order so that
-    # each starts as a heap.  A remaining vertex always has an entry at its
-    # current degree; an entry at any other degree, or for an eliminated
-    # vertex, is dropped when it surfaces.
-    buckets = [[] for _ in range(max(map(len, nbr.values())) + 1)]
-    for v in sorted(xset):
-        buckets[len(nbr[v])].append(v)
-    step = {}                        # step[v] = when v was eliminated
+    # buckets[d] is a min-heap of ids, filled in order, so each starts as a
+    # heap; a remaining vertex always has an entry at its current degree,
+    # and other entries are dropped.  nbr[v] is None once v is eliminated.
+    buckets = [[] for _ in range(max(map(len, nbr)) + 1)]
+    for v, nv in enumerate(nbr):
+        buckets[len(nv)].append(v)
+    step = [0] * len(order)          # step[v] = when v was eliminated
     bags = []                        # bags[i] = (v, *later) of step i
     d = 0
-    while nbr:
+    while len(bags) < len(order):
         while True:
             if not buckets[d]:
                 d += 1
                 continue
             v = heapq.heappop(buckets[d])
-            if v in nbr and len(nbr[v]) == d:
+            if nbr[v] is not None and len(nbr[v]) == d:
                 break
-        later = nbr.pop(v)
+        later, nbr[v] = nbr[v], None
         step[v] = len(bags)
         bags.append((v, *later))
         for u in later:
@@ -146,11 +144,9 @@ def decomposition_from_separators(prefix, X):
         # now nbr[u] holds later - {u} for each u in later, so no
         # remaining degree is below d - 1
         d = max(d - 1, 0)
-    del nbr, buckets
     # the parent is the earliest step among the later vertices
     parent = [min(map(step.__getitem__, bag[1:])) if len(bag) > 1 else None
               for bag in bags]
-    del step
     roots = [i for i, p in enumerate(parent) if p is None]
     for r, nxt in zip(roots, roots[1:]):
         parent[r] = nxt
@@ -172,7 +168,7 @@ def decomposition_from_separators(prefix, X):
         if i in into:
             index[i] = index[into[i]]
     return TreeDecomposition(
-        [frozenset(bags[i]) for i in kept],
+        [frozenset(map(order.__getitem__, bags[i])) for i in kept],
         [(index[parent[i]], index[i]) for i in kept if parent[i] is not None])
 
 

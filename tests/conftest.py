@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from layered_wheels import build_prefix, parse_f_spec
+from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
 from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
@@ -42,6 +42,23 @@ def targets(draw):
                           st.integers(1, p.n_vertices)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return p, random.Random(seed).sample(range(p.n_vertices), size)
+
+
+@st.composite
+def arbitrary_records(draw):
+    """A record of 1- to 6-vertex layers whose up entries are any ids:
+    the vertex itself, its own layer, a later layer, or a repeat; and
+    whose parents are any ids or -1."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    n = sum(sizes)
+    p = WheelPrefix(4, parse_f_spec("identity"))
+    p.layer_sizes = sizes
+    p.offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    p.up = [tuple(draw(st.lists(st.integers(0, n - 1), max_size=4)))
+            for _ in range(n)]
+    p.parent = draw(st.lists(st.integers(-1, n - 1), min_size=n,
+                             max_size=n))
+    return p
 
 
 def reference_spans(prefix):

@@ -607,6 +607,94 @@ def test_record_checks_build_no_adjacency(tmp_path, capsys, monkeypatch):
         assert run(capsys, *argv) == want, argv
 
 
+def _quarter(p):
+    """The first quarter of every layer, as [layer, pos] pairs: the CI's
+    target on which the separation loop iterates."""
+    return [[layer, pos] for layer, size in enumerate(p.layer_sizes, 1)
+            for pos in range(size) if 4 * pos < size]
+
+
+def test_separate_builds_no_adjacency(tmp_path, capsys, monkeypatch):
+    # the clique route, the separation, its check, the decomposition, its
+    # validation and the bag searches read the record: with the adjacency
+    # refused, every run gives what it gives with it
+    runs = []
+    for i, p in enumerate(PREFIXES_300):
+        src = tmp_path / ("p%d.json" % i)
+        src.write_text(p.to_json())
+        quarter = tmp_path / ("q%d.json" % i)
+        quarter.write_text(json.dumps(_quarter(p)))
+        runs += [["separate", "--in", str(src), "--target", "all"],
+                 ["separate", "--in", str(src), "--target", "all",
+                  "--emit-decomposition"],
+                 ["separate", "--in", str(src), "--target", str(quarter),
+                  "--emit-decomposition"]]
+
+    def outcome(k, argv):
+        report = tmp_path / ("r%d.json" % k)
+        report.unlink(missing_ok=True)
+        code, out, err = run(capsys, *argv, "--out", str(report))
+        return code, out, err, report.read_bytes()
+    expected = [outcome(k, argv) for k, argv in enumerate(runs)]
+
+    def refuse(self):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(WheelPrefix, "adjacency", refuse)
+    for k, (argv, want) in enumerate(zip(runs, expected)):
+        assert outcome(k, argv) == want, argv
+
+
+def _parent_mutant(ell, f_spec, t, where):
+    """The JSON of a built prefix with one parent changed: the first
+    vertex that has one loses it (``where`` None), or the vertex at
+    ``where`` gets the vertex two positions after its parent, which is not
+    its neighbor."""
+    p = build_prefix(ell, parse_f_spec(f_spec), t)
+    obj = json.loads(p.to_json())
+    if where is None:
+        next(v for v in obj["vertices"] if v["parent"])["parent"] = None
+    else:
+        rec = obj["vertices"][p.vid(*where)]
+        layer, pos = rec["parent"]
+        rec["parent"] = [layer, (pos + 2) % p.layer_sizes[layer - 1]]
+    return p, obj
+
+
+NO_REPORT = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("spec, where, quarter, code, err, digest", [
+    ((4, "cap:3", 5), None, False, 1,
+     "error: vertex (1, 0) has no children\n", NO_REPORT),
+    ((4, "cap:3", 5), (4, 0), False, 0,
+     "n=172 k=3 order=11 bound=inf balanced=True\n",
+     "1d23209d74adb11106f09419e2dd81605d35d4b807b4d1835763626188cbae39"),
+    ((4, "cap:3", 5), (4, 0), True, 0,
+     "n=43 k=3 order=9 bound=inf balanced=True\n",
+     "de852e572806be035b2757042fd66bf72d7b657a0c0b08e17ec401ce8218736b"),
+    ((4, "identity", 6), (4, 0), False, 1,
+     "error: vertex (3, 0) has no children\n", NO_REPORT),
+], ids=["null-parent", "far-parent", "far-parent-quarter",
+        "far-parent-childless"])
+def test_separate_on_a_parent_the_adjacency_denies(tmp_path, capsys, spec,
+                                                   where, quarter, code,
+                                                   err, digest):
+    # pinned from the children read off the adjacency: a child is a
+    # neighbor whose parent is the vertex
+    p, obj = _parent_mutant(*spec, where)
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(obj))
+    target = "all"
+    if quarter:
+        target = tmp_path / "q.json"
+        target.write_text(json.dumps(_quarter(p)))
+    got, out, stderr = run(capsys, "separate", "--in", str(src), "--target",
+                           str(target), "--emit-decomposition")
+    assert (got, stderr) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_demo_subcommand(tmp_path, capsys):
     code, out, err = run(capsys, "demo", "hajebi", "--c", "2", "--ell", "5",
                          "--t", "3", "--samples", "3",
@@ -862,3 +950,101 @@ def test_header_that_does_not_build_is_parsed(tmp_path, capsys, field,
     for command in ("verify", "separate"):
         assert run(capsys, command, "--in", str(src)) == (
             1, "", "error: %s\n" % error)
+
+
+# -- never a traceback ----------------------------------------------------
+
+# small integers only, so that no header builds a prefix near the cap
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.floats(allow_nan=False) | st.text(max_size=8)
+    | st.sampled_from(F_SPECS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def export_edits(draw):
+    """A small export with one header field or one vertex field set to
+    another JSON value, or a small [layer, pos] pair; or its bytes from
+    the layer sizes on with a few runs replaced, mostly by JSON
+    punctuation, digits and letters (so num_layers stays 3)."""
+    obj = json.loads(CAP3_T3)
+    kind = draw(st.sampled_from(["header", "vertex", "bytes"]))
+    if kind == "header":
+        field = draw(st.sampled_from(["ell", "f_spec", "num_layers",
+                                      "layers", "vertices"]))
+        obj[field] = draw(json_values)
+    elif kind == "vertex":
+        rec = draw(st.sampled_from(obj["vertices"]))
+        pair = st.lists(st.integers(-1, 4), min_size=2, max_size=2)
+        field = draw(st.sampled_from(["layer", "pos", "parent", "up"]))
+        rec[field] = draw(json_values | pair | st.lists(pair, max_size=3))
+    else:
+        data = bytearray(CAP3_T3.encode())
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(CAP3_T3.index('"layers"'), len(data)))
+            cut = draw(st.integers(0, 3))
+            data[at:at + cut] = draw(
+                st.binary(max_size=3)
+                | st.text(alphabet='0123456789-,.:[]{}" aeflnrstu',
+                          max_size=3).map(str.encode))
+        return bytes(data)
+    return json.dumps(obj).encode()
+
+
+def nested(depth):
+    return ("[" * depth + "]" * depth).encode()
+
+
+inputs = st.one_of(
+    json_values.map(lambda v: json.dumps(v).encode()),
+    st.integers(1, 5000).map(nested),
+    export_edits(),
+    st.binary(max_size=64))
+
+
+def _assert_no_traceback(argv):
+    """Run the command in-process: exit 0 or 1, no exception, and on exit 1
+    either a failing report or exactly one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1), (argv, code, err)
+    if err.startswith("error: "):
+        assert code == 1 and out == "" and err.count("\n") == 1, err
+        return
+    report = json.loads(out)
+    if argv[0] == "verify":
+        passed = report["passed"]
+    else:
+        passed = report["verified"] and report.get(
+            "decomposition", {"valid": True})["valid"]
+    assert passed is (code == 0), (argv, code, err)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs)
+@example(nested(100_000))
+@example(b"\xff\xfe\x00")
+def test_never_a_traceback(data):
+    with tempfile.TemporaryDirectory() as d:
+        src = os.path.join(d, "in.json")
+        with open(src, "wb") as fh:
+            fh.write(data)
+        good = os.path.join(d, "p.json")
+        with open(good, "w") as fh:
+            fh.write(CAP3_T3)
+        if _assert_no_traceback(["verify", "--in", src]) == 0:
+            # a default verify passes only the record its header builds
+            p = WheelPrefix.from_json(data.decode())
+            ref = build_prefix(p.ell, p.f, p.num_layers)
+            assert (p.layer_sizes, p.up, p.parent) == \
+                (ref.layer_sizes, ref.up, ref.parent)
+        for argv in (["separate", "--in", src, "--emit-decomposition"],
+                     ["separate", "--in", good, "--target", src,
+                      "--emit-decomposition"]):
+            _assert_no_traceback(argv)

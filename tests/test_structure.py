@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from functools import lru_cache
 
@@ -9,8 +10,8 @@ from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
 from layered_wheels import structure as S
 from layered_wheels.functions import INF
 
-from conftest import (PREFIXES_300, doctored_records, expected_intersection,
-                      reference_spans, targets)
+from conftest import (PREFIXES_300, arbitrary_records, doctored_records,
+                      expected_intersection, reference_spans, targets)
 
 
 def random_vertical_path(prefix, start, end_layer, rng):
@@ -34,18 +35,68 @@ def test_clique_number_matches_f(prefixes_2000):
                                             p.num_layers)
 
 
-def test_induced_adjacency_of_every_vertex_is_the_prefix_adjacency(
-        prefix_68):
+def reference_induced_adjacency(prefix, X):
+    """G[X] cut out of the prefix adjacency: the definition that
+    ``induced_adjacency``, which reads the record, must meet."""
+    order = sorted(X)
+    index = {g: i for i, g in enumerate(order)}
+    adj = prefix.adjacency()
+    return order, [{index[u] for u in adj[g] if u in index} for g in order]
+
+
+def _assert_induced_adjacency_is_the_cut(p, X):
+    want = reference_induced_adjacency(p, X)
+    order, local = S.induced_adjacency(p, X)
+    assert (order, local) == want, sorted(X)
+    # the sets are the caller's: emptying them changes neither a later
+    # call nor the prefix adjacency
+    for s in local:
+        s.clear()
+    assert S.induced_adjacency(p, X) == want
+    assert reference_induced_adjacency(p, X) == want
+
+
+@st.composite
+def records_and_sets(draw):
+    """An arbitrary record and a vertex set of it: empty, one vertex,
+    every vertex or any subset."""
+    p = draw(arbitrary_records())
+    ids = st.integers(0, p.n_vertices - 1)
+    X = draw(st.one_of(st.just(frozenset()), ids.map(lambda g: {g}),
+                       st.just(frozenset(range(p.n_vertices))),
+                       st.frozensets(ids)))
+    return p, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(records_and_sets())
+def test_induced_adjacency_is_the_cut_of_the_adjacency(case):
+    _assert_induced_adjacency_is_the_cut(*case)
+
+
+def test_induced_adjacency_is_the_cut_on_built_prefixes():
+    rng = random.Random(0)
+    for p in PREFIXES_300:
+        if p.n_vertices > 120:
+            continue
+        n = p.n_vertices
+        sets = [frozenset(), frozenset(range(n))]
+        sets += [{g} for g in range(n)]
+        sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(20)]
+        for X in sets:
+            _assert_induced_adjacency_is_the_cut(p, X)
+
+
+def test_induced_adjacency_of_every_vertex_is_a_copy(prefix_68):
+    # every vertex gives the prefix adjacency, in new sets; the same
+    # vertices as the first four layers of the t=5 prefix give it too
     everything = frozenset(range(prefix_68.n_vertices))
     order, adj = S.induced_adjacency(prefix_68, everything)
     assert order == list(range(68))
-    assert adj is prefix_68.adjacency()
-    # the same vertices are the first four layers of the t=5 prefix, where
-    # the general path re-indexes them: the result is equal, not the same
+    assert adj == prefix_68.adjacency()
+    assert not any(map(operator.is_, adj, prefix_68.adjacency()))
     p5 = build_prefix(4, parse_f_spec("cap:3"), 5)
-    order5, local = S.induced_adjacency(p5, everything)
-    assert order5 == order
-    assert local == adj and local is not adj
+    assert S.induced_adjacency(p5, everything) == (order, adj)
 
 
 def test_hole_floor(prefixes_2000):

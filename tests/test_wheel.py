@@ -14,7 +14,8 @@ from layered_wheels.wheel import (SizeCapError, UnknownVertexError,
                                   _tiling_violation, canonical_violation,
                                   exported_prefix)
 
-from conftest import PREFIXES_300, reference_json, reference_spans
+from conftest import (PREFIXES_300, arbitrary_records, reference_json,
+                      reference_spans)
 
 
 def test_layer_sizes_ell4_cap3():
@@ -259,21 +260,6 @@ def test_up_closed_neighborhood_is_clique():
                 assert v in adj[u]
 
 
-@st.composite
-def arbitrary_records(draw):
-    """A record of 1- to 6-vertex layers whose up entries are any ids:
-    the vertex itself, its own layer, a later layer, or a repeat."""
-    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
-    n = sum(sizes)
-    p = WheelPrefix(4, parse_f_spec("identity"))
-    p.layer_sizes = sizes
-    p.offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    p.up = [tuple(draw(st.lists(st.integers(0, n - 1), max_size=4)))
-            for _ in range(n)]
-    p.parent = [-1] * n
-    return p
-
-
 def _assert_adjacent_is_the_adjacency(p):
     adj = p.adjacency()
     for u in range(p.n_vertices):
@@ -291,6 +277,38 @@ def test_adjacent_is_adjacency_membership_on_built_prefixes():
     for p in PREFIXES_300:
         if p.n_vertices <= 120:
             _assert_adjacent_is_the_adjacency(p)
+
+
+def _assert_children_are_the_adjacency_ones(p):
+    adj = p.adjacency()
+    for g in range(p.n_vertices):
+        want = sorted(u for u in adj[g] if p.parent[u] == g)
+        kids = p.children(g)
+        assert kids == want, p.loc(g)
+        kids.append(g)          # the list is the caller's
+        assert p.children(g) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_records())
+def test_children_are_the_neighbors_with_that_parent(p):
+    _assert_children_are_the_adjacency_ones(p)
+
+
+def test_children_are_the_neighbors_with_that_parent_on_built_prefixes():
+    for p in PREFIXES_300:
+        if p.n_vertices <= 120:
+            _assert_children_are_the_adjacency_ones(p)
+
+
+def test_children_follow_a_new_layer():
+    # the parent index is rebuilt when a layer is added
+    p = build_prefix(4, parse_f_spec("cap:3"), 3)
+    top = p.offsets[-1]
+    assert p.children(top) == []
+    p._extend(10 ** 4)
+    assert p.children(top)[0] == p.offsets[-1]
+    _assert_children_are_the_adjacency_ones(p)
 
 
 def test_verify_rules_pass_on_built_prefixes(prefixes_2000):
