@@ -18,7 +18,7 @@ import sys
 from . import structure, widths
 from .functions import INF, parse_f_spec
 from .wheel import (DEFAULT_SIZE_CAP, PIECE, SizeCapError, WheelPrefix,
-                    build_prefix, canonical_violation, exported_prefix,
+                    build_prefix, canonical_violation, read_export,
                     verify_rules)
 
 
@@ -76,38 +76,54 @@ def to_dot(prefix):
 
 def dot_pieces(prefix):
     """``to_dot`` in pieces of at most ``PIECE`` names or arc tails.
-    Upward neighbors must lie in earlier layers, as in a built prefix."""
+    Upward neighbors must lie in earlier layers, as in a built prefix.
+
+    Each piece is one join over the position strings of its vertices,
+    made once per piece: a rank piece joins them with the quoted layer
+    prefix between them, and a piece of arcs fills a list in five strides
+    (the constant tail prefix, the tail positions, the constant arrow,
+    the head positions, and the line end with the tail's upward arcs).
+    The upward arcs out of a vertex are gathered first as their heads'
+    ``' -> "layer_pos";\\n'`` lines, and get the tail's name put in
+    front of each arrow when their piece is joined."""
     yield "digraph wheel {\n  rankdir=TB;\n  node [shape=circle];\n"
     layers = list(enumerate(zip(prefix.offsets, prefix.layer_sizes), 1))
     for layer, (_, size) in layers:
-        name = '"%d_%%d"' % layer
+        q = '"%d_' % layer
         for a in range(0, size, PIECE):
-            yield (" " if a else "  { rank=same; ") + " ".join(
-                [name % pos for pos in range(a, min(a + PIECE, size))])
+            yield ((" " if a else "  { rank=same; ") + q
+                   + ('" ' + q).join(map(str, range(a, min(a + PIECE, size))))
+                   + '"')
         yield " }\n"
-    # arcs[g] = the upward arcs out of g as one string of ready-made
-    # lines; a tail lies in an earlier layer than its heads, never in the
-    # last, so only earlier layers get a name
-    names = []                 # names[g] = the DOT name of g
+    # arcs[g] = the heads of the upward arcs out of g, as lines without
+    # their tail; a head's line is made once, for all of its tails
+    up = prefix.up
     arcs = [""] * prefix.n_vertices
     for layer, (start, size) in layers:
-        line = '  %%s -> "%d_%%d";\n' % layer
-        for pos, ups in enumerate(prefix.up[start:start + size]):
-            for w in ups:
-                arcs[w] += line % (names[w], pos)
-        if layer < prefix.num_layers:
-            names += ['"%d_%d"' % (layer, pos) for pos in range(size)]
+        line = ' -> "%d_%%d";\n' % layer
+        ups = up[start:start + size]
+        for h in itertools.compress(range(size), ups):
+            head = line % h
+            for w in ups[h]:
+                arcs[w] += head
     # arcs in sorted (tail, head) order: the cycle successor of u lies in
     # u's own layer and every upward head in a later one, so it comes first
     for layer, (start, size) in layers:
-        cycle = '  "%d_%%d" -> "%d_%%d";\n' % (layer, layer)
+        q = '  "%d_' % layer
+        arrow = '" -> "%d_' % layer
         for a in range(0, size, PIECE):
             b = min(a + PIECE, size)
-            lines = [cycle % (pos, pos + 1) for pos in range(a, b)]
+            pos = list(map(str, range(a, b + 1)))
             if b == size:      # the last vertex's arc wraps to position 0
-                lines[-1] = cycle % (size - 1, 0)
-            yield "".join([arc + tail for arc, tail in
-                           zip(lines, arcs[start + a:start + b])])
+                pos[-1] = "0"
+            out = arcs[start + a:start + b]
+            for j in itertools.compress(range(b - a), out):
+                out[j] = out[j].replace(" -> ", q + pos[j] + '" -> ')
+            parts = [q, None, arrow, None, None] * (b - a)
+            parts[1::5] = pos[:-1]
+            parts[3::5] = pos[1:]
+            parts[4::5] = map('";\n'.__add__, out)
+            yield "".join(parts)
     yield "}\n"
 
 
@@ -190,14 +206,16 @@ def _write(path, pieces):
 
 
 def _load_prefix(path):
-    """The prefix in the JSON file at path, and whether the file is byte
-    for byte its ``lwheel build`` export.  Any other file is parsed."""
+    """The prefix in the JSON file at path, and the prefix its header
+    builds (``read_export``) or None.  They are one object when the file
+    is byte for byte its ``lwheel build`` export; any other file is
+    parsed."""
     with open(path) as fh:
         text = fh.read()
-    prefix = exported_prefix(text)
-    if prefix is not None:
-        return prefix, True
-    return WheelPrefix.from_json(text), False
+    built, exact = read_export(text)
+    if exact:
+        return built, built
+    return WheelPrefix.from_json(text), built
 
 
 def _load_target(prefix, path):
@@ -244,7 +262,7 @@ CHECKS = ("rules", "canonical", "holes", "clique", "minor")
 
 def cmd_verify(args):
     selected = [name for name in CHECKS if getattr(args, name)] or CHECKS
-    prefix, exact = _load_prefix(args.infile)
+    prefix, built = _load_prefix(args.infile)
     report = {"n": prefix.n_vertices, "num_layers": prefix.num_layers,
               "checks": {}}
     ok = True
@@ -255,8 +273,10 @@ def cmd_verify(args):
         ok &= rr["passed"]
     if "canonical" in selected:
         # a file equal to the export of build_prefix(ell, f, t) is that
-        # prefix, a stronger proof than comparing the parsed lists
-        detail = None if exact else canonical_violation(prefix)
+        # prefix, a stronger proof than comparing the parsed lists; any
+        # other file is compared with its header's build, when it has one
+        detail = None if prefix is built else canonical_violation(prefix,
+                                                                   built)
         report["checks"]["canonical"] = {"passed": detail is None,
                                          "detail": detail or ""}
         ok &= detail is None

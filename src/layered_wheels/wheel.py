@@ -82,7 +82,7 @@ class WheelPrefix:
         self.parent = []
         self._adj = None
         self._layer = None         # _layer[g] = layer of g (built on use)
-        self._kids = None          # the ids sorted by parent (built on use)
+        self._kids = None          # ids with a parent, by parent (on use)
 
     # -- indexing ---------------------------------------------------------
 
@@ -125,10 +125,13 @@ class WheelPrefix:
 
     def children(self, g):
         """The neighbors of g whose parent is g, in position order, read
-        off the record: an index of the ids by parent, and ``adjacent``."""
+        off the record: an index of the ids that have a parent, by parent,
+        and ``adjacent``."""
         by_parent = self.parent.__getitem__
         if self._kids is None:
-            self._kids = sorted(range(self.n_vertices), key=by_parent)
+            self._kids = sorted(compress(range(self.n_vertices),
+                                         map((-1).__lt__, self.parent)),
+                                key=by_parent)
         lo = bisect_left(self._kids, g, key=by_parent)
         hi = bisect_right(self._kids, g, lo, key=by_parent)
         return [u for u in self._kids[lo:hi] if self.adjacent(g, u)]
@@ -183,40 +186,48 @@ class WheelPrefix:
     # -- construction -----------------------------------------------------
 
     def _extend(self, size_cap):
-        i = self.num_layers
-        fi1 = self.f(i + 1)
-        ell = self.ell
-        top = list(self.layer_range(i))
+        """Grow layer i+1 under the top layer i.  A vertex v whose up list
+        is full, f(i+1)-1 long, gets f(i+1)-1 blocks, each dropping one
+        entry; any other v gets one block.  A block is ell-2 vertices: the
+        first has parent v and up list v's (less the dropped entry) plus v,
+        the ell-3 after it neither.
 
-        # a full up list gives f(i+1)-1 blocks of ell-2 vertices, any
-        # shorter list one block
-        new_size = 0
-        for v in top:
-            m = len(self.up[v])
-            if m > fi1 - 1:
-                raise ConstructionError(
-                    "vertex %s has %d upward neighbors but f(%d)-1 = %d"
-                    % (self.loc(v), m, i + 1, fi1 - 1))
-            new_size += (fi1 - 1) * (ell - 2) if m == fi1 - 1 else ell - 2
+        The layer size is counted from the up list lengths, and the cap
+        checked, before any list grows.  Then the lists grow by ell-2
+        entries per block, empty tuples and -1s, and the block-first up
+        tuples and their owners go in by one extended-slice assignment
+        each, at stride ell-2."""
+        i = self.num_layers
+        full = self.f(i + 1) - 1
+        ell = self.ell
+        top = self.layer_range(i)
+        up, parent = self.up, self.parent
+        top_ups = up[top.start:top.stop]
+        lens = list(map(len, top_ups))
+        if max(lens) > full:
+            j = next(j for j, m in enumerate(lens) if m > full)
+            raise ConstructionError(
+                "vertex %s has %d upward neighbors but f(%d)-1 = %d"
+                % (self.loc(top[j]), lens[j], i + 1, full))
+        new_size = (len(lens) + lens.count(full) * (full - 1)) * (ell - 2)
         _check_size_cap(i + 1, self.n_vertices + new_size, size_cap)
 
-        self.offsets.append(self.n_vertices)
-        self.layer_sizes.append(new_size)
-        up, parent = self.up, self.parent
-        # the ell - 3 vertices after each block's first share the empty tuple
-        pad_up, pad_parent = ((),) * (ell - 3), (-1,) * (ell - 3)
-        for v in top:
-            upv = up[v]
-            if len(upv) < fi1 - 1:
-                blocks = [upv + (v,)]
+        firsts, owners = [], []
+        for v, upv in zip(top, top_ups):
+            if len(upv) < full:
+                firsts.append(upv + (v,))
+                owners.append(v)
             else:
-                blocks = [upv[:j] + upv[j + 1:] + (v,)
-                          for j in range(len(upv))]
-            for first_up in blocks:
-                up.append(first_up)
-                parent.append(v)
-                up += pad_up
-                parent += pad_parent
+                for j in range(full):
+                    firsts.append(upv[:j] + upv[j + 1:] + (v,))
+                owners += [v] * full
+        base = self.n_vertices
+        self.offsets.append(base)
+        self.layer_sizes.append(new_size)
+        up += repeat((), new_size)
+        up[base::ell - 2] = firsts
+        parent += repeat(-1, new_size)
+        parent[base::ell - 2] = owners
         self._adj = self._layer = self._kids = None
 
     # -- serialization ----------------------------------------------------
@@ -235,32 +246,53 @@ class WheelPrefix:
         vertices of earlier layers get a name: parents and upward
         neighbors lie there in a built prefix (rules 3 to 5), so the last
         layer is never named.  A record that refers to its own or a later
-        layer raises IndexError."""
+        layer raises IndexError.
+
+        A piece is one join of a list in three strides: the layer's
+        constant record head, the position strings of the piece (made
+        once, and reused for the layer's names), and the record tails.
+        The tails start as the constant tail of a record with neither a
+        parent nor an upward neighbor; only the other records are
+        formatted one by one."""
         yield ('{"ell": %d, "f_spec": %s, "num_layers": %d, "layers": [%s], '
                '"vertices": ['
                % (self.ell, json.dumps(self.f.descriptor), self.num_layers,
                   ", ".join(map(str, self.layer_sizes))))
         up, parent = self.up, self.parent
+        n = self.n_vertices
         names = []                 # names[g] = "[layer, pos]" of g
-        sep = ""
+        name = names.__getitem__
         for layer, (start, size) in enumerate(
                 zip(self.offsets, self.layer_sizes), 1):
-            record = '{"layer": %d, "pos": %%d, "parent": %%s, "up": [%%s]}' \
-                % layer
-            # most records have neither a parent nor an upward neighbor
-            empty = '{"layer": %d, "pos": %%d, "parent": null, "up": []}' \
-                % layer
+            head = '{"layer": %d, "pos": ' % layer
+            pre = "[%d, " % layer
+            own = []               # this layer's names, kept out of names
             for a in range(start, start + size, PIECE):
                 b = min(a + PIECE, start + size)
-                yield sep + ", ".join([
-                    empty % pos if p < 0 and not ups else
-                    record % (pos, names[p] if p >= 0 else "null",
-                              ", ".join([names[w] for w in ups]))
-                    for pos, p, ups in zip(range(a - start, b - start),
-                                           parent[a:b], up[a:b])])
-                sep = ", "
-            if layer < self.num_layers:
-                names += ["[%d, %d]" % (layer, pos) for pos in range(size)]
+                k = b - a
+                pos = list(map(str, range(a - start, b - start)))
+                ups, ps = up[a:b], parent[a:b]
+                tails = [', "parent": null, "up": []}, '] * k
+                rows = compress(range(k), ups)
+                owned = list(compress(ps, ups))
+                if len(owned) - owned.count(-1) != k - ps.count(-1):
+                    # a parent with no upward neighbor, which no built
+                    # prefix has: every record with either is formatted
+                    rows = [j for j in range(k) if ups[j] or ps[j] >= 0]
+                for j in rows:
+                    p = ps[j]
+                    tails[j] = ', "parent": %s, "up": [%s]}, ' % (
+                        names[p] if p >= 0 else "null",
+                        ", ".join(map(name, ups[j])))
+                if b == n:         # no separator after the last record
+                    tails[-1] = tails[-1][:-2]
+                parts = [head, None, None] * k
+                parts[1::3] = pos
+                parts[2::3] = tails
+                yield "".join(parts)
+                if layer < self.num_layers:
+                    own += map("%s]".__mod__, map(pre.__add__, pos))
+            names += own
         yield "]}"
 
     @classmethod
@@ -376,43 +408,55 @@ def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
     return prefix
 
 
-def exported_prefix(text):
-    """``build_prefix(ell, f, t)`` when the text is exactly its JSON export,
-    ``to_json`` with or without a final newline, else None.
+def read_export(text):
+    """The prefix that the header of the text builds, and whether the text
+    is exactly that prefix's JSON export, ``to_json`` with or without a
+    final newline.
 
     Only the header, the text before the vertex list, is parsed; its ell,
-    f_spec and num_layers build the prefix at the default cap, and the
-    export is compared with the text piece by piece, stopping at the first
-    piece that differs.  A header that does not build gives None."""
+    f_spec and num_layers give ``build_prefix(ell, f, t)`` at the default
+    cap, and the export is compared with the text piece by piece,
+    stopping at the first piece that differs.  A header that does not
+    build gives (None, False)."""
     head, sep, _ = text.partition(', "vertices": [')
     if not sep:
-        return None
+        return None, False
     try:
         obj = json.loads(head + "}")
         prefix = build_prefix(obj["ell"], parse_f_spec(obj["f_spec"]),
                               obj["num_layers"])
     except _MALFORMED + (SizeCapError, ConstructionError):
-        return None
+        return None, False
     at = 0
     for piece in prefix.json_pieces():
         if not text.startswith(piece, at):
-            return None
+            return prefix, False
         at += len(piece)
-    return prefix if text[at:] in ("", "\n") else None
+    return prefix, text[at:] in ("", "\n")
 
 
-def canonical_violation(prefix):
+def exported_prefix(text):
+    """``build_prefix(ell, f, t)`` when the text is exactly its JSON export,
+    else None (``read_export``)."""
+    prefix, exact = read_export(text)
+    return prefix if exact else None
+
+
+def canonical_violation(prefix, built=None):
     """None when the record is ``build_prefix(ell, f, t)`` for its own ell,
     f and t, else the first difference, naming the vertex as (layer, pos)
     and the field.
 
-    The construction grows one layer at a time, as ``build_prefix`` grows
-    it, and each layer is compared with the record's as soon as it is
-    built: first its size, then its up lists and parents as list slices.
-    A layer whose size differs is named at the first position only one
-    side holds; a layer that would take the construction past the
-    record's size or the default cap, the larger, counts as one.  Only a
-    layer whose lists differ is scanned vertex by vertex.
+    ``built``, when it is ``build_prefix`` of the record's own ell, f and
+    t (say, the prefix ``read_export`` built from the file's header), is
+    the construction compared with.  Otherwise the construction grows one
+    layer at a time, as ``build_prefix`` grows it.  Each layer is
+    compared with the record's in turn: first its size, then its up lists
+    and parents as list slices.  A layer whose size differs is named at
+    the first position only one side holds; a layer that would take the
+    construction past the record's size or the default cap, the larger,
+    counts as one.  Only a layer whose lists differ is scanned vertex by
+    vertex.
     """
     ell, f, t = prefix.ell, prefix.f, prefix.num_layers
     up, parent = prefix.up, prefix.parent
@@ -421,22 +465,29 @@ def canonical_violation(prefix):
 
     def where(p, g):
         return p.loc(g) if g >= 0 else None
-    ref = None
+    # every layer of ``built`` lies under the default cap, so the grown
+    # construction would reach each of them too
+    grow = built is None or (built.ell, built.f.descriptor,
+                             built.num_layers) != (ell, f.descriptor, t)
+    ref = None if grow else built
     for layer, size in enumerate(prefix.layer_sizes, 1):
-        try:
-            if ref is None:
-                ref = build_prefix(ell, f, 1, size_cap=cap)
-            else:
-                ref._extend(cap)
-        except SizeCapError:
-            return "vertex %s: layer %d holds %d vertices, where the layer " \
-                   "of %s passes %d" % ((layer, size), layer, size, name, cap)
-        ref_size = ref.layer_sizes[-1]
+        if grow:
+            try:
+                if ref is None:
+                    ref = build_prefix(ell, f, 1, size_cap=cap)
+                else:
+                    ref._extend(cap)
+            except SizeCapError:
+                return "vertex %s: layer %d holds %d vertices, where the " \
+                       "layer of %s passes %d" % ((layer, size), layer, size,
+                                                  name, cap)
+        ref_size = ref.layer_sizes[layer - 1]
         if ref_size != size:
             return "vertex %s: layer %d holds %d vertices, where %s has " \
                    "%d" % ((layer, min(size, ref_size)), layer, size, name,
                            ref_size)
-        lo, hi = ref.offsets[-1], ref.n_vertices
+        lo = ref.offsets[layer - 1]
+        hi = lo + ref_size
         if up[lo:hi] == ref.up[lo:hi] and parent[lo:hi] == ref.parent[lo:hi]:
             continue
         for g in range(lo, hi):

@@ -9,6 +9,7 @@ from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
 from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
+from layered_wheels.wheel import ConstructionError, SizeCapError
 from layered_wheels.widths import TreeDecomposition
 
 
@@ -59,6 +60,44 @@ def arbitrary_records(draw):
     p.parent = draw(st.lists(st.integers(-1, n - 1), min_size=n,
                              max_size=n))
     return p
+
+
+def reference_extend(prefix, size_cap):
+    """``WheelPrefix._extend`` one vertex and one block at a time: the
+    layer size counted vertex by vertex, then each block's first vertex
+    and its ell-3 empty ones appended in turn.  The oracle for the
+    slice-filled construction."""
+    i = prefix.num_layers
+    fi1 = prefix.f(i + 1)
+    ell = prefix.ell
+    top = list(prefix.layer_range(i))
+    new_size = 0
+    for v in top:
+        m = len(prefix.up[v])
+        if m > fi1 - 1:
+            raise ConstructionError(
+                "vertex %s has %d upward neighbors but f(%d)-1 = %d"
+                % (prefix.loc(v), m, i + 1, fi1 - 1))
+        new_size += (fi1 - 1) * (ell - 2) if m == fi1 - 1 else ell - 2
+    if prefix.n_vertices + new_size > size_cap:
+        raise SizeCapError("layer %d would bring the prefix to %d vertices "
+                           "(cap %d)" % (i + 1, prefix.n_vertices + new_size,
+                                         size_cap))
+    prefix.offsets.append(prefix.n_vertices)
+    prefix.layer_sizes.append(new_size)
+    up, parent = prefix.up, prefix.parent
+    for v in top:
+        upv = up[v]
+        if len(upv) < fi1 - 1:
+            blocks = [upv + (v,)]
+        else:
+            blocks = [upv[:j] + upv[j + 1:] + (v,) for j in range(len(upv))]
+        for first_up in blocks:
+            up.append(first_up)
+            parent.append(v)
+            up += ((),) * (ell - 3)
+            parent += (-1,) * (ell - 3)
+    prefix._adj = prefix._layer = prefix._kids = None
 
 
 def reference_spans(prefix):

@@ -18,10 +18,10 @@ from layered_wheels import (WheelPrefix, build_prefix, parse_f_spec,
                             verify_rules)
 from layered_wheels import cli, kernels, structure, widths
 from layered_wheels.cli import main, to_dot, to_graph6
-from layered_wheels.wheel import PIECE
+from layered_wheels.wheel import PIECE, canonical_violation
 
 from conftest import (PREFIXES_300, doctored_records, reference_dot,
-                      reference_separate_report, targets)
+                      reference_json, reference_separate_report, targets)
 
 
 def run(capsys, *argv):
@@ -207,6 +207,74 @@ def test_dot_has_layer_ranks():
     dot = to_dot(p)
     assert dot.count("rank=same") == 2
     assert '"1_0" -> "1_1"' in dot
+
+
+def _piece_edge_record(size, third):
+    """A hand-made record whose layer 2 holds ``size`` vertices, with
+    records at both ends of its pieces: some with a parent and an up
+    list, one with a parent only and one with an up list only.  With
+    ``third``, a 5-vertex layer 3 names layer 2 at its piece edges and
+    ends on a record with an up list; else layer 2 is the last."""
+    p = WheelPrefix(4, parse_f_spec("cap:3"))
+    p.layer_sizes = [4, size] + ([5] if third else [])
+    p.offsets = [0, 4, 4 + size][:len(p.layer_sizes)]
+    n = sum(p.layer_sizes)
+    p.up = [()] * n
+    p.parent = [-1] * n
+    for pos in (0, 1, PIECE - 1, PIECE, size - 1):
+        if pos < size:
+            p.up[4 + pos] = (pos % 4,)
+            p.parent[4 + pos] = pos % 4
+    p.parent[4 + 2] = 1                  # a parent, no up list
+    p.up[4 + 3] = (2,)                   # an up list, no parent
+    if third:
+        top = 4 + size
+        edge = 4 + min(PIECE, size - 1)
+        p.up[top] = (0, 4 + PIECE - 1)
+        p.parent[top] = 4 + PIECE - 1
+        p.up[top + 1] = (edge,)
+        p.parent[top + 2] = 4 + size - 1
+        p.up[top + 4] = (3, 4 + size - 1)
+        p.parent[top + 4] = 4 + size - 1
+    return p
+
+
+# a DOT cycle arc: its tail and head lie in one layer
+CYCLE_ARC = re.compile(r'"(\d+)_\d+" -> "\1_\d+"')
+
+
+@pytest.mark.parametrize("third", [False, True], ids=["two", "three"])
+@pytest.mark.parametrize("size", [PIECE, PIECE + 1, 2 * PIECE])
+def test_writers_at_the_piece_edges(size, third):
+    # the last cycle arc wraps at a piece edge, and at PIECE + 1 the last
+    # piece of layer 2 holds one record
+    p = _piece_edge_record(size, third)
+    # compared first, so that a failure does not diff two long texts
+    same_json = p.to_json() == reference_json(p)
+    same_dot = to_dot(p) == reference_dot(p)
+    assert same_json and same_dot
+    records = [piece.count('{"layer": ') for piece in p.json_pieces()]
+    assert max(records) <= PIECE and sum(records) == p.n_vertices
+    for piece in cli.dot_pieces(p):
+        if " -> " in piece:
+            assert len(CYCLE_ARC.findall(piece)) <= PIECE
+        else:
+            assert piece.count('"') // 2 <= PIECE
+
+
+@pytest.mark.parametrize("field", ["up", "parent"])
+def test_json_writer_refuses_a_name_in_its_own_layer(field):
+    # layer 2's names are made piece by piece but kept back until the
+    # layer is written, so a record past the first piece cannot name a
+    # vertex of the first
+    p = _piece_edge_record(PIECE + 1, True)
+    g = 4 + PIECE
+    if field == "up":
+        p.up[g] = (0, 4)
+    else:
+        p.parent[g] = 4
+    with pytest.raises(IndexError):
+        p.to_json()
 
 
 def test_verify_pass_and_exit_zero(tmp_path, capsys):
@@ -920,13 +988,53 @@ def test_reports_identical_for_the_export_and_a_relaid_copy(tmp_path,
     relaid = tmp_path / "relaid.json"
     for p in PREFIXES_300:
         exact.write_text(p.to_json() + "\n")
-        assert cli._load_prefix(exact)[1]
+        prefix, built = cli._load_prefix(exact)
+        assert prefix is built
         want = _reports(capsys, exact)
         text = json.dumps(json.loads(p.to_json()), indent=1)
         for copy in (text, text + "\n"):
             relaid.write_text(copy)
-            assert not cli._load_prefix(relaid)[1]
+            assert cli._load_prefix(relaid)[1] is None
             assert _reports(capsys, relaid) == want
+
+
+def _edited_export(p, tail=""):
+    """The export of p with its last record's up list replaced, and
+    ``tail`` put before the closing brace."""
+    obj = json.loads(p.to_json())
+    obj["vertices"][-1]["up"] = [[1, 0]]
+    return json.dumps(obj)[:-1] + tail + "}\n"
+
+
+@pytest.mark.parametrize("tail, builds", [
+    ("", 1),
+    # a later duplicate key, which json.loads keeps, gives the record
+    # another f than the header: the header's build is not handed over
+    (', "f_spec": "cap:4"', 2),
+], ids=["edited", "duplicate-f_spec"])
+def test_verify_of_an_edited_export_builds_the_prefix_once(
+        tmp_path, capsys, monkeypatch, tail, builds):
+    # the prefix the header builds is handed to the canonical check, so
+    # a file that differs from the export in its last record costs one
+    # construction, and the detail is the layer-by-layer one
+    text = _edited_export(build_prefix(4, parse_f_spec("cap:3"), 6), tail)
+    want = canonical_violation(WheelPrefix.from_json(text))
+    src = tmp_path / "edited.json"
+    src.write_text(text)
+    grown = []
+    extend = WheelPrefix._extend
+
+    def counted(self, size_cap):
+        grown.append(self.num_layers + 1)
+        return extend(self, size_cap)
+    monkeypatch.setattr(WheelPrefix, "_extend", counted)
+    code, out, _ = run(capsys, "verify", "--in", str(src))
+    assert code == 1
+    assert json.loads(out)["checks"]["canonical"] == {
+        "passed": False, "detail": want}
+    starts = [i for i, layer in enumerate(grown) if layer == 2]
+    assert len(starts) == builds
+    assert grown[:5] == [2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("field, value, error", [

@@ -10,12 +10,12 @@ from layered_wheels import (
     parse_f_spec,
     verify_rules,
 )
-from layered_wheels.wheel import (SizeCapError, UnknownVertexError,
-                                  _tiling_violation, canonical_violation,
-                                  exported_prefix)
+from layered_wheels.wheel import (ConstructionError, SizeCapError,
+                                  UnknownVertexError, _tiling_violation,
+                                  canonical_violation, exported_prefix)
 
-from conftest import (PREFIXES_300, arbitrary_records, reference_json,
-                      reference_spans)
+from conftest import (PREFIXES_300, arbitrary_records, reference_extend,
+                      reference_json, reference_spans)
 
 
 def test_layer_sizes_ell4_cap3():
@@ -219,6 +219,54 @@ def test_exported_prefix_is_none_for_a_header_that_does_not_build(field,
     obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 3).to_json())
     obj[field] = value
     assert exported_prefix(json.dumps(obj)) is None
+
+
+def _lists(p):
+    """Copies of the four lists a construction step grows."""
+    return [list(p.up), list(p.parent), list(p.offsets), list(p.layer_sizes)]
+
+
+@pytest.mark.parametrize("spec", ["identity", "cap:3", "cap:4",
+                                  "table:1,2,3,3,4", "cumulative:poly:2",
+                                  "question84:poly:2"])
+@pytest.mark.parametrize("ell", [4, 5, 6, 7])
+def test_extend_matches_the_per_vertex_reference(ell, spec):
+    # layer by layer up to a 5,000-vertex cap, then the same refusal,
+    # which leaves the four lists as they were
+    f = parse_f_spec(spec)
+    p, q = build_prefix(ell, f, 1), build_prefix(ell, f, 1)
+    while True:
+        try:
+            reference_extend(q, 5000)
+        except SizeCapError as exc:
+            want = str(exc)
+            break
+        p._extend(5000)
+        assert _lists(p) == _lists(q)
+    before = _lists(p)
+    with pytest.raises(SizeCapError) as got:
+        p._extend(5000)
+    assert str(got.value) == want
+    assert _lists(p) == before
+
+
+@pytest.mark.parametrize("ell", [4, 6])
+def test_extend_refuses_an_overfull_up_list_like_the_reference(ell):
+    # two top-layer vertices with f(4) > f(4)-1 upward entries: the first
+    # is named, and no list grows
+    f = parse_f_spec("cap:4")
+    p, q = build_prefix(ell, f, 3), build_prefix(ell, f, 3)
+    for r in (p, q):
+        r.up[r.offsets[-1] + 1] = (0, 1, 2, 3)
+        r.up[r.offsets[-1] + 2] = (0, 1, 2, 3, 4)
+    with pytest.raises(ConstructionError) as want:
+        reference_extend(q, 10 ** 6)
+    before = _lists(p)
+    with pytest.raises(ConstructionError) as got:
+        p._extend(10 ** 6)
+    assert str(got.value) == str(want.value)
+    assert "vertex (3, 1) has 4 upward neighbors" in str(got.value)
+    assert _lists(p) == before
 
 
 def test_layer_of_bounds_and_extend():
