@@ -30,17 +30,11 @@ _G6_OFFSET = bytes((b + 63) % 256 for b in range(256))
 _G6_PIECE = 1 << 16
 
 
-def to_graph6(n, edges):
-    """Standard graph6 encoding of the underlying undirected graph: the
-    join of ``graph6_pieces``."""
-    return "".join(graph6_pieces(n, edges))
-
-
 def graph6_pieces(n, edges):
-    """``to_graph6`` as its header, body pieces of at most ``_G6_PIECE``
-    bytes and the final newline.  A repeated pair sets its bit again and
-    changes nothing.  Too many vertices raise ValueError here, before any
-    piece is made."""
+    """Standard graph6 encoding of the underlying undirected graph, as its
+    header, body pieces of at most ``_G6_PIECE`` bytes and the final
+    newline.  A repeated pair sets its bit again and changes nothing.  Too
+    many vertices raise ValueError here, before any piece is made."""
     if n <= 62:
         head = chr(n + 63)
     elif n <= 258047:
@@ -310,7 +304,7 @@ def cmd_verify(args):
 
 
 def cmd_separate(args):
-    prefix, _ = _load_prefix(args.infile)
+    prefix = _load_prefix(args.infile)[0]
     if args.target == "all":
         X = frozenset(range(prefix.n_vertices))
     else:

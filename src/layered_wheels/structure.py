@@ -259,14 +259,15 @@ def transversal_chordality_check(prefix, X):
             raise ValueError(
                 "transversal has two vertices in layer %d" % l)
         layers[l] = g
-    adj = prefix.adjacency()
+    adjacent = prefix.adjacent
     remaining = set(X)
     order = []
     ok = True
     for l in sorted(layers, reverse=True):
         v = layers[l]
-        nb = [u for u in adj[v] if u in remaining and u != v]
-        if any(b not in adj[a] for i, a in enumerate(nb) for b in nb[i + 1:]):
+        nb = [u for u in remaining if u != v and adjacent(v, u)]
+        if any(not adjacent(a, b) for i, a in enumerate(nb)
+               for b in nb[i + 1:]):
             ok = False
             break
         order.append(v)
@@ -299,16 +300,11 @@ def augmenting_child(prefix, v, X):
                 kids[0])
 
 
-def augmenting_path(prefix, v, X, chooser_cache):
-    """The augmenting path out of v, truncated at the highest layer that
-    meets X (and at the top of the prefix); ``chooser_cache`` holds the
-    augmenting children already found for this X."""
-    # global ids run layer by layer, so the largest id has the top layer
-    t_max = min(prefix.num_layers, prefix.layer_of(max(X) if X else v))
-    return _chain(prefix, v, X, t_max, chooser_cache)
-
-
-def _chain(prefix, v, X, t_max, cache):
+def augmenting_path(prefix, v, X, t_max, cache):
+    """The augmenting path out of v, each vertex followed by its
+    ``augmenting_child``, up to layer t_max (just [v] when v lies at or
+    above it); ``cache`` holds the augmenting children already found for
+    this X."""
     path = [v]
     for _ in range(prefix.layer_of(v), t_max):
         if v not in cache:
@@ -433,9 +429,12 @@ def balanced_separation(prefix, X):
 
     cache = {}
     order = sorted(X)
+    # the paths run to the top layer that meets X: global ids run layer by
+    # layer, so the largest id lies in it
+    t_max = prefix.layer_of(order[-1])
     # augmenting paths out of two non-adjacent first-layer vertices
-    P = augmenting_path(prefix, prefix.vid(1, 0), X, cache)
-    Q = augmenting_path(prefix, prefix.vid(1, 2), X, cache)
+    P = augmenting_path(prefix, prefix.vid(1, 0), X, t_max, cache)
+    Q = augmenting_path(prefix, prefix.vid(1, 2), X, t_max, cache)
     P, Q, sep = _fair_pair(prefix, ((P, Q), (Q, P)), order)
     i = 1              # the base layer, layer_of(P[0])
     iterations = 0
@@ -453,8 +452,8 @@ def balanced_separation(prefix, X):
             i += 1
             sep = build_AB(prefix, P, Q, order)
         else:
-            R = [prefix.parent[u]] + _chain(prefix, u, X, i + len(P) - 1,
-                                            cache)
+            R = [prefix.parent[u]] + augmenting_path(prefix, u, X, t_max,
+                                                     cache)
             P, Q, sep = _fair_pair(prefix, ((P, R), (R, Q)), order)
     aug_ok = all(_is_augmenting(prefix, v, u, X)
                  for path in (P, Q) for v, u in zip(path[1:], path[2:]))

@@ -80,7 +80,6 @@ class WheelPrefix:
         self.offsets = []          # offsets[i] = global id of (i+1, 0)
         self.up = []
         self.parent = []
-        self._adj = None
         self._layer = None         # _layer[g] = layer of g (built on use)
         self._kids = None          # ids with a parent, by parent (on use)
 
@@ -95,7 +94,7 @@ class WheelPrefix:
         return len(self.up)
 
     def vid(self, layer, pos):
-        if not (1 <= layer <= self.num_layers
+        if not (1 <= layer <= len(self.layer_sizes)
                 and 0 <= pos < self.layer_sizes[layer - 1]):
             raise UnknownVertexError("no vertex %r in the prefix"
                                      % ((layer, pos),))
@@ -139,22 +138,21 @@ class WheelPrefix:
     # -- graph views ------------------------------------------------------
 
     def adjacency(self):
-        """Undirected adjacency as a list of sets (cached)."""
-        if self._adj is None:
-            adj = [set() for _ in range(self.n_vertices)]
-            for start, size in zip(self.offsets, self.layer_sizes):
-                last = start + size - 1
-                for g in range(start, last):
-                    adj[g].add(g + 1)
-                    adj[g + 1].add(g)
-                adj[last].add(start)
-                adj[start].add(last)
-            for v in range(self.n_vertices):
-                for w in self.up[v]:
-                    adj[v].add(w)
-                    adj[w].add(v)
-            self._adj = adj
-        return self._adj
+        """Undirected adjacency as a new list of sets, the caller's to keep;
+        the prefix stores none, so an edited record is never stale."""
+        adj = [set() for _ in range(self.n_vertices)]
+        for start, size in zip(self.offsets, self.layer_sizes):
+            last = start + size - 1
+            for g in range(start, last):
+                adj[g].add(g + 1)
+                adj[g + 1].add(g)
+            adj[last].add(start)
+            adj[start].add(last)
+        for v in range(self.n_vertices):
+            for w in self.up[v]:
+                adj[v].add(w)
+                adj[w].add(v)
+        return adj
 
     def edges(self):
         """Every edge as a pair of global ids, read from the layer cycles
@@ -228,7 +226,7 @@ class WheelPrefix:
         up[base::ell - 2] = firsts
         parent += repeat(-1, new_size)
         parent[base::ell - 2] = owners
-        self._adj = self._layer = self._kids = None
+        self._layer = self._kids = None
 
     # -- serialization ----------------------------------------------------
 
@@ -335,18 +333,16 @@ class WheelPrefix:
             off += size
         if n != off:
             raise ValueError("vertex list does not match layer sizes")
-        t = len(sizes)
+        prefix.layer_sizes = sizes
+        prefix.offsets = offsets
 
         def vertex_id(entry):
-            # the bounds check of vid, on a [layer, pos] pair of the file
+            # a [layer, pos] pair of the file, bounds checked by vid
             layer, pos = entry
             if type(layer) is not int or type(pos) is not int:
                 raise ValueError("not an integer coordinate: %s"
                                  % json.dumps(entry))
-            if not (1 <= layer <= t and 0 <= pos < sizes[layer - 1]):
-                raise UnknownVertexError("no vertex %r in the prefix"
-                                         % ((layer, pos),))
-            return offsets[layer - 1] + pos
+            return prefix.vid(layer, pos)
 
         up = []
         parent = [-1] * n
@@ -381,8 +377,6 @@ class WheelPrefix:
                 except _MALFORMED as exc:
                     raise _field_error("vertex %d" % g, field, exc) from None
                 g += 1
-        prefix.layer_sizes = sizes
-        prefix.offsets = offsets
         prefix.up = up
         prefix.parent = parent
         return prefix
@@ -433,13 +427,6 @@ def read_export(text):
             return prefix, False
         at += len(piece)
     return prefix, text[at:] in ("", "\n")
-
-
-def exported_prefix(text):
-    """``build_prefix(ell, f, t)`` when the text is exactly its JSON export,
-    else None (``read_export``)."""
-    prefix, exact = read_export(text)
-    return prefix if exact else None
 
 
 def canonical_violation(prefix, built=None):

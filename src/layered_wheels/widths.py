@@ -300,7 +300,7 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
     For each c <= c_max, takes the smallest k with F(k) >= ck, builds the
     t = F(k)-layer prefix and certifies ta >= ceil(t/k) >= c next to the
     finite formula value.  Rows with the same t share one prefix, which is
-    built and certified once.
+    built and certified once, and a t past the size cap is tried once.
     """
     if c_max < 1:
         raise ValueError("c_max must be >= 1, got %d" % c_max)
@@ -309,7 +309,9 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
     F = f.cumulative()
     rows = []
     ok = True
-    certified = {}   # t -> (verdict without the c test, row fields)
+    # t -> (verdict without the c test, row fields), or (None, the
+    # size-cap fields) for a t past the cap
+    certified = {}
     for c in range(1, c_max + 1):
         k = 1
         while F(k) != INF and F(k) < c * k:
@@ -321,26 +323,28 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
             continue
         t = F(k)
         row = {"c": c, "k": k, "t": t}
+        rows.append(row)
         if t not in certified:
             try:
                 prefix = build_prefix(ell, f, t, size_cap=size_cap)
             except SizeCapError as exc:
-                row.update(status="size-cap", note=str(exc))
-                rows.append(row)
-                ok = False
-                continue
-            ta_lo, ta_cert = ta_lower_bound_certified(prefix)
-            omega = ta_cert.data["omega"]
-            tw_up = tw_upper_bound_formula(ell, f, omega)
-            # a failed minor or clique certificate raises, so the
-            # verdict is rule 5's
-            certified[t] = (ta_cert.verdict and tw_up != INF, dict(
-                n=prefix.n_vertices, omega=omega, ta_lower=ta_lo,
-                tw_upper=tw_up if tw_up != INF else "inf"))
+                certified[t] = (None, dict(status="size-cap", note=str(exc)))
+            else:
+                ta_lo, ta_cert = ta_lower_bound_certified(prefix)
+                omega = ta_cert.data["omega"]
+                tw_up = tw_upper_bound_formula(ell, f, omega)
+                # a failed minor or clique certificate raises, so the
+                # verdict is rule 5's
+                certified[t] = (ta_cert.verdict and tw_up != INF, dict(
+                    n=prefix.n_vertices, omega=omega, ta_lower=ta_lo,
+                    tw_upper=tw_up if tw_up != INF else "inf"))
         verdict, fields = certified[t]
+        row.update(fields)
+        if verdict is None:
+            ok = False
+            continue
         good = verdict and fields["ta_lower"] >= c
-        row.update(fields, certified=good, status="ok" if good else "FAIL")
-        rows.append(row)
+        row.update(certified=good, status="ok" if good else "FAIL")
         ok = ok and good
     return {
         "demo": "conjecture85",
@@ -352,9 +356,10 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
     }
 
 
-def _sample_clique_bounded(prefix, rng, max_omega):
+def _sample_clique_bounded(prefix, adj, rng, max_omega):
     """A random induced subgraph with clique number <= max_omega, by a
-    greedy clique-avoiding pass over a shuffled vertex order.
+    greedy clique-avoiding pass over a shuffled vertex order; ``adj`` is
+    ``prefix.adjacency()``, which the caller builds once for all samples.
 
     Returns ``{v: 1 + omega(G[N(v) & chosen before v])}`` over the accepted
     vertices v.  A vertex is accepted when that neighbourhood has no clique
@@ -369,7 +374,6 @@ def _sample_clique_bounded(prefix, rng, max_omega):
     have >= 4 vertices and whose upward lists are cliques of earlier
     layers.
     """
-    adj = prefix.adjacency()
     up = prefix.up
     succ = []                   # succ[u] = u+, u's cycle successor
     for start, size in zip(prefix.offsets, prefix.layer_sizes):
@@ -421,10 +425,11 @@ def demo_hajebi(c, ell, t, samples, size_cap, seed=0):
     omega, cert = structure.clique_number_exact(prefix)
     tw_lo, minor = tw_lower_bound_minor(prefix)
     rng = random.Random(seed)
+    adj = prefix.adjacency()
     rows = []
     ok = omega == c + 1 and cert.verdict and minor.verdict and tw_lo >= t
     for s in range(samples):
-        values = _sample_clique_bounded(prefix, rng, c - 1)
+        values = _sample_clique_bounded(prefix, adj, rng, c - 1)
         k = max(values.values())
         bound = structure.order_bound(ell, f, k)
         res = structure.balanced_separation(prefix, set(values))

@@ -97,7 +97,7 @@ def reference_extend(prefix, size_cap):
             parent.append(v)
             up += ((),) * (ell - 3)
             parent += (-1,) * (ell - 3)
-    prefix._adj = prefix._layer = prefix._kids = None
+    prefix._layer = prefix._kids = None
 
 
 def reference_spans(prefix):
@@ -256,6 +256,21 @@ def reference_json(prefix):
             for (layer, pos), p, ups in zip(
                 map(prefix.loc, range(prefix.n_vertices)), prefix.parent,
                 prefix.up)]})
+
+
+def assert_same_text(prefix, what, got, want):
+    """Fail naming the prefix's (ell, f, t) and the first offset at which
+    ``got`` differs from ``want``.  The texts are compared first, so a
+    writer bug does not make pytest diff two texts of hundreds of
+    kilobytes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    pytest.fail("%s of ell=%d f=%s t=%d differs from the reference at "
+                "offset %d: %r, where the reference has %r"
+                % (what, prefix.ell, prefix.f.descriptor, prefix.num_layers,
+                   at, got[at:at + 40], want[at:at + 40]))
 
 
 def reference_dot(prefix):

@@ -17,11 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 from layered_wheels import (WheelPrefix, build_prefix, parse_f_spec,
                             verify_rules)
 from layered_wheels import cli, kernels, structure, widths
-from layered_wheels.cli import main, to_dot, to_graph6
+from layered_wheels.cli import graph6_pieces, main, to_dot
 from layered_wheels.wheel import PIECE, canonical_violation
 
-from conftest import (PREFIXES_300, doctored_records, reference_dot,
-                      reference_json, reference_separate_report, targets)
+from conftest import (PREFIXES_300, assert_same_text, doctored_records,
+                      reference_dot, reference_json,
+                      reference_separate_report, targets)
 
 
 def run(capsys, *argv):
@@ -90,7 +91,15 @@ def test_negative_size_cap_is_a_usage_error(capsys, command):
 
 def test_graph6_c4():
     # C4 on vertices 0-1-2-3-0: bits (01)(02)(12)(03)(13)(23) = 101101
-    assert to_graph6(4, [(0, 1), (1, 2), (2, 3), (0, 3)]) == "Cl\n"
+    assert "".join(graph6_pieces(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) \
+        == "Cl\n"
+
+
+def test_graph6_refuses_too_many_vertices_before_any_piece():
+    # the call raises, so no piece is ever asked for
+    with pytest.raises(ValueError, match="at most 258047 vertices"):
+        graph6_pieces(258048, [])
+    assert next(graph6_pieces(258047, [])) == "~}~~"
 
 
 @pytest.mark.parametrize("t", [2, 4], ids=["n12", "n68"])  # n68: 4-byte header
@@ -154,7 +163,7 @@ def test_build_export_bytes_pinned(tmp_path, capsys, ell, f, t, fmt, digest):
     elif fmt == "dot":
         text = to_dot(p)
     else:
-        text = to_graph6(p.n_vertices, p.edges())
+        text = "".join(graph6_pieces(p.n_vertices, p.edges()))
     assert text.encode() == data
 
 
@@ -199,7 +208,7 @@ def test_build_export_memory_bounded(tmp_path, capsys, fmt, ratio):
 def test_dot_matches_reference():
     # at l=6 cap:4 t=6 the last layer spans two pieces
     for p in PREFIXES_300 + [build_prefix(6, parse_f_spec("cap:4"), 6)]:
-        assert to_dot(p) == reference_dot(p)
+        assert_same_text(p, "to_dot", to_dot(p), reference_dot(p))
 
 
 def test_dot_has_layer_ranks():
@@ -323,10 +332,13 @@ def test_verify_mutated_fails(tmp_path, capsys):
     # vertex 5 is a padding vertex, whose up list is empty
     (lambda obj: obj["vertices"][5].update(up=""), "'up': not a list"),
     (lambda obj: obj["vertices"][5].update(up={}), "'up': not a list"),
+    # records 1 and 2 swapped
+    (lambda obj: obj["vertices"].insert(1, obj["vertices"].pop(2)),
+     "error: vertex 1 field 'layer': vertices out of order at index 1\n"),
 ], ids=["unknown-up-vertex", "missing-ell", "short-parent",
         "num-layers-mismatch", "no-layers", "float-ell", "string-layers",
         "negative-layer", "float-layer", "float-pos", "float-up",
-        "float-parent", "string-up", "object-up"])
+        "float-parent", "string-up", "object-up", "swapped-records"])
 def test_verify_malformed_json_is_an_error(tmp_path, capsys, mutate, field):
     f = tmp_path / "p.json"
     run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "3",
@@ -566,6 +578,50 @@ def test_demo_conjecture85_certifies_each_prefix_once(tmp_path, capsys,
         "0c3dfe36d905443cca3aecbbd368c4b8e867ccca20a8cb06425a85c366cdc71c"
 
 
+_CAP3_7 = {"status": "size-cap",
+           "note": "layer 7 would bring the prefix to 1156 vertices "
+                   "(cap 1000)"}
+_NO_F = {"status": "FAIL", "note": "no finite F(k) >= ck"}
+
+
+@pytest.mark.parametrize("argv, tail", [
+    (["question84", "--k-max", "4", "--size-cap", "50000"],
+     [{"k": 4, "t": 17, "g_k": 16, "status": "size-cap",
+       "note": "layer 12 would bring the prefix to 113124 vertices "
+               "(cap 50000)"}]),
+    (["conjecture85", "--c-max", "3", "--size-cap", "1000"],
+     [dict(c=2, k=3, t=10, **_CAP3_7), dict(c=3, k=3, t=10, **_CAP3_7)]),
+    (["conjecture85", "--F", "cumulative:1,2,5", "--c-max", "3"],
+     [dict(c=2, **_NO_F), dict(c=3, **_NO_F)]),
+], ids=["question84-size-cap", "conjecture85-size-cap",
+        "conjecture85-no-finite-F"])
+def test_demo_rows_that_certify_nothing_fail_the_run(capsys, argv, tail):
+    code, out, err = run(capsys, "demo", *argv)
+    rep = json.loads(out)
+    assert code == 1 and not rep["all_certified"]
+    rows = rep["rows"]
+    assert rows[-len(tail):] == tail
+    assert all(row["status"] == "ok" for row in rows[:-len(tail)]
+               if row["status"] != "out-of-scope")
+    assert "Traceback" not in err
+
+
+def test_demo_conjecture85_builds_each_t_once(capsys, monkeypatch):
+    # rows c=2 and c=3 share t=10, past the cap: it is tried once
+    built = []
+    build = widths.build_prefix
+
+    def counted(ell, f, t, size_cap):
+        built.append(t)
+        return build(ell, f, t, size_cap=size_cap)
+
+    monkeypatch.setattr(widths, "build_prefix", counted)
+    code, _, _ = run(capsys, "demo", "conjecture85", "--c-max", "3",
+                     "--size-cap", "1000")
+    assert code == 1
+    assert built == [1, 10]
+
+
 def test_no_command_runs_the_clique_search(tmp_path, capsys, monkeypatch):
     # omega is read off the upward lists; the kernel search is an oracle
     def refuse(*args, **kwargs):
@@ -619,8 +675,9 @@ def test_separate_small_target_file(tmp_path, capsys):
     ([["a", 0]], "entry 0"),
     ({"x": 1}, "a list"),
     ([], "target set is empty"),
+    ([[9, 0]], "error: no vertex (9, 0) in the prefix\n"),
 ], ids=["short-pair", "bare-ints", "long-pair", "string-layer", "object",
-        "empty"])
+        "empty", "outside-pair"])
 def test_separate_malformed_target_file_is_an_error(tmp_path, capsys, locs,
                                                     names):
     f = tmp_path / "p.json"

@@ -149,12 +149,18 @@ def test_parse_f_spec_question84_coeffs():
 
 
 @pytest.mark.parametrize("bad", ["", "cap:", "poly:2", "cumulative:1,1,1",
-                                 "table:2,3,4", "nope:5"])
+                                 "table:2,3,4", "nope:5", "question84:bogus"])
 def test_parse_f_spec_rejects_garbage(bad):
     with pytest.raises((SlowFunctionError, CumulativeFunctionError,
                         ValueError)):
         f = parse_f_spec(bad)
         f(5)   # lazily validated specs fail on evaluation
+
+
+def test_question84_names_a_growth_spec_it_cannot_parse():
+    with pytest.raises(SlowFunctionError,
+                       match="^cannot parse polynomial spec 'bogus'$"):
+        parse_f_spec("question84:bogus")
 
 
 def test_descriptor_round_trip():

@@ -134,6 +134,17 @@ def test_transversals_are_chordal(prefixes_2000, rng):
             assert cert.verdict, (p.ell, p.f.descriptor, sorted(Y))
 
 
+def test_transversal_check_reads_an_up_list_edited_in_place():
+    # (1, 0) and (2, 1) are not adjacent, so once they are the up list of
+    # (3, 2), it is not simplicial in the transversal of the three
+    p = build_prefix(4, parse_f_spec("cap:3"), 5)
+    Y = {p.vid(1, 0), p.vid(2, 1), p.vid(3, 2)}
+    assert S.transversal_chordality_check(p, Y).verdict
+    p.up[p.vid(3, 2)] = (p.vid(1, 0), p.vid(2, 1))
+    cert = S.transversal_chordality_check(p, Y)
+    assert not cert.verdict and cert.data["order"] == []
+
+
 def test_transversal_rejects_two_per_layer(prefix_68):
     with pytest.raises(ValueError):
         S.transversal_chordality_check(
@@ -190,7 +201,8 @@ def test_augmenting_path_vertex_count_bound(rng):
         k = len(S.induced_max_clique(p, xs))
         if F(k + 1) == INF:
             continue
-        path = S.augmenting_path(p, p.vid(1, 0), xs, {})
+        path = S.augmenting_path(p, p.vid(1, 0), xs, p.layer_of(max(xs)),
+                                 {})
         if not all(S._is_augmenting(p, v, u, xs)
                    for v, u in zip(path[1:], path[2:])):
             continue
@@ -198,17 +210,20 @@ def test_augmenting_path_vertex_count_bound(rng):
 
 
 def test_augmenting_path_top_layer_matches_layer_scan(rng):
-    # the truncation layer is the top layer that meets X, found by scanning
-    # every vertex of X, and the start vertex's layer when X is empty
+    # balanced_separation truncates at the layer of X's largest id, which
+    # is the top layer that meets X, found by scanning every vertex of X;
+    # the path climbs by children to that layer, or stays at a start
+    # vertex above it
     p = build_prefix(4, parse_f_spec("cap:3"), 6, size_cap=10 ** 4)
     for _ in range(40):
         xs = frozenset(rng.sample(range(p.n_vertices),
-                                  rng.randint(0, p.n_vertices)))
+                                  rng.randint(1, p.n_vertices)))
         v = rng.choice(range(p.offsets[-1]))
-        top = max((p.layer_of(g) for g in xs), default=p.layer_of(v))
-        path = S.augmenting_path(p, v, xs, {})
-        assert p.layer_of(path[-1]) == max(p.layer_of(v),
-                                           min(p.num_layers, top))
+        top = max(p.layer_of(g) for g in xs)
+        assert p.layer_of(max(xs)) == top
+        path = S.augmenting_path(p, v, xs, top, {})
+        assert p.layer_of(path[-1]) == max(p.layer_of(v), top)
+        assert all(u in p.children(w) for w, u in zip(path, path[1:]))
 
 
 # -- separations ----------------------------------------------------------
@@ -288,11 +303,13 @@ def test_build_AB_restricted_matches_reference(case):
 
 
 def test_build_AB_rejects_mismatched_paths(prefix_68):
-    P = S._chain(prefix_68, prefix_68.vid(1, 0), frozenset(), 4, {})
+    P = S.augmenting_path(prefix_68, prefix_68.vid(1, 0), frozenset(), 4,
+                          {})
     for b, b_top, message in [
             ((2, 3), 4, r"paths start in different layers \(1 vs 2\)"),
             ((1, 2), 3, r"paths end in different layers \(4 vs 3\)")]:
-        Q = S._chain(prefix_68, prefix_68.vid(*b), frozenset(), b_top, {})
+        Q = S.augmenting_path(prefix_68, prefix_68.vid(*b), frozenset(),
+                              b_top, {})
         with pytest.raises(ValueError, match=message):
             S.build_AB(prefix_68, P, Q, range(prefix_68.n_vertices))
 
@@ -300,8 +317,8 @@ def test_build_AB_rejects_mismatched_paths(prefix_68):
 def test_verify_separation_detects_crossing_edge(prefix_68):
     p = prefix_68
     X = range(p.n_vertices)
-    P = S._chain(p, p.vid(1, 0), frozenset(), 4, {})
-    Q = S._chain(p, p.vid(1, 2), frozenset(), 4, {})
+    P = S.augmenting_path(p, p.vid(1, 0), frozenset(), 4, {})
+    Q = S.augmenting_path(p, p.vid(1, 2), frozenset(), 4, {})
     good = S.build_AB(p, P, Q, X)
     assert S.verify_separation_on_prefix(p, good, X)
     # a separator vertex dropped from B leaves its B-only neighbours
@@ -323,8 +340,8 @@ def test_verify_separation_detects_crossing_edge(prefix_68):
 
 def test_fair_initial_separation(prefix_68):
     X = frozenset(range(prefix_68.n_vertices))
-    P = S.augmenting_path(prefix_68, prefix_68.vid(1, 0), X, {})
-    Q = S.augmenting_path(prefix_68, prefix_68.vid(1, 2), X, {})
+    P = S.augmenting_path(prefix_68, prefix_68.vid(1, 0), X, 4, {})
+    Q = S.augmenting_path(prefix_68, prefix_68.vid(1, 2), X, 4, {})
     first, second, sep = S._fair_pair(prefix_68, ((P, Q), (Q, P)),
                                       sorted(X))
     assert 3 * len(sep.A & X) >= len(X)

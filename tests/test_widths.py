@@ -306,7 +306,6 @@ def test_ta_lower_bound_fails_on_a_non_clique_up_list():
     # still pass, so only rule 5 can refuse the bound
     p = build_prefix(4, parse_f_spec("cap:3"), 5)
     p.up[p.vid(3, 2)] = (p.vid(1, 0), p.vid(2, 1))
-    p._adj = None
     ta, cert = W.ta_lower_bound_certified(p)
     assert ta == 2 and not cert.verdict
     chordal = cert.data["chordal_transversals"]
@@ -381,10 +380,11 @@ def test_sample_clique_bounded_matches_induced_search(c, ell, t):
     # the hajebi demo's prefix shape: f = cap:(c+1), t+1 layers
     prefix = build_prefix(ell, parse_f_spec("cap:%d" % (c + 1)), t + 1,
                           size_cap=10 ** 5)
+    adj = prefix.adjacency()
     for seed in range(4):
         rng_new, rng_old = random.Random(seed), random.Random(seed)
         for _ in range(2):          # the second draw checks the rng state
-            values = W._sample_clique_bounded(prefix, rng_new, c - 1)
+            values = W._sample_clique_bounded(prefix, adj, rng_new, c - 1)
             chosen, k = _sample_by_induced_search(prefix, rng_old, c - 1)
             assert set(values) == chosen
             assert max(values.values(), default=0) == k
@@ -396,7 +396,8 @@ def test_sample_clique_bounded_matches_induced_search(c, ell, t):
 def test_sample_clique_bounded_matches_induced_search_on_small_prefixes(
         prefix, max_omega, seed):
     rng_new, rng_old = random.Random(seed), random.Random(seed)
-    values = W._sample_clique_bounded(prefix, rng_new, max_omega)
+    values = W._sample_clique_bounded(prefix, prefix.adjacency(), rng_new,
+                                      max_omega)
     chosen, k = _sample_by_induced_search(prefix, rng_old, max_omega)
     assert set(values) == chosen
     assert max(values.values(), default=0) == k
@@ -411,9 +412,10 @@ def test_sample_clique_bounded_counts_cycle_pairs():
     g = next(i for i, r in enumerate(recs) if len(r["up"]) == 2)
     recs[g + 1]["up"] = list(recs[g]["up"])
     p = WheelPrefix.from_json_obj(obj)
+    adj = p.adjacency()
     for max_omega in range(1, 5):
         for seed in range(10):
-            values = W._sample_clique_bounded(p, random.Random(seed),
+            values = W._sample_clique_bounded(p, adj, random.Random(seed),
                                               max_omega)
             chosen, k = _sample_by_induced_search(p, random.Random(seed),
                                                   max_omega)
@@ -425,13 +427,13 @@ def test_sample_clique_bounded_leaves_no_garbage():
     # a sample must free what it made without the cycle collector: the
     # hajebi demo takes one per row
     prefix = build_prefix(5, parse_f_spec("cap:4"), 6)
-    prefix.adjacency()
+    adj = prefix.adjacency()
     rng = random.Random(0)
     gc.collect()
     gc.disable()
     try:
         for _ in range(20):
-            W._sample_clique_bounded(prefix, rng, 2)
+            W._sample_clique_bounded(prefix, adj, rng, 2)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -439,14 +441,15 @@ def test_sample_clique_bounded_leaves_no_garbage():
 
 @pytest.mark.parametrize("max_omega", [0, 1])
 def test_sample_clique_bounded_edge_cases(prefix_68, max_omega):
-    values = W._sample_clique_bounded(prefix_68, random.Random(0), max_omega)
+    adj = prefix_68.adjacency()
+    values = W._sample_clique_bounded(prefix_68, adj, random.Random(0),
+                                      max_omega)
     chosen, k = _sample_by_induced_search(prefix_68, random.Random(0),
                                           max_omega)
     assert set(values) == chosen and max(values.values(), default=0) == k
     if max_omega == 0:
         assert values == {}
     else:                           # an independent set, every value 1
-        adj = prefix_68.adjacency()
         assert values and set(values.values()) == {1}
         assert not any(adj[v] & chosen for v in chosen)
 
