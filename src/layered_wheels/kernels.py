@@ -9,10 +9,11 @@ lists (``structure.clique_number_exact``).  It stays here as the tests'
 oracle for that route, and because the command benchmark's trace wraps
 it by this name.
 
-All kernels take ``(n, adj)`` where ``adj`` is a sequence indexed by
+The kernels take ``(n, adj)`` where ``adj`` is a sequence indexed by
 vertex and ``adj[v]`` is the set of v's neighbours; they read it as it is
-and make no copy.  The kernels are plain Python; ``BACKEND`` names the
-implementation for run records.
+and make no copy.  ``max_independent_set`` alone takes ``(n, masks)``,
+neighbour bitmasks, which its bitset search reads directly.  The kernels
+are plain Python; ``BACKEND`` names the implementation for run records.
 """
 
 from __future__ import annotations
@@ -135,21 +136,18 @@ def max_clique(n, adj):
     return sorted(best)
 
 
-def max_independent_set(n, adj, floor):
+def max_independent_set(n, masks, floor):
     """An exact maximum independent set (clique in the complement), as a
     sorted vertex list, or [] when no independent set has more than
     ``floor`` vertices; a search that cannot beat the floor is cut off
-    early.  Meant for small graphs (a few hundred vertices)."""
+    early.  Bit u of ``masks[v]`` is set when u and v are adjacent; bit v
+    of ``masks[v]`` is ignored.  Meant for small graphs (a few hundred
+    vertices)."""
     if n <= floor:
         return []
     full = (1 << n) - 1
-    masks = [0] * n
-    for v in range(n):
-        m = 0
-        for u in adj[v]:
-            m |= 1 << u
-        masks[v] = (~(m | (1 << v))) & full
-    return sorted(_clique_bitset(masks, full, floor))
+    comp = [~(m | (1 << v)) & full for v, m in enumerate(masks)]
+    return sorted(_clique_bitset(comp, full, floor))
 
 
 def shortest_hole(n, adj, bound):

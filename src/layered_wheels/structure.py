@@ -75,6 +75,26 @@ def induced_adjacency(prefix, X):
     return order, local
 
 
+def induced_masks(prefix, X):
+    """(vertex list, neighbour bitmasks) of G[X], read off the record like
+    ``induced_adjacency``: bit j of masks[i] is set when the i-th and j-th
+    vertices of the sorted X are adjacent, and bit i may be set by a
+    self-loop.  No sets are made; meant for small X (a bag)."""
+    order = sorted(X)
+    index = {g: i for i, g in enumerate(order)}
+    masks = [0] * len(order)
+    layer = prefix._layers()
+    offsets, sizes, up = prefix.offsets, prefix.layer_sizes, prefix.up
+    for i, g in enumerate(order):
+        start = offsets[layer[g] - 1]
+        succ = start + (g + 1 - start) % sizes[layer[g] - 1]
+        for j in map(index.get, (succ, *up[g])):
+            if j is not None:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return order, masks
+
+
 def induced_max_clique(prefix, X):
     """A maximum clique of G[X] by the kernel search: the tests' oracle for
     ``induced_clique_number``, kept here because the command benchmark's
@@ -190,9 +210,9 @@ def _up_route_violation(prefix):
 
 def max_independent_set_exact(prefix, X):
     """Exact independence number of G[X] with a witness."""
-    order, local = induced_adjacency(prefix, X)
+    order, masks = induced_masks(prefix, X)
     mis = [order[i]
-           for i in kernels.max_independent_set(len(order), local, 0)]
+           for i in kernels.max_independent_set(len(order), masks, 0)]
     ok = not any(prefix.adjacent(u, v)
                  for i, u in enumerate(mis) for v in mis[i + 1:])
     cert = Certificate(
@@ -369,15 +389,27 @@ def build_AB(prefix, P, Q, X):
 
 def verify_separation_on_prefix(prefix, sep, vertices):
     """Independent separation check of G[X] for X = ``vertices``: A and B
-    cover X and no edge of the record (``edges``) inside X joins A-only
-    to B-only.  Usable on separations from files."""
+    cover X and no edge of the record inside X joins A-only to B-only.
+    Every edge is a vertex's cycle successor or one of its ``up`` entries,
+    so only the A-only and B-only vertices are read, each looked up from
+    both sides.  Usable on separations from files."""
     vs = set(vertices)
     if not vs <= (sep.A | sep.B):
         return False
     a_only = (sep.A - sep.B) & vs
     b_only = (sep.B - sep.A) & vs
-    return not any(u in a_only and v in b_only or u in b_only and v in a_only
-                   for u, v in prefix.edges())
+    layer = prefix._layers()
+    offsets, sizes, up = prefix.offsets, prefix.layer_sizes, prefix.up
+
+    def joins(side, other):
+        for g in side:
+            start = offsets[layer[g] - 1]
+            if (start + (g + 1 - start) % sizes[layer[g] - 1] in other
+                    or not other.isdisjoint(up[g])):
+                return True
+        return False
+
+    return not (joins(a_only, b_only) or joins(b_only, a_only))
 
 
 def _fair_pair(prefix, pairs, order):

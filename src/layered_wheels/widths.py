@@ -106,6 +106,17 @@ def decomposition_from_separators(prefix, X):
     chained.  A bag then merges into its parent while the union is no wider
     than the widest bag.  The name predates this route and stays because
     the benchmark's trace wraps the function by it.
+
+    The union's size is counted, not built.  Before any merge, a bag less
+    its own vertex lies in its parent's bag: the elimination makes its
+    later vertices a clique, and none of them goes before the parent's
+    vertex.  A root bag is its vertex alone, so the roots of different
+    components share nothing.  A bag that has absorbed the vertices M
+    thus adds its own vertex and M to its parent.  These were all
+    eliminated before the parent's step, so none lies in the parent's own
+    bag, and no vertex is absorbed twice, so none came from another child:
+    the union has |parent| + 1 + |M| vertices, on a tree edge and on the
+    root chain alike.  Each kept bag becomes a frozenset once, at the end.
     """
     order, nbr = structure.induced_adjacency(prefix, X)
     if not order:
@@ -150,25 +161,28 @@ def decomposition_from_separators(prefix, X):
     roots = [i for i, p in enumerate(parent) if p is None]
     for r, nxt in zip(roots, roots[1:]):
         parent[r] = nxt
-    # a parent comes after its children, so one pass merges bottom-up; a
-    # bag becomes a set only when another merges into it
+    # a parent comes after its children, so one pass merges bottom-up;
+    # size[i] counts bag i with the vertices merged[i] it has absorbed
     widest = max(map(len, bags))
+    size = list(map(len, bags))
+    merged = {}
     into = {}
     for i, p in enumerate(parent):
-        if p is not None:
-            union = set(bags[p])
-            union.update(bags[i])
-            if len(union) <= widest:
-                bags[p] = union
-                bags[i] = None
-                into[i] = p
+        if p is not None and size[p] + 1 + len(merged.get(i, ())) <= widest:
+            mine = merged.pop(i, [])
+            mine.append(bags[i][0])
+            size[p] += len(mine)
+            merged.setdefault(p, []).extend(mine)
+            into[i] = p
     kept = [i for i in reversed(range(len(bags))) if i not in into]
     index = {i: k for k, i in enumerate(kept)}
     for i in reversed(range(len(bags))):
         if i in into:
             index[i] = index[into[i]]
     return TreeDecomposition(
-        [frozenset(map(order.__getitem__, bags[i])) for i in kept],
+        [frozenset(map(order.__getitem__,
+                       itertools.chain(bags[i], merged.get(i, ()))))
+         for i in kept],
         [(index[parent[i]], index[i]) for i in kept if parent[i] is not None])
 
 
@@ -185,8 +199,8 @@ def independent_width(prefix, decomposition):
     for bag in sorted(decomposition.bags, key=len, reverse=True):
         if len(bag) <= best:
             break
-        order, local = structure.induced_adjacency(prefix, bag)
-        found = kernels.max_independent_set(len(order), local, best)
+        order, masks = structure.induced_masks(prefix, bag)
+        found = kernels.max_independent_set(len(order), masks, best)
         if found:
             stable = [order[i] for i in found]
             if any(prefix.adjacent(u, v)

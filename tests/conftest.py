@@ -121,16 +121,18 @@ def reference_spans(prefix):
     return span
 
 
-def reference_decomposition(prefix, X):
-    """Min-degree elimination of G[X] over a heap of (degree, id) pairs,
-    with the bag merging of ``widths.decomposition_from_separators``: the
-    oracle for its bucket-queue elimination, which must give the same bags
-    and tree edges."""
+def reference_elimination(prefix, X):
+    """Min-degree elimination of G[X] over a heap of (degree, id) pairs, as
+    (vertex, bags, parent) before any merge: vertex[i] is the vertex
+    eliminated at step i, bags[i] the set of it and its remaining
+    neighbours, and parent[i] the earliest step among those neighbours, or
+    None at a component root."""
     xset = frozenset(X)
     adj = prefix.adjacency()
     nbr = {v: adj[v] & xset for v in xset}
     heap = sorted((len(s), v) for v, s in nbr.items())   # a valid heap
     step = {}
+    vertex = []
     bags = []
     while heap:
         d, v = heapq.heappop(heap)
@@ -138,6 +140,7 @@ def reference_decomposition(prefix, X):
             continue                 # stale entry
         later = nbr.pop(v)
         step[v] = len(bags)
+        vertex.append(v)
         bags.append(later | {v})
         for u in later:
             nbr[u] |= later
@@ -145,6 +148,15 @@ def reference_decomposition(prefix, X):
             heapq.heappush(heap, (len(nbr[u]), u))
     parent = [min((step[u] for u in bag if step[u] > i), default=None)
               for i, bag in enumerate(bags)]
+    return vertex, bags, parent
+
+
+def reference_decomposition(prefix, X):
+    """``reference_elimination`` with the bag merging of
+    ``widths.decomposition_from_separators``, on set unions: the oracle for
+    its bucket-queue elimination and its counted merge, which must give
+    the same bags and tree edges."""
+    _, bags, parent = reference_elimination(prefix, X)
     roots = [i for i, p in enumerate(parent) if p is None]
     for r, nxt in zip(roots, roots[1:]):
         parent[r] = nxt
@@ -225,7 +237,7 @@ def reference_separate_report(prefix, X, emit_decomposition):
                   order_bound=bound if bound != INF else "inf",
                   bound_applies=res.bound_applies, balanced=res.balanced,
                   iterations=res.iterations)
-    report["verified"] = res.balanced and S.verify_separation_on_prefix(
+    report["verified"] = res.balanced and reference_verify_separation(
         prefix, res.sep, X)
     if emit_decomposition:
         dec = W.decomposition_from_separators(prefix, X)
@@ -239,6 +251,26 @@ def reference_separate_report(prefix, X, emit_decomposition):
             "independent_width": W.independent_width(prefix, dec),
         }
     return json.dumps(report, indent=2) + "\n"
+
+
+def reference_verify_separation(prefix, sep, vertices):
+    """``structure.verify_separation_on_prefix`` by a scan of every edge of
+    the record (``WheelPrefix.edges``): the oracle for its look-up of the
+    A-only and B-only vertices' edges."""
+    vs = set(vertices)
+    if not vs <= (sep.A | sep.B):
+        return False
+    a_only = (sep.A - sep.B) & vs
+    b_only = (sep.B - sep.A) & vs
+    return not any(u in a_only and v in b_only or u in b_only and v in a_only
+                   for u, v in prefix.edges())
+
+
+def masks_of(adj):
+    """Neighbour sets or lists as the bitmasks that
+    ``kernels.max_independent_set`` takes: bit u of masks[v] for each u in
+    adj[v]."""
+    return [sum(1 << u for u in set(a)) for a in adj]
 
 
 def reference_json(prefix):

@@ -21,7 +21,7 @@ from layered_wheels.cli import graph6_pieces, main, to_dot
 from layered_wheels.wheel import PIECE, canonical_violation
 
 from conftest import (PREFIXES_300, assert_same_text, doctored_records,
-                      reference_dot, reference_json,
+                      masks_of, reference_dot, reference_json,
                       reference_separate_report, targets)
 
 
@@ -885,7 +885,8 @@ def test_verify_proves_every_small_transversal_chordal(tmp_path, capsys):
             cert = structure.transversal_chordality_check(p, set(Y))
             assert cert.verdict, (p.ell, p.f.descriptor, Y)
             order, local = structure.induced_adjacency(p, Y)
-            alpha = len(kernels.max_independent_set(len(order), local, 0))
+            alpha = len(kernels.max_independent_set(len(order),
+                                                    masks_of(local), 0))
             assert alpha >= bound, (p.ell, p.f.descriptor, Y)
             total += 1
     assert total == 86_699

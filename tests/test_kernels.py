@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from layered_wheels import build_prefix, kernels, parse_f_spec
 
-from conftest import PREFIXES_300
+from conftest import PREFIXES_300, masks_of
 
 
 def random_graph(rng, n, p):
@@ -328,7 +328,7 @@ def test_independent_set_against_complement_clique():
         n = rng.randint(0, 9)
         adj = random_graph(rng, n, rng.random())
         comp = complement(n, adj)
-        got = kernels.max_independent_set(n, adj, 0)
+        got = kernels.max_independent_set(n, masks_of(adj), 0)
         assert all(v not in adj[u]
                    for u, v in itertools.combinations(got, 2))
         assert len(got) == oracle_max_clique_size(n, comp)
@@ -342,7 +342,7 @@ def test_independent_set_floor_against_brute_force():
         adj = random_graph(rng, n, rng.random())
         alpha = oracle_max_clique_size(n, complement(n, adj))
         for floor in range(n + 2):
-            got = kernels.max_independent_set(n, adj, floor)
+            got = kernels.max_independent_set(n, masks_of(adj), floor)
             assert (got == []) == (alpha <= floor)
             if got:
                 assert all(v not in adj[u]
@@ -455,11 +455,12 @@ def test_clique_and_independent_set_on_wide_bitsets():
         adj = random_graph(rng, n, 0.1)
         comp = complement(n, adj)
         clique = kernels.max_clique(n, adj)
-        stable = kernels.max_independent_set(n, adj, 0)
+        stable = kernels.max_independent_set(n, masks_of(adj), 0)
         assert all(v in adj[u] for u, v in itertools.combinations(clique, 2))
         assert all(v not in adj[u]
                    for u, v in itertools.combinations(stable, 2))
-        assert len(clique) == len(kernels.max_independent_set(n, comp, 0))
+        assert len(clique) == len(kernels.max_independent_set(
+            n, masks_of(comp), 0))
         assert len(stable) == len(kernels.max_clique(n, comp))
 
 

@@ -11,7 +11,8 @@ from layered_wheels import structure as S
 from layered_wheels.functions import INF
 
 from conftest import (PREFIXES_300, arbitrary_records, doctored_records,
-                      expected_intersection, reference_spans, targets)
+                      expected_intersection, masks_of, reference_spans,
+                      reference_verify_separation, targets)
 
 
 def random_vertical_path(prefix, start, end_layer, rng):
@@ -72,6 +73,14 @@ def records_and_sets(draw):
 @given(records_and_sets())
 def test_induced_adjacency_is_the_cut_of_the_adjacency(case):
     _assert_induced_adjacency_is_the_cut(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(records_and_sets(), targets()))
+def test_induced_masks_are_the_cut_of_the_adjacency(case):
+    p, X = case
+    order, local = reference_induced_adjacency(p, X)
+    assert S.induced_masks(p, X) == (order, masks_of(local))
 
 
 def test_induced_adjacency_is_the_cut_on_built_prefixes():
@@ -336,6 +345,37 @@ def test_verify_separation_detects_crossing_edge(prefix_68):
     moved = S.Separation(good.A - {w}, good.B)
     assert not S.verify_separation_on_prefix(p, moved, X)
     assert S.verify_separation_on_prefix(p, moved, set(X) - {w})
+
+
+@st.composite
+def records_and_separations(draw):
+    """An arbitrary record or a built prefix, with any sides A and B and
+    any target set over its vertices."""
+    p = draw(st.one_of(arbitrary_records(), st.sampled_from(PREFIXES_300)))
+    ids = st.frozensets(st.integers(0, p.n_vertices - 1))
+    return p, S.Separation(draw(ids), draw(ids)), draw(ids)
+
+
+@st.composite
+def cut_separations(draw):
+    """A built prefix with a target X split by a random cut: A and B cover
+    X and share a random part of it, so crossing edges are rare and the
+    check often passes."""
+    p, X = draw(targets())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    side = {g: rng.choice("AB") for g in X}
+    shared = set(rng.sample(X, rng.randint(0, len(X))))
+    A = frozenset(g for g in X if side[g] == "A" or g in shared)
+    B = frozenset(g for g in X if side[g] == "B" or g in shared)
+    return p, S.Separation(A, B), X
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(records_and_separations(), cut_separations()))
+def test_verify_separation_matches_the_edge_scan(case):
+    p, sep, X = case
+    assert S.verify_separation_on_prefix(p, sep, X) == \
+        reference_verify_separation(p, sep, X)
 
 
 def test_fair_initial_separation(prefix_68):

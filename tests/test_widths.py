@@ -13,8 +13,15 @@ from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
 
-from conftest import (PREFIXES_300, reference_decomposition,
-                      reference_validate, targets)
+from conftest import (PREFIXES_300, masks_of, reference_decomposition,
+                      reference_elimination, reference_validate, targets)
+
+# three components on l=4 cap:4 t=4: (1, 3) and (3, 2) alone, and the
+# path (2, 3), (3, 6), (4, 12); both root-chain edges merge, the second
+# from a root that has absorbed a vertex
+_P44 = build_prefix(4, parse_f_spec("cap:4"), 4)
+THREE_COMPONENTS = (_P44, [_P44.vid(*v) for v in
+                           ((1, 3), (2, 3), (3, 2), (3, 6), (4, 12))])
 
 
 # -- formula --------------------------------------------------------------
@@ -142,14 +149,62 @@ def test_decomposition_matches_reference_elimination(case):
     assert dec.edges == ref.edges
 
 
+@settings(max_examples=200, deadline=None)
+@given(targets())
+@example(THREE_COMPONENTS)
+def test_merge_premise_holds_before_any_merge(case):
+    # what the counted merge of decomposition_from_separators relies on:
+    # a bag less its vertex lies in its parent's bag, a root bag is its
+    # vertex alone, so roots are pairwise disjoint, and then every union
+    # the merge makes has the counted size
+    p, X = case
+    vertex, bags, parent = reference_elimination(p, X)
+    for i, q in enumerate(parent):
+        if q is not None:
+            assert bags[i] - {vertex[i]} <= bags[q]
+    roots = [i for i, q in enumerate(parent) if q is None]
+    assert all(bags[r] == {vertex[r]} for r in roots)
+    assert len(set().union(*(bags[r] for r in roots))) == len(roots)
+    for r, nxt in zip(roots, roots[1:]):
+        parent[r] = nxt
+    widest = max(map(len, bags))
+    absorbed = [set() for _ in bags]
+    for i, q in enumerate(parent):
+        if q is not None:
+            union = bags[i] | bags[q]
+            assert len(union) == len(bags[q]) + 1 + len(absorbed[i])
+            if len(union) <= widest:
+                bags[q] = union
+                absorbed[q] |= absorbed[i] | {vertex[i]}
+
+
+def test_three_components_merge_along_the_root_chain():
+    p, X = THREE_COMPONENTS
+    assert reference_elimination(p, X)[2].count(None) == 3
+    dec = W.decomposition_from_separators(p, X)
+    assert dec == reference_decomposition(p, X)
+    assert len(dec.bags) == 2 and dec.width == 2
+
+
+def _bag_independence(p, bag):
+    # the oracle route: G[bag] as sets, each search from floor 0
+    order, local = S.induced_adjacency(p, bag)
+    return len(kernels.max_independent_set(len(order), masks_of(local), 0))
+
+
+# a bag of a layer's last and first positions, joined by the wrap arc;
+# and a 1-vertex bag
 @settings(max_examples=100, deadline=None)
 @given(targets())
+@example((_P44, [_P44.vid(2, 0), _P44.vid(2, _P44.layer_sizes[1] - 1)]))
+@example((PREFIXES_300[0], [3]))
 def test_independent_width_is_the_largest_bag_independence(case):
     p, X = case
     dec = W.decomposition_from_separators(p, X)
-    unbounded = max(S.max_independent_set_exact(p, bag)[0]
-                    for bag in dec.bags)
+    unbounded = max(_bag_independence(p, bag) for bag in dec.bags)
     assert W.independent_width(p, dec) == unbounded
+    assert unbounded == max(S.max_independent_set_exact(p, bag)[0]
+                            for bag in dec.bags)
 
 
 def test_decomposition_validator_catches_violations(prefix_68):
