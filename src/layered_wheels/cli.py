@@ -199,16 +199,20 @@ def _write(path, pieces):
             fh.writelines(pieces)
 
 
-def _load_prefix(path):
+def _load_prefix(path, canonical=True):
     """The prefix in the JSON file at path, and the prefix its header
     builds (``read_export``) or None.  They are one object when the file
     is byte for byte its ``lwheel build`` export; any other file is
-    parsed."""
+    parsed.  Only the canonical check reads the header's build, so
+    without ``canonical`` it is dropped before the parse, and None is
+    given in its place."""
     with open(path) as fh:
         text = fh.read()
     built, exact = read_export(text)
     if exact:
         return built, built
+    if not canonical:
+        built = None
     return WheelPrefix.from_json(text), built
 
 
@@ -256,7 +260,7 @@ CHECKS = ("rules", "canonical", "holes", "clique", "minor")
 
 def cmd_verify(args):
     selected = [name for name in CHECKS if getattr(args, name)] or CHECKS
-    prefix, built = _load_prefix(args.infile)
+    prefix, built = _load_prefix(args.infile, "canonical" in selected)
     report = {"n": prefix.n_vertices, "num_layers": prefix.num_layers,
               "checks": {}}
     ok = True
@@ -304,7 +308,7 @@ def cmd_verify(args):
 
 
 def cmd_separate(args):
-    prefix = _load_prefix(args.infile)[0]
+    prefix = _load_prefix(args.infile, canonical=False)[0]
     if args.target == "all":
         X = frozenset(range(prefix.n_vertices))
     else:

@@ -392,12 +392,15 @@ def verify_separation_on_prefix(prefix, sep, vertices):
     cover X and no edge of the record inside X joins A-only to B-only.
     Every edge is a vertex's cycle successor or one of its ``up`` entries,
     so only the A-only and B-only vertices are read, each looked up from
-    both sides.  Usable on separations from files."""
-    vs = set(vertices)
-    if not vs <= (sep.A | sep.B):
+    both sides.  Usable on separations from files.
+
+    B-only is X - A, and A and B cover X when X - A lies in B; A-only is
+    then X - B.  X is copied only when it is not a set."""
+    vs = vertices if isinstance(vertices, (set, frozenset)) else set(vertices)
+    b_only = vs - sep.A
+    if not b_only <= sep.B:
         return False
-    a_only = (sep.A - sep.B) & vs
-    b_only = (sep.B - sep.A) & vs
+    a_only = vs - sep.B
     layer = prefix._layers()
     offsets, sizes, up = prefix.offsets, prefix.layer_sizes, prefix.up
 

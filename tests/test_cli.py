@@ -10,6 +10,7 @@ import random
 import re
 import tempfile
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1093,6 +1094,34 @@ def test_verify_of_an_edited_export_builds_the_prefix_once(
     starts = [i for i, layer in enumerate(grown) if layer == 2]
     assert len(starts) == builds
     assert grown[:5] == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("argv, alive", [
+    (["separate", "--target", "all"], False),
+    (["verify", "--rules"], False),
+    (["verify"], True),
+], ids=["separate", "verify-rules", "verify"])
+def test_the_rebuild_is_dropped_before_the_parse_unless_canonical_reads_it(
+        tmp_path, capsys, monkeypatch, argv, alive):
+    # only the canonical check reads the header's build of a file that is
+    # not the export, so without it the build is freed before the parse
+    src = tmp_path / "edited.json"
+    src.write_text(_edited_export(build_prefix(4, parse_f_spec("cap:3"), 5)))
+    refs, seen = [], []
+    read_export, from_json = cli.read_export, WheelPrefix.from_json
+
+    def reading(text):
+        built, exact = read_export(text)
+        refs.append(weakref.ref(built))
+        return built, exact
+
+    def parsing(text):
+        seen.append(refs[0]() is not None)
+        return from_json(text)
+    monkeypatch.setattr(cli, "read_export", reading)
+    monkeypatch.setattr(WheelPrefix, "from_json", parsing)
+    run(capsys, argv[0], "--in", str(src), *argv[1:])
+    assert seen == [alive]
 
 
 @pytest.mark.parametrize("field, value, error", [
