@@ -1,7 +1,7 @@
-"""Compute kernels: exact clique / independent set search, the exact
-bounded hole check (a peel of the vertices no short hole needs, then a
-pruned chordless-cycle scan of what is left), and exact treewidth on
-tiny graphs.
+"""Compute kernels: exact clique / independent set search (one bitset
+search), the exact bounded hole check (a peel of the vertices no short
+hole needs, then a pruned chordless-cycle scan of what is left), and
+exact treewidth on tiny graphs.
 
 No command calls ``max_clique``: omega of a prefix, of a target set and
 of each neighbourhood the hajebi sampler tests is read off the upward
@@ -9,58 +9,18 @@ lists (``structure.clique_number_exact``).  It stays here as the tests'
 oracle for that route, and because the command benchmark's trace wraps
 it by this name.
 
-The kernels take ``(n, adj)`` where ``adj`` is a sequence indexed by
-vertex and ``adj[v]`` is the set of v's neighbours; they read it as it is
-and make no copy.  ``max_independent_set`` alone takes ``(n, masks)``,
-neighbour bitmasks, which its bitset search reads directly.  The kernels
-are plain Python; ``BACKEND`` names the implementation for run records.
+The two bitset searches, ``max_clique`` and ``max_independent_set``,
+take ``(n, masks)``: bit u of ``masks[v]`` is set when u and v are
+adjacent, and bit v is ignored.  The hole scan and the treewidth solver
+take ``(n, adj)``, where ``adj`` is a sequence indexed by vertex and
+``adj[v]`` is the set of v's neighbours; they read it as it is and make
+no copy.  The kernels are plain Python; ``BACKEND`` names the
+implementation for run records.
 """
 
 from __future__ import annotations
 
-import heapq
-
 BACKEND = "py"
-
-
-def _degeneracy_order(n, adj):
-    """Vertices in a smallest-last (degeneracy) order, plus the degeneracy.
-
-    Each step removes the smallest id among the vertices of least remaining
-    degree.  A vertex enters the min-heap of ids for every degree it takes;
-    the pointer d never exceeds the least remaining degree, so an entry left
-    at a higher degree surfaces only after its vertex is removed, and is
-    then skipped.  O(m log n).
-    """
-    deg = [len(adj[v]) for v in range(n)]
-    removed = [False] * n
-    # filled in ascending id order, so every bucket is already a heap
-    heaps = [[] for _ in range(max(deg, default=0) + 1)]
-    for v in range(n):
-        heaps[deg[v]].append(v)
-    order = []
-    degeneracy = 0
-    d = 0
-    for _ in range(n):
-        heap = heaps[d]
-        while not heap or removed[heap[0]]:
-            if heap:
-                heapq.heappop(heap)
-            else:
-                d += 1
-                heap = heaps[d]
-        v = heapq.heappop(heap)
-        degeneracy = max(degeneracy, d)
-        removed[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not removed[u]:
-                du = deg[u] - 1
-                deg[u] = du
-                heapq.heappush(heaps[du], u)
-                if du < d:
-                    d = du
-    return order, degeneracy
 
 
 def _clique_bitset(masks, cand_mask, best_size):
@@ -105,35 +65,13 @@ def _clique_bitset(masks, cand_mask, best_size):
     return best
 
 
-def max_clique(n, adj):
-    """An exact maximum clique, as a sorted vertex list.
-
-    Decomposes along a degeneracy order so only tiny local subproblems are
-    searched; suitable for large sparse graphs with small cliques.
-    """
-    if n == 0:
-        return []
-    order, _ = _degeneracy_order(n, adj)
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
-    best = [order[0]]
-    for v in order:
-        cand = [u for u in adj[v] if rank[u] > rank[v]]
-        if len(cand) + 1 <= len(best):
-            continue
-        local = {u: i for i, u in enumerate(cand)}
-        masks = [0] * len(cand)
-        for u in cand:
-            m = 0
-            for w in adj[u]:
-                if w in local:
-                    m |= 1 << local[w]
-            masks[local[u]] = m
-        sub = _clique_bitset(masks, (1 << len(cand)) - 1, len(best) - 1)
-        if len(sub) + 1 > len(best):
-            best = [v] + [cand[i] for i in sub]
-    return sorted(best)
+def max_clique(n, masks):
+    """An exact maximum clique, as a sorted vertex list.  Bit u of
+    ``masks[v]`` is set when u and v are adjacent; bit v of ``masks[v]``
+    is ignored.  The bitset search of ``max_independent_set``, run on the
+    graph itself; meant for small graphs (a few hundred vertices)."""
+    masks = [m & ~(1 << v) for v, m in enumerate(masks)]
+    return sorted(_clique_bitset(masks, (1 << n) - 1, 0))
 
 
 def max_independent_set(n, masks, floor):
@@ -428,7 +366,8 @@ def treewidth_exact(n, adj):
             masks[v] |= 1 << u
     if not any(masks):
         return 0
-    _, lb = _degeneracy_order(n, adj)
+    # the first vertex eliminated keeps all its neighbours in its bag
+    lb = min(bin(m).count("1") for m in masks)
     for k in range(lb, n):
         if _treewidth_decide(n, masks, k, set()):
             return k

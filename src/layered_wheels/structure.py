@@ -79,7 +79,8 @@ def induced_masks(prefix, X):
     """(vertex list, neighbour bitmasks) of G[X], read off the record like
     ``induced_adjacency``: bit j of masks[i] is set when the i-th and j-th
     vertices of the sorted X are adjacent, and bit i may be set by a
-    self-loop.  No sets are made; meant for small X (a bag)."""
+    self-loop.  No sets are made; meant for small X (a bag, or a graph of
+    a few hundred vertices for the tests' clique oracle)."""
     order = sorted(X)
     index = {g: i for i, g in enumerate(order)}
     masks = [0] * len(order)
@@ -96,11 +97,12 @@ def induced_masks(prefix, X):
 
 
 def induced_max_clique(prefix, X):
-    """A maximum clique of G[X] by the kernel search: the tests' oracle for
-    ``induced_clique_number``, kept here because the command benchmark's
-    trace wraps it by this name."""
-    order, local = induced_adjacency(prefix, X)
-    return [order[i] for i in kernels.max_clique(len(order), local)]
+    """A maximum clique of G[X] by the kernel's bitset search on the masks
+    of ``induced_masks``: the tests' oracle for ``induced_clique_number``,
+    kept here because the command benchmark's trace wraps it by this
+    name."""
+    order, masks = induced_masks(prefix, X)
+    return [order[i] for i in kernels.max_clique(len(order), masks)]
 
 
 def clique_number_exact(prefix):

@@ -267,9 +267,9 @@ def reference_verify_separation(prefix, sep, vertices):
 
 
 def masks_of(adj):
-    """Neighbour sets or lists as the bitmasks that
-    ``kernels.max_independent_set`` takes: bit u of masks[v] for each u in
-    adj[v]."""
+    """Neighbour sets or lists as the bitmasks that the kernels' bitset
+    searches (``max_clique``, ``max_independent_set``) take: bit u of
+    masks[v] for each u in adj[v]."""
     return [sum(1 << u for u in set(a)) for a in adj]
 
 

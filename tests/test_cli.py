@@ -624,11 +624,13 @@ def test_demo_conjecture85_builds_each_t_once(capsys, monkeypatch):
 
 
 def test_no_command_runs_the_clique_search(tmp_path, capsys, monkeypatch):
-    # omega is read off the upward lists; the kernel search is an oracle
-    def refuse(*args, **kwargs):
-        raise AssertionError("kernels.max_clique called")
+    # omega is read off the upward lists; the kernel clique search and the
+    # exact treewidth solver (at most 32 vertices) are the tests' oracles
+    for name in ("max_clique", "treewidth_exact"):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError("kernels.%s called" % name)
 
-    monkeypatch.setattr(kernels, "max_clique", refuse)
+        monkeypatch.setattr(kernels, name, refuse)
     src = tmp_path / "p.json"
     run(capsys, "build", "--ell", "4", "--f", "cap:3", "--layers", "5",
         "--out", str(src))

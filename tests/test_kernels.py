@@ -45,6 +45,27 @@ def oracle_max_clique_size(n, adj):
     return best
 
 
+def oracle_clique_number(adj):
+    """Bron-Kerbosch with pivoting over sets, for graphs past the brute
+    force's reach; it shares no code with the kernel's bitset search."""
+    nbrs = [set(a) for a in adj]
+    best = 0
+
+    def expand(size, p, x):
+        nonlocal best
+        if not p:
+            best = max(best, size)
+            return
+        pivot = max(p | x, key=lambda u: len(p & nbrs[u]))
+        for v in list(p - nbrs[pivot]):
+            expand(size + 1, p & nbrs[v], x & nbrs[v])
+            p.discard(v)
+            x.add(v)
+
+    expand(0, set(range(len(adj))), set())
+    return best
+
+
 def oracle_shortest_hole(n, adj, bound):
     adjsets = [set(a) for a in adj]
     for length in range(4, bound + 1):
@@ -152,68 +173,6 @@ def oracle_treewidth(n, adj):
     return max(0, dp(0)) if n else 0
 
 
-def reference_degeneracy_order(n, adj):
-    """The O(n^2) smallest-last order: each step scans for the least
-    nonempty degree bucket and takes its smallest id."""
-    deg = [len(adj[v]) for v in range(n)]
-    removed = [False] * n
-    buckets = {}
-    for v in range(n):
-        buckets.setdefault(deg[v], set()).add(v)
-    order = []
-    degeneracy = 0
-    for _ in range(n):
-        d = 0
-        while d not in buckets or not buckets[d]:
-            d += 1
-        v = min(buckets[d])
-        buckets[d].discard(v)
-        degeneracy = max(degeneracy, d)
-        removed[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not removed[u]:
-                buckets[deg[u]].discard(u)
-                deg[u] -= 1
-                buckets.setdefault(deg[u], set()).add(u)
-    return order, degeneracy
-
-
-@st.composite
-def graphs(draw):
-    """Adjacency lists of simple graphs, weighted toward equal degrees."""
-    n = draw(st.integers(0, 24))
-    kind = draw(st.sampled_from(
-        ["random", "edgeless", "matching", "complete", "cycles", "cliques"]))
-    pairs = set()
-    if kind == "random" and n > 1:
-        p = draw(st.floats(0, 1))
-        seed = draw(st.integers(0, 2 ** 32))
-        rng = random.Random(seed)
-        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < p}
-    elif kind == "matching":
-        pairs = {(i, i + 1) for i in range(0, n - 1, 2)}
-    elif kind == "complete":
-        pairs = set(itertools.combinations(range(n), 2))
-    elif kind in ("cycles", "cliques"):
-        # disjoint equal parts: every vertex has the same degree
-        k = draw(st.integers(3, 6))
-        for s in range(0, n - k + 1, k):
-            part = range(s, s + k)
-            if kind == "cycles":
-                pairs |= {tuple(sorted((part[i], part[(i + 1) % k])))
-                          for i in range(k)}
-            else:
-                pairs |= set(itertools.combinations(part, 2))
-    adj = [set() for _ in range(n)]
-    for i, j in pairs:
-        adj[i].add(j)
-        adj[j].add(i)
-    perm = draw(st.permutations(range(n)))
-    return [sorted(perm[u] for u in adj[perm.index(v)]) for v in range(n)]
-
-
 @st.composite
 def hole_cases(draw):
     """(n, adj, bound) with bound in 3..8: random graphs, the same with
@@ -292,22 +251,13 @@ def hole_cases(draw):
 
 # -- oracle tests ---------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
-@given(graphs())
-def test_degeneracy_order_matches_reference(adj):
-    n = len(adj)
-    assert (kernels._degeneracy_order(n, adj)
-            == reference_degeneracy_order(n, adj))
-
-
 def test_max_clique_witness_pinned():
-    # the witness depends on the degeneracy order's tie-break
     p = build_prefix(4, parse_f_spec("cap:3"), 6)
     n, adj = p.n_vertices, p.adjacency()
     assert n == 444
-    assert kernels.max_clique(n, adj) == [12, 68, 174]
-    assert kernels._degeneracy_order(n, adj) == reference_degeneracy_order(
-        n, adj)
+    got = kernels.max_clique(n, masks_of(adj))
+    assert len(got) == 3
+    assert all(v in adj[u] for u, v in itertools.combinations(got, 2))
 
 
 def test_clique_against_brute_force():
@@ -315,23 +265,11 @@ def test_clique_against_brute_force():
     for _ in range(40):
         n = rng.randint(0, 9)
         adj = random_graph(rng, n, rng.random())
-        got = kernels.max_clique(n, adj)
+        got = kernels.max_clique(n, masks_of(adj))
         adjsets = [set(a) for a in adj]
         assert all(v in adjsets[u]
                    for u, v in itertools.combinations(got, 2))
         assert len(got) == oracle_max_clique_size(n, adj)
-
-
-def test_independent_set_against_complement_clique():
-    rng = random.Random(4)
-    for _ in range(30):
-        n = rng.randint(0, 9)
-        adj = random_graph(rng, n, rng.random())
-        comp = complement(n, adj)
-        got = kernels.max_independent_set(n, masks_of(adj), 0)
-        assert all(v not in adj[u]
-                   for u, v in itertools.combinations(got, 2))
-        assert len(got) == oracle_max_clique_size(n, comp)
 
 
 def test_independent_set_floor_against_brute_force():
@@ -447,26 +385,24 @@ def test_treewidth_size_limit():
 
 
 def test_clique_and_independent_set_on_wide_bitsets():
-    # bitsets wider than a machine word; the degeneracy-order clique search
-    # and the full-bitset independent-set search must agree on complements
+    # bitsets wider than a machine word: the clique of the sparse graph
+    # and the independent set of its complement, against Bron-Kerbosch
     rng = random.Random(7)
     for _ in range(10):
         n = rng.randint(65, 80)
         adj = random_graph(rng, n, 0.1)
-        comp = complement(n, adj)
-        clique = kernels.max_clique(n, adj)
-        stable = kernels.max_independent_set(n, masks_of(adj), 0)
-        assert all(v in adj[u] for u, v in itertools.combinations(clique, 2))
-        assert all(v not in adj[u]
-                   for u, v in itertools.combinations(stable, 2))
-        assert len(clique) == len(kernels.max_independent_set(
-            n, masks_of(comp), 0))
-        assert len(stable) == len(kernels.max_clique(n, comp))
+        omega = oracle_clique_number(adj)
+        clique = kernels.max_clique(n, masks_of(adj))
+        stable = kernels.max_independent_set(
+            n, masks_of(complement(n, adj)), 0)
+        for got in (clique, stable):
+            assert len(got) == omega
+            assert all(v in adj[u] for u, v in itertools.combinations(got, 2))
 
 
 def test_kernels_on_prefix():
     p = build_prefix(5, parse_f_spec("cap:3"), 4, size_cap=10 ** 4)
     n, adj = p.n_vertices, p.adjacency()
     assert n == 215
-    assert len(kernels.max_clique(n, adj)) == 3
+    assert len(kernels.max_clique(n, masks_of(adj))) == 3
     assert kernels.shortest_hole(n, adj, 7) == 5

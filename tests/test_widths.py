@@ -74,14 +74,6 @@ def test_minor_lower_bound_fails_on_mutation():
     assert cert.data["first_missing_pair"] == [1, 3]
 
 
-def test_exact_treewidth_oracle_examples():
-    for ell in (4, 5, 6):
-        cyc = [[(i - 1) % ell, (i + 1) % ell] for i in range(ell)]
-        assert kernels.treewidth_exact(ell, cyc) == 2
-    k4 = [[j for j in range(4) if j != i] for i in range(4)]
-    assert kernels.treewidth_exact(4, k4) == 3
-
-
 def test_exact_treewidth_respects_minor_bound():
     for (ell, t) in [(4, 2), (4, 3), (5, 2), (6, 2)]:
         p = build_prefix(ell, parse_f_spec("cap:3"), t)
