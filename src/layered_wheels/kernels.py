@@ -96,7 +96,9 @@ def shortest_hole(n, adj, bound):
     (``_pruned_scan``) then searches the vertices left for such a hole.
     When it finds none, or at bound 4, every hole left has length exactly
     bound, and a scan of the whole graph at bound stops at its first hit.
-    Self-loops are ignored.
+    Self-loops are ignored.  On a wheel the peel leaves nothing: the last
+    layer's runs go first, then its first children (simplicial on their
+    up cliques), and so on up.
     """
     if bound < 4:
         return None

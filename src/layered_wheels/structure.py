@@ -3,7 +3,8 @@ minor, chordal transversals, vertical/augmenting paths and the fair /
 balanced separation machinery.
 
 All operations are read-only; vertices are global ids of the prefix unless
-a function explicitly deals in (layer, pos) pairs.
+a function explicitly deals in (layer, pos) pairs.  A path is the plain list
+of its vertex ids, one per layer, from the layer of its first vertex up.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def _up_route_violation(prefix):
     local clique route, or None: each layer has >= 4 vertices, and each
     upward list holds distinct entries, all in earlier layers.  Ids run
     layer by layer, so an entry lies in an earlier layer exactly when it
-    is below its layer's first id."""
+    is below its layer's first id.  One scan reads the non-empty lists."""
     up = prefix.up
     for layer, (start, size) in enumerate(zip(prefix.offsets,
                                               prefix.layer_sizes), 1):
@@ -455,6 +456,12 @@ def balanced_separation(prefix, X):
     arc after the first, on the final P and on the final Q, is augmenting
     (``bound_applies``); callers that check the bound compute the clique
     number themselves.
+
+    Every path, the initial two and each reroute, climbs to t_max, the
+    layer of X's largest id, taken once, and every pair is chosen by the
+    one fairness test ``_fair_pair``.  A progress monitor requires each
+    step to raise the base layer or, at the same base layer, shorten the
+    segment between the two paths, and raises ProgressError otherwise.
     """
     if not X:
         raise ValueError("target set is empty")

@@ -59,16 +59,17 @@ class WheelPrefix:
 
     A prefix holds its layer sizes (with ``offsets``, the global id of
     each layer's position 0), ``up[g]``, the global ids of g's upward
-    neighborhood as a tuple sorted by layer, and ``parent[g]``, the unique
-    neighbor of g in the previous layer or -1.  Everything else is
-    implicit.  Every ``up`` entry is a tuple, never a list: a list never
-    equals a tuple, so ``canonical_violation`` would find a mixed record
-    unlike the construction, and tuples of ints leave the garbage
-    collector's lists where lists would stay.  The cycle arc out of a
-    vertex goes to the next position of its layer, the last position
-    wrapping to 0.  The descendant path of v runs from v's first child to
-    the vertex before the first child of the next vertex of v's layer;
-    the last vertex's path runs to the end of the layer.
+    neighborhood as a tuple sorted by layer (the empty ones share the
+    ``()`` singleton), and ``parent[g]``, the unique neighbor of g in the
+    previous layer or -1.  Everything else is implicit.  Every ``up``
+    entry is a tuple, never a list: a list never equals a tuple, so
+    ``canonical_violation`` would find a mixed record unlike the
+    construction, and tuples of ints leave the garbage collector's lists
+    where lists would stay.  The cycle arc out of a vertex goes to the
+    next position of its layer, the last position wrapping to 0.  The
+    descendant path of v runs from v's first child to the vertex before
+    the first child of the next vertex of v's layer; the last vertex's
+    path runs to the end of the layer.
     """
 
     def __init__(self, ell, f):
@@ -497,8 +498,9 @@ def verify_rules(prefix):
 
     The layer cycles are implicit, so every other arc is an upward entry
     w -> v.  Rules 2 to 4 read the ``up`` lists in one pass, and rule 5
-    reads them too, pair by pair (``upward_violation``).  The neighbor
-    count of a vertex that fails rule 4 is read off the record.
+    reads them too, pair by pair (``upward_violation``).  Rule 5's pair
+    test and the neighbor count of a vertex that fails rule 4 are read
+    off the record by ``adjacent``.
     Failures never raise, also when the layer sizes sum past the vertex
     count; the result is the object ``lwheel verify`` writes as
     ``checks.rules``:

@@ -116,7 +116,13 @@ def decomposition_from_separators(prefix, X):
     eliminated before the parent's step, so none lies in the parent's own
     bag, and no vertex is absorbed twice, so none came from another child:
     the union has |parent| + 1 + |M| vertices, on a tree edge and on the
-    root chain alike.  Each kept bag becomes a frozenset once, at the end.
+    root chain alike.  M is kept as a list per bag, and each kept bag
+    becomes a frozenset of global ids once, at the end.
+
+    The next vertex comes from a bucket queue, one min-heap of local ids
+    per degree, whose scan restarts one degree below the last eliminated
+    vertex.  An eliminated vertex's entry of the local adjacency becomes
+    None, and each bag is held as a tuple of local ids until the end.
     """
     order, nbr = structure.induced_adjacency(prefix, X)
     if not order:
@@ -191,9 +197,11 @@ def independent_width(prefix, decomposition):
 
     The bags are searched largest first, each only for a set larger than
     the best so far, which the search takes as its floor; once a bag is no
-    larger than the best, no later one can beat it.  Each improving set is
-    re-checked for independence on the record, not on the adjacency the
-    search read.
+    larger than the best, no later one can beat it.  Each bag is cut to
+    bitmasks by ``structure.induced_masks`` for
+    ``kernels.max_independent_set``, and each improving set is re-checked
+    for independence on the record (``WheelPrefix.adjacent``), not on the
+    bitmasks the search read.
     """
     best = 0
     for bag in sorted(decomposition.bags, key=len, reverse=True):
@@ -222,7 +230,8 @@ def ta_lower_bound_certified(prefix):
     upward lists, not searched for.  Rule 5 (``wheel.upward_violation``)
     proves every transversal chordal at once, so the certificate carries
     the minor, the clique certificate and rule 5's verdict, with its first
-    violation as the detail.
+    violation as the detail.  A failed minor or clique certificate raises
+    ValueError, so the certificate's verdict is rule 5's.
     """
     t = prefix.num_layers
     minor = structure.layer_minor_check(prefix)
@@ -421,7 +430,8 @@ def demo_hajebi(c, ell, t, samples, size_cap, seed=0):
     """A wheel with omega = c+1 and tw >= t whose K_c-free induced
     subgraphs all have small treewidth.
 
-    Builds f(i) = min(i, c+1) with t+1 layers, certifies omega and the
+    Builds f(i) = min(i, c+1) with t+1 layers, so omega reaches c+1 only
+    when t >= c and a smaller t is refused.  Certifies omega and the
     minor bound, then runs balanced separation on ``samples`` random
     induced subgraphs with clique number <= c-1 and checks every achieved
     order against 2F(k+1) + (ell+1)k - 2.  Each sample's k is the largest
@@ -434,6 +444,9 @@ def demo_hajebi(c, ell, t, samples, size_cap, seed=0):
         raise ValueError("ell must be >= 5, got %d" % ell)
     if t < 0:
         raise ValueError("t must be >= 0, got %d" % t)
+    if t < c:
+        raise ValueError("t must be >= c for omega = c+1, got c=%d t=%d"
+                         % (c, t))
     f = parse_f_spec("cap:%d" % (c + 1))
     prefix = build_prefix(ell, f, t + 1, size_cap=size_cap)
     omega, cert = structure.clique_number_exact(prefix)

@@ -34,6 +34,22 @@ def small_prefixes(max_vertices=2000, ells=(4, 5, 6),
 PREFIXES_300 = small_prefixes(max_vertices=300)
 
 
+def random_vertical_path(prefix, start, end_layer, rng):
+    """A path from ``start`` up to ``end_layer``, one random child per
+    layer."""
+    verts = [start]
+    cur = start
+    for _ in range(prefix.layer_of(start), end_layer):
+        cur = rng.choice(prefix.children(cur))
+        verts.append(cur)
+    return verts
+
+
+def json_loc(prefix):
+    """The [layer, pos] list that the JSON reports write for a global id."""
+    return lambda g: list(prefix.loc(g))
+
+
 @st.composite
 def targets(draw):
     """A prefix and a random target X: single vertices and sparse,
@@ -224,9 +240,7 @@ def reference_separate_report(prefix, X, emit_decomposition):
     dicts of [layer, pos] lists and written by ``json.dumps(indent=2)``:
     the oracle for the streamed report."""
     X = frozenset(X)
-
-    def loc(g):
-        return list(prefix.loc(g))
+    loc = json_loc(prefix)
     res = S.balanced_separation(prefix, X)
     k = len(S.induced_max_clique(prefix, X))
     bound = S.order_bound(prefix.ell, prefix.f, k)
@@ -276,8 +290,7 @@ def masks_of(adj):
 def reference_json(prefix):
     """``json.dumps`` of the prefix as nested dicts and [layer, pos] lists:
     the oracle for the streamed JSON writer."""
-    def loc(g):
-        return list(prefix.loc(g))
+    loc = json_loc(prefix)
     return json.dumps({
         "ell": prefix.ell, "f_spec": prefix.f.descriptor,
         "num_layers": prefix.num_layers, "layers": prefix.layer_sizes,

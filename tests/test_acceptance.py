@@ -5,16 +5,14 @@ pinned in the assertions."""
 import random
 import time
 
-import pytest
-
 from layered_wheels import build_prefix, parse_f_spec, verify_rules
 from layered_wheels import kernels
 from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
-from layered_wheels.wheel import SizeCapError
 
-from conftest import expected_intersection, small_prefixes
+from conftest import (expected_intersection, random_vertical_path,
+                      small_prefixes)
 
 
 def report(num, ok, text):
@@ -22,19 +20,25 @@ def report(num, ok, text):
     assert ok, "[criterion %02d] %s" % (num, text)
 
 
-def family(max_vertices, ells, fspecs):
-    return small_prefixes(max_vertices, ells, fspecs)
+def first_failure(failed):
+    """"" when nothing failed, else the first of the (prefix, note) pairs
+    that failed: the prefix as (ell, f, t) and what the check saw there."""
+    if not failed:
+        return ""
+    p, note = failed[0]
+    return "; first failure at (ell, f, t) = (%d, %s, %d): %s" % (
+        p.ell, p.f.descriptor, p.num_layers, note)
 
 
 def test_criterion_01_construction_fidelity():
     t0 = time.time()
     checked = 0
     ok = True
-    for p in family(20_000, (4, 5), ("identity", "cap:3", "cap:4")):
+    for p in small_prefixes(20_000, (4, 5)):
         ok &= verify_rules(p)["passed"]
         checked += 1
     p68 = build_prefix(4, parse_f_spec("cap:3"), 4)
-    sizes_ok = p68.layer_sizes == [4, 8, 16, 40]
+    sizes_ok = p68.layer_sizes == [4, 8, 16, 40] and p68.n_vertices == 68
     dt = time.time() - t0
     ok = ok and sizes_ok and dt < 10
     report(1, ok, "rules 1-5 hold on %d prefixes (ell in {4,5}, cap 20k); "
@@ -42,69 +46,71 @@ def test_criterion_01_construction_fidelity():
            % (checked, "confirmed" if sizes_ok else "WRONG", dt))
 
 
-def test_criterion_02_hole_floor():
-    results = []
-    for p in family(2_000, (4, 5, 6), ("identity", "cap:3", "cap:4")):
-        results.append(S.shortest_hole_up_to(p, p.ell) == p.ell)
-    ok = bool(results) and all(results)
+def test_criterion_02_hole_floor(prefixes_2000):
+    failed = []
+    for p in prefixes_2000:
+        hole = S.shortest_hole_up_to(p, p.ell)
+        if hole != p.ell:
+            failed.append((p, "shortest hole %s" % hole))
+    ok = bool(prefixes_2000) and not failed
     report(2, ok, "shortest hole equals ell exactly on all %d prefixes "
-           "<= 2000 vertices, ell in {4,5,6}" % len(results))
+           "<= 2000 vertices, ell in {4,5,6}%s"
+           % (len(prefixes_2000), first_failure(failed)))
 
 
-def test_criterion_03_clique_exactness():
-    results = []
-    for p in family(2_000, (4, 5, 6), ("identity", "cap:3", "cap:4")):
-        if p.num_layers < 2:
-            continue
+def test_criterion_03_clique_exactness(prefixes_2000):
+    checked = [p for p in prefixes_2000 if p.num_layers >= 2]
+    failed = []
+    for p in checked:
         omega, cert = S.clique_number_exact(p)
-        results.append(cert.verdict and omega == p.f(p.num_layers))
-    ok = bool(results) and all(results)
-    report(3, ok, "exact omega == f(t) on all %d prefixes with t >= 2"
-           % len(results))
+        if not (cert.verdict and omega == p.f(p.num_layers)):
+            failed.append((p, "omega %d" % omega))
+    ok = bool(checked) and not failed
+    report(3, ok, "exact omega == f(t) on all %d prefixes with t >= 2%s"
+           % (len(checked), first_failure(failed)))
 
 
-def test_criterion_04_minor_lower_bound():
-    prefixes = family(2_000, (4, 5, 6), ("identity", "cap:3", "cap:4"))
-    minor_ok = all(S.layer_minor_check(p).verdict for p in prefixes)
-    tiny = [p for p in prefixes if p.n_vertices <= 32]
-    tw_ok = all(kernels.treewidth_exact(p.n_vertices, p.adjacency())
-                >= p.num_layers - 1
-                for p in tiny)
-    ok = minor_ok and tw_ok and tiny
-    report(4, ok, "layer minor certified on %d prefixes; exact tw >= t-1 "
-           "on the %d prefixes <= 32 vertices" % (len(prefixes), len(tiny)))
+def test_criterion_04_minor_lower_bound(prefixes_2000):
+    failed = []
+    for p in prefixes_2000:
+        cert = S.layer_minor_check(p)
+        if not (cert.verdict and cert.bound == p.num_layers - 1):
+            failed.append((p, "minor bound %s" % cert.bound))
+    tiny = [p for p in prefixes_2000 if p.n_vertices <= 32]
+    for p in tiny:
+        tw = kernels.treewidth_exact(p.n_vertices, p.adjacency())
+        if tw < p.num_layers - 1:
+            failed.append((p, "exact tw %d" % tw))
+    ok = bool(tiny) and not failed
+    report(4, ok, "layer minor certifies tw >= t-1 on %d prefixes; exact "
+           "tw >= t-1 on the %d prefixes <= 32 vertices%s"
+           % (len(prefixes_2000), len(tiny), first_failure(failed)))
 
 
 def test_criterion_05_separation_calculus():
     rng = random.Random(0)
     total = 0
-    ok = True
+    failed = []
     for (ell, fs, t) in [(4, "cap:3", 4), (5, "identity", 4),
                          (6, "cap:3", 3)]:
         p = build_prefix(ell, parse_f_spec(fs), t, size_cap=10 ** 4)
+        everything = range(p.n_vertices)
         for _ in range(100):
             layer = rng.randint(1, t)
             a, b = rng.sample(list(p.layer_range(layer)), 2)
-            P = _random_path(p, a, t, rng)
-            Q = _random_path(p, b, t, rng)
-            sep = S.build_AB(p, P, Q, range(p.n_vertices))
-            good = (S.verify_separation_on_prefix(p, sep,
-                                                  range(p.n_vertices))
+            P = random_vertical_path(p, a, t, rng)
+            Q = random_vertical_path(p, b, t, rng)
+            sep = S.build_AB(p, P, Q, everything)
+            if not (S.verify_separation_on_prefix(p, sep, everything)
+                    and sep.A | sep.B == frozenset(everything)
                     and sep.A & sep.B
-                    == frozenset(expected_intersection(p, P, Q)))
-            ok &= good
+                    == frozenset(expected_intersection(p, P, Q))):
+                failed.append((p, "paths from %s and %s"
+                               % (p.loc(a), p.loc(b))))
             total += 1
-    report(5, ok, "verify_separation + exact A-cap-B equality on %d random "
-           "same-layer path pairs" % total)
-
-
-def _random_path(prefix, start, end_layer, rng):
-    verts = [start]
-    cur = start
-    for _ in range(prefix.layer_of(start), end_layer):
-        cur = rng.choice(prefix.children(cur))
-        verts.append(cur)
-    return verts
+    report(5, not failed, "verify_separation, A-cup-B = V and exact A-cap-B "
+           "equality on %d random same-layer path pairs%s"
+           % (total, first_failure(failed)))
 
 
 def test_criterion_06_balanced_separations():
@@ -138,18 +144,20 @@ def test_criterion_06_balanced_separations():
            "terminated; %.1fs < 60s" % (runs, dt))
 
 
-def test_criterion_07_chordal_transversals():
+def test_criterion_07_chordal_transversals(prefixes_2000):
     rng = random.Random(2)
     total = 0
-    ok = True
-    for p in family(2_000, (4, 5, 6), ("identity", "cap:3", "cap:4")):
+    failed = []
+    for p in prefixes_2000:
         for _ in range(100):
             Y = {rng.choice(list(p.layer_range(l)))
                  for l in range(1, p.num_layers + 1)}
-            ok &= S.transversal_chordality_check(p, Y).verdict
+            if not S.transversal_chordality_check(p, Y).verdict:
+                failed.append((p, "transversal %s" % sorted(Y)))
             total += 1
-    report(7, ok, "%d random one-per-layer transversals all admit the "
-           "highest-layer-first perfect elimination ordering" % total)
+    report(7, not failed, "%d random one-per-layer transversals all admit the "
+           "highest-layer-first perfect elimination ordering%s"
+           % (total, first_failure(failed)))
 
 
 def test_criterion_08_conjecture85_counterexample():

@@ -18,12 +18,6 @@ from conftest import (PREFIXES_300, arbitrary_records, assert_same_text,
                       reference_extend, reference_json, reference_spans)
 
 
-def test_layer_sizes_ell4_cap3():
-    p = build_prefix(4, parse_f_spec("cap:3"), 4)
-    assert p.layer_sizes == [4, 8, 16, 40]
-    assert p.n_vertices == 68
-
-
 def test_layer_sizes_ell4_identity_doubles():
     p = build_prefix(4, parse_f_spec("identity"), 8)
     assert p.layer_sizes == [4 * 2 ** i for i in range(8)]
@@ -313,6 +307,10 @@ def _assert_adjacent_is_the_adjacency(p):
     for u in range(p.n_vertices):
         for w in range(p.n_vertices):
             assert p.adjacent(u, w) == (w in adj[u]), (p.loc(u), p.loc(w))
+    # edges() gives every pair of the adjacency, and no other
+    assert ({frozenset(e) for e in p.edges()}
+            == {frozenset((u, w)) for u in range(p.n_vertices)
+                for w in adj[u]})
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,6 +323,10 @@ def test_adjacent_is_adjacency_membership_on_built_prefixes():
     for p in PREFIXES_300:
         if p.n_vertices <= 120:
             _assert_adjacent_is_the_adjacency(p)
+            # each edge once, as (smaller id, larger id)
+            edges = list(p.edges())
+            assert len(set(edges)) == len(edges)
+            assert all(u < w for u, w in edges)
 
 
 def _assert_children_are_the_adjacency_ones(p):
@@ -374,10 +376,6 @@ def test_verify_rules_pass_on_built_prefixes(prefixes_2000, monkeypatch):
 # Each mutation doctors the record of a freshly built prefix (n=68, layers
 # 4, 8, 16, 40): its up lists, parents, layer sizes or ell.  The rules are
 # checked on that record, so there is no other graph to doctor.
-
-def _fresh():
-    return build_prefix(4, parse_f_spec("cap:3"), 4)
-
 
 def _raise_ell(p):
     p.ell = 5
@@ -471,12 +469,6 @@ def _last_layer_short_of_the_records(p):
     p.layer_sizes[-1] -= 1
 
 
-def _mutated(mutate):
-    p = _fresh()
-    mutate(p)
-    return verify_rules(p)
-
-
 RULE_NAMES = ["layers partition V", "layers induce directed cycles",
               "cross arcs oriented by layer",
               "descendant paths tile the next layer",
@@ -538,44 +530,14 @@ RULE_NAMES = ["layers partition V", "layers induce directed cycles",
         "first-vertex-reparented", "last-layer-past-the-records",
         "layer-without-records", "last-layer-short-of-the-records"])
 def test_verify_rules_report_pinned(mutate, failures):
-    assert _mutated(mutate) == {
+    p = build_prefix(4, parse_f_spec("cap:3"), 4)
+    mutate(p)
+    assert verify_rules(p) == {
         "passed": False,
         "rules": [{"rule": rule, "name": name, "passed": rule not in failures,
                    "detail": failures.get(rule, "")}
                   for rule, name in enumerate(RULE_NAMES, 1)],
     }
-
-
-def test_verify_rules_detects_short_layer():
-    assert not _mutated(_shorten_layer_1)["rules"][1]["passed"]
-
-
-def test_verify_rules_detects_chord():
-    assert not _mutated(_same_layer_up)["rules"][1]["passed"]
-
-
-def test_verify_rules_detects_downward_arc():
-    assert not _mutated(_up_from_layer_4)["rules"][2]["passed"]
-
-
-def test_verify_rules_detects_second_parent():
-    assert not _mutated(_second_previous_layer_up)["rules"][3]["passed"]
-
-
-def test_verify_rules_detects_upward_mutation():
-    assert not _mutated(_cut_up_list)["passed"]
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(4, 6), st.sampled_from(["identity", "cap:3", "cap:4"]),
-       st.integers(1, 4))
-def test_random_prefixes_satisfy_rules(ell, fs, t):
-    try:
-        p = build_prefix(ell, parse_f_spec(fs), t, size_cap=3000)
-    except SizeCapError:
-        return
-    assert verify_rules(p)["passed"]
-
 
 
 # -- the tiling half of rule 4 against descendant spans -------------------

@@ -1,6 +1,5 @@
 import gc
 import json
-import math
 import random
 import weakref
 
@@ -72,14 +71,6 @@ def test_minor_lower_bound_fails_on_mutation():
     lo, cert = W.tw_lower_bound_minor(q)
     assert not cert.verdict and lo == 3
     assert cert.data["first_missing_pair"] == [1, 3]
-
-
-def test_exact_treewidth_respects_minor_bound():
-    for (ell, t) in [(4, 2), (4, 3), (5, 2), (6, 2)]:
-        p = build_prefix(ell, parse_f_spec("cap:3"), t)
-        if p.n_vertices > 32:
-            continue
-        assert kernels.treewidth_exact(p.n_vertices, p.adjacency()) >= t - 1
 
 
 # -- decompositions -------------------------------------------------------
@@ -542,3 +533,7 @@ def test_demo_hajebi_rejects_bad_parameters():
     # t is checked as given, not as the t + 1 layers the demo builds
     with pytest.raises(ValueError, match=r"^t must be >= 0, got -1$"):
         W.demo_hajebi(2, 5, -1, 1, 10 ** 4)
+    # omega = c+1 needs t >= c
+    for c, t in [(2, 1), (3, 2)]:
+        with pytest.raises(ValueError, match="c=%d t=%d" % (c, t)):
+            W.demo_hajebi(c, 5, t, 1, 10 ** 4)
