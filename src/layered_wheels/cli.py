@@ -79,7 +79,8 @@ def dot_pieces(prefix):
     the head positions, and the line end with the tail's upward arcs).
     The upward arcs out of a vertex are gathered first as their heads'
     ``' -> "layer_pos";\\n'`` lines, and get the tail's name put in
-    front of each arrow when their piece is joined."""
+    front of each arrow when their piece is joined.  ``lwheel build
+    --format dot`` writes the pieces as they come."""
     yield "digraph wheel {\n  rankdir=TB;\n  node [shape=circle];\n"
     layers = list(enumerate(zip(prefix.offsets, prefix.layer_sizes), 1))
     for layer, (_, size) in layers:
@@ -127,8 +128,9 @@ def separate_pieces(prefix, sep, fields, dec, dec_fields):
     (key, value) ``fields``, then, when ``dec`` is given, a "decomposition"
     object with its bags and tree edges followed by ``dec_fields``.
 
-    Yields the text in pieces of at most ``PIECE`` pairs.  Each pair is
-    formatted from a per-layer template at its fixed indent depth."""
+    Yields the text in pieces of at most ``PIECE`` pairs, so the report
+    is never held whole.  Each pair is formatted from a per-layer template
+    at its fixed indent depth."""
     ends = prefix.offsets[1:] + [prefix.n_vertices]
 
     def locs(depth):
@@ -205,7 +207,8 @@ def _load_prefix(path, canonical=True):
     is byte for byte its ``lwheel build`` export; any other file is
     parsed.  Only the canonical check reads the header's build, so
     without ``canonical`` it is dropped before the parse, and None is
-    given in its place."""
+    given in its place: ``separate``, and ``verify`` without the canonical
+    check, never hold it next to the parsed record."""
     with open(path) as fh:
         text = fh.read()
     built, exact = read_export(text)
@@ -217,7 +220,9 @@ def _load_prefix(path, canonical=True):
 
 
 def _load_target(prefix, path):
-    """The vertex set of a JSON file holding a list of [layer, pos] pairs."""
+    """The vertex set of a JSON file holding a list of [layer, pos] pairs,
+    the file that ``separate --target`` names.  A file of another shape,
+    or a pair outside the prefix, raises ValueError naming the entry."""
     with open(path) as fh:
         locs = json.load(fh)
     if not isinstance(locs, list):
@@ -360,6 +365,11 @@ def cmd_demo(args):
 
 
 def make_parser():
+    """The ``lwheel`` parser.  Each demo takes only the options it reads,
+    ``--size-cap`` and ``--out`` on all three, so another demo's option is
+    a usage error.  ``--ell`` defaults to 4 for question84 and
+    conjecture85 and to 5 for hajebi, so every demo runs with no
+    options."""
     p = argparse.ArgumentParser(
         prog="lwheel",
         description="Generate and analyze finite layered-wheel prefixes.")

@@ -64,8 +64,8 @@ class SlowFunction:
 class CumulativeFunction:
     """F: k -> number of layers with clique budget <= k (possibly infinite).
 
-    Values are produced by ``rule`` and validated lazily against the star
-    property; infinity is absorbing.
+    Values are produced in order by ``rule(k, F(k-1))``, with F(0) = 0, and
+    validated lazily against the star property; infinity is absorbing.
     """
 
     def __init__(self, rule):
@@ -88,7 +88,7 @@ class CumulativeFunction:
             if prev is INF:
                 value = INF
             else:
-                value = self._rule(j)
+                value = self._rule(j, prev)
                 if value is not INF:
                     value = int(value)
                 if value < prev + 1:
@@ -114,28 +114,22 @@ def _slow_table_rule(values):
             raise SlowFunctionError(
                 "slow step violated at i=%d: f=%d, f'=%d"
                 % (i + 1, values[i], values[i + 1]))
-    return lambda k: INF if k >= values[-1] else bisect_right(values, k)
+    return lambda k, prev: INF if k >= values[-1] else bisect_right(values, k)
 
 
 def _cumulative_table_rule(values):
     """Explicit finite F values, then +inf past the table."""
-    return lambda k: values[k - 1] if k <= len(values) else INF
+    return lambda k, prev: values[k - 1] if k <= len(values) else INF
 
 
 def _dominating_rule(g):
     """F(1)=1, F(2)=2, F(k)=max(F(k-1)+1, g(k)+1) for k >= 3.
 
     The profile that makes the wheel reach g(k)+1 layers while the clique
-    number is still k.
+    number is still k.  Each value is made from the one before it, so a new
+    F(k) costs one step, not k.
     """
-
-    def rule(k):
-        value = min(k, 2)
-        for j in range(3, k + 1):
-            value = max(value + 1, g(j) + 1)
-        return value
-
-    return rule
+    return lambda k, prev: max(prev + 1, g(k) + 1) if k >= 3 else k
 
 
 _POLY_RE = re.compile(r"^poly:(\d+)$")
@@ -173,12 +167,12 @@ def parse_f_spec(text):
     """
     text = text.strip()
     if text == "identity":
-        rule = lambda k: k
+        rule = lambda k, prev: k
     elif text.startswith("cap:"):
         c = int(text[4:])
         if c < 3:
             raise SlowFunctionError("cap must be >= 3, got %d" % c)
-        rule = lambda k: INF if k >= c else k
+        rule = lambda k, prev: INF if k >= c else k
         text = "cap:%d" % c
     elif text.startswith("table:"):
         rule = _slow_table_rule(_ints(text[len("table:"):]))

@@ -61,7 +61,9 @@ class Separation:
 def induced_adjacency(prefix, X):
     """(vertex list, local adjacency) of G[X], read off the record: each
     vertex's cycle successor and upward entries, when both ends lie in X.
-    Local ids ascend with the global ones; the sets are the caller's."""
+    Local ids ascend with the global ones; the sets are the caller's.
+    The elimination behind ``separate --emit-decomposition`` runs on it,
+    so ``separate`` builds no adjacency of the whole prefix."""
     order = sorted(X)
     index = {g: i for i, g in enumerate(order)}
     local = [set() for _ in order]
@@ -81,7 +83,8 @@ def induced_masks(prefix, X):
     ``induced_adjacency``: bit j of masks[i] is set when the i-th and j-th
     vertices of the sorted X are adjacent, and bit i may be set by a
     self-loop.  No sets are made; meant for small X (a bag, or a graph of
-    a few hundred vertices for the tests' clique oracle)."""
+    a few hundred vertices for the tests' clique oracle).  Each bag search
+    of ``widths.independent_width`` runs on these masks."""
     order = sorted(X)
     index = {g: i for i, g in enumerate(order)}
     masks = [0] * len(order)

@@ -70,6 +70,12 @@ class WheelPrefix:
     descendant path of v runs from v's first child to the vertex before
     the first child of the next vertex of v's layer; the last vertex's
     path runs to the end of the layer.
+
+    Two indexes are taken off the record on first use: the layer of each
+    id, behind ``layer_of``, ``loc`` and ``adjacent``, and the ids with a
+    parent sorted by parent, behind ``children``.  Only ``_extend`` resets
+    them, so a record edited in place after either was read answers from
+    the stale index.  No command edits a record in place.
     """
 
     def __init__(self, ell, f):
@@ -126,7 +132,8 @@ class WheelPrefix:
     def children(self, g):
         """The neighbors of g whose parent is g, in position order, read
         off the record: an index of the ids that have a parent, by parent,
-        and ``adjacent``."""
+        and ``adjacent``.  The index is taken on the first call and kept, so
+        a ``parent`` entry reassigned in place after it is not seen."""
         by_parent = self.parent.__getitem__
         if self._kids is None:
             self._kids = sorted(compress(range(self.n_vertices),
@@ -140,7 +147,10 @@ class WheelPrefix:
 
     def adjacency(self):
         """Undirected adjacency as a new list of sets, the caller's to keep;
-        the prefix stores none, so an edited record is never stale."""
+        the prefix stores none, so an edited record is never stale.  Of the
+        commands, only ``verify``'s hole check (once per run) and the hajebi
+        demo (once for all of its samples) build it; every other check
+        reads the record through ``adjacent``."""
         adj = [set() for _ in range(self.n_vertices)]
         for start, size in zip(self.offsets, self.layer_sizes):
             last = start + size - 1
@@ -252,7 +262,11 @@ class WheelPrefix:
         once, and reused for the layer's names), and the record tails.
         The tails start as the constant tail of a record with neither a
         parent nor an upward neighbor; only the other records are
-        formatted one by one."""
+        formatted one by one.
+
+        ``lwheel build`` writes the pieces as they come, so it never holds
+        the whole text.  The export is lossless: ``from_json`` reads it
+        back to a prefix whose export is the same text."""
         yield ('{"ell": %d, "f_spec": %s, "num_layers": %d, "layers": [%s], '
                '"vertices": ['
                % (self.ell, json.dumps(self.f.descriptor), self.num_layers,
@@ -388,7 +402,9 @@ class WheelPrefix:
 
 
 def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
-    """Deterministically build the t-layer prefix of the (f, ell)-wheel."""
+    """Deterministically build the t-layer prefix of the (f, ell)-wheel.
+    A layer, the first included, that would bring the prefix past
+    ``size_cap`` vertices raises SizeCapError before it is built."""
     if t < 1:
         raise ValueError("t must be >= 1, got %d" % t)
     prefix = WheelPrefix(ell, f)
@@ -412,7 +428,8 @@ def read_export(text):
     f_spec and num_layers give ``build_prefix(ell, f, t)`` at the default
     cap, and the export is compared with the text piece by piece,
     stopping at the first piece that differs.  A header that does not
-    build gives (None, False)."""
+    build gives (None, False).  A text that is the export is that prefix,
+    which proves ``verify``'s canonical check with no list compared."""
     head, sep, _ = text.partition(', "vertices": [')
     if not sep:
         return None, False
@@ -444,7 +461,8 @@ def canonical_violation(prefix, built=None):
     the first position only one side holds; a layer that would take the
     construction past the record's size or the default cap, the larger,
     counts as one.  Only a layer whose lists differ is scanned vertex by
-    vertex.
+    vertex.  So ``verify`` of a file that is not the export, but whose
+    header builds the record's own ell, f and t, builds the prefix once.
     """
     ell, f, t = prefix.ell, prefix.f, prefix.num_layers
     up, parent = prefix.up, prefix.parent

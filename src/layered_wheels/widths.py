@@ -324,24 +324,36 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
     t = F(k)-layer prefix and certifies ta >= ceil(t/k) >= c next to the
     finite formula value.  Rows with the same t share one prefix, which is
     built and certified once, and a t past the size cap is tried once.
+
+    The search for k gives up, with a FAIL row, once F(k) passes
+    size_cap // ell while still below ck: every layer holds at least ell
+    vertices and F only grows, so no t it could still reach fits under
+    the cap.  Without that stop an F below ck for every k, such as
+    poly:0 or poly:1 against c = 2, would be searched forever.
     """
     if c_max < 1:
         raise ValueError("c_max must be >= 1, got %d" % c_max)
     f = parse_f_spec("cumulative:%s" % F_spec
                      if not F_spec.startswith("cumulative:") else F_spec)
     F = f.cumulative()
+    # build_prefix's own check, made before size_cap // ell is taken
+    if ell < 4:
+        raise ValueError("ell must be >= 4, got %d" % ell)
     rows = []
     ok = True
     # t -> (verdict without the c test, row fields), or (None, the
     # size-cap fields) for a t past the cap
     certified = {}
+    # the most layers that can fit under the cap, at >= ell vertices each
+    fits = size_cap // ell
     for c in range(1, c_max + 1):
         k = 1
-        while F(k) != INF and F(k) < c * k:
+        while F(k) != INF and F(k) < c * k and F(k) <= fits:
             k += 1
-        if F(k) == INF:
-            rows.append({"c": c, "status": "FAIL",
-                         "note": "no finite F(k) >= ck"})
+        if F(k) == INF or F(k) < c * k:
+            rows.append({"c": c, "status": "FAIL", "note": (
+                "no finite F(k) >= ck" if F(k) == INF else
+                "no F(k) >= ck up to size_cap // ell = %d" % fits)})
             ok = False
             continue
         t = F(k)

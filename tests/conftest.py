@@ -1,4 +1,6 @@
+import contextlib
 import heapq
+import io
 import json
 import random
 
@@ -8,9 +10,32 @@ from hypothesis import strategies as st
 from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
 from layered_wheels import structure as S
 from layered_wheels import widths as W
+from layered_wheels.cli import main
 from layered_wheels.functions import INF
 from layered_wheels.wheel import ConstructionError, SizeCapError
 from layered_wheels.widths import TreeDecomposition
+
+
+def lwheel(*argv):
+    """Run ``lwheel`` in-process on the words of ``argv`` (paths are
+    turned to text) and return its exit code, stdout and stderr.  A
+    usage error, or ``--help``, ends in argparse's SystemExit, whose code
+    (2, or 0) is returned; any other exception propagates, so a test
+    fails where the process would print a traceback, and no traceback may
+    be printed either.  Takes no fixture, so Hypothesis tests call it too.
+    An ``error:`` line must come alone: exit 1, no report and no other
+    line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err, (argv, err)
+    if err.startswith("error: "):
+        assert (code, out, err.count("\n")) == (1, "", 1), (argv, code, err)
+    return code, out, err
 
 
 def small_prefixes(max_vertices=2000, ells=(4, 5, 6),
@@ -342,6 +367,14 @@ def reference_dot(prefix):
             out.append(arcs.pop(start + pos, ""))
     out.append("}\n")
     return "".join(out)
+
+
+def orphan_record():
+    """The JSON object of the l=4 cap:3 t=3 prefix whose first vertex with
+    a parent (in layer 2) has lost it: a record that fails rule 4."""
+    obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 3).to_json())
+    next(v for v in obj["vertices"] if v["parent"])["parent"] = None
+    return obj
 
 
 def doctored_records():
