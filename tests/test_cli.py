@@ -307,21 +307,26 @@ def _five_hole():
     return obj
 
 
-@pytest.mark.parametrize("obj, check, mark", [
-    (orphan_record(), "rules", "recorded parent None but adjacency gives"),
-    (TWO_PARENTS, "rules", "has 2 neighbors in the previous layer"),
-    (REPARENTED, "rules", "is not a child of"),
-    (_five_hole(), "holes", '"shortest_up_to_ell": 5'),
-], ids=["null-parent", "two-parents", "reparent", "5-hole"])
-def test_verify_mutated_fails(tmp_path, obj, check, mark):
-    f = tmp_path / "p.json"
-    f.write_text(json.dumps(obj))
-    code, out, _ = lwheel("verify", "--in", f, "--" + check)
-    rep = json.loads(out)
-    assert code == 1 and not rep["passed"] and mark in out
-    if check == "rules":
-        assert rep["checks"]["rules"] == verify_rules(
-            WheelPrefix.from_json_obj(obj))
+MUTANTS = [
+    ("null-parent", orphan_record(), "rules",
+     "recorded parent None but adjacency gives"),
+    ("two-parents", TWO_PARENTS, "rules",
+     "has 2 neighbors in the previous layer"),
+    ("reparent", REPARENTED, "rules", "is not a child of"),
+    ("5-hole", _five_hole(), "holes", '"shortest_up_to_ell": 5'),
+]
+
+
+def test_verify_mutated_fails(tmp_path):
+    for name, obj, check, mark in MUTANTS:
+        f = tmp_path / (name + ".json")
+        f.write_text(json.dumps(obj))
+        code, out, _ = lwheel("verify", "--in", f, "--" + check)
+        rep = json.loads(out)
+        assert code == 1 and not rep["passed"] and mark in out, name
+        if check == "rules":
+            assert rep["checks"]["rules"] == verify_rules(
+                WheelPrefix.from_json_obj(obj)), name
 
 
 @pytest.mark.parametrize("mutate, field", [
@@ -377,7 +382,7 @@ def test_deeply_nested_json_is_an_error(tmp_path, command):
 
 
 # 2: argparse usage error; 1: input or runtime error, its line first
-@pytest.mark.parametrize("argv, code, err", [
+EXIT_CODES = [
     ("build --ell 4 --f cap:3", 2, "--layers"),
     ("verify --in no.json", 1, "error: "),
     ("build --ell 4 --f cap:3 --layers 3 --size-cap -1", 2, "--size-cap"),
@@ -387,13 +392,15 @@ def test_deeply_nested_json_is_an_error(tmp_path, command):
     # the removed --chordal-samples
     ("verify --in no.json --chordal-samples 5", 2,
      "unrecognized arguments: --chordal-samples 5"),
-], ids=["no-layers", "missing-file", "negative-size-cap", "c-max-0",
-        "ell-0", "negative-samples", "chordal-samples"])
-def test_exit_codes(tmp_path, monkeypatch, argv, code, err):
+]
+
+
+def test_exit_codes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    got, out, stderr = lwheel(*argv.split())
-    assert (got, out) == (code, "") and err in stderr
-    assert code == 2 or stderr.startswith(err)
+    for argv, code, err in EXIT_CODES:
+        got, out, stderr = lwheel(*argv.split())
+        assert (got, out) == (code, "") and err in stderr, (argv, stderr)
+        assert code == 2 or stderr.startswith(err), (argv, stderr)
 
 
 def test_separate_all_with_decomposition(tmp_path):

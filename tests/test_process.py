@@ -1,7 +1,8 @@
 """``lwheel`` as a separate process, for what only a process shows: the
-commands of README's CLI block run as written, one failing run of each
-kind ends with its exit code, and no run prints a traceback.  Every other
-behaviour of the commands is tested in-process, in ``test_cli.py``."""
+commands of README's CLI block run as written, a failed check, an input
+error and a usage error end with their exit codes, and no run prints a
+traceback.  Every other behaviour of the commands is tested in-process,
+in ``test_cli.py``."""
 
 import json
 import os
@@ -60,18 +61,40 @@ def test_readme_commands(tmp_path):
             json.loads(out)
 
 
-@pytest.mark.parametrize("args, code, errors, mark", [
-    # a failed check: a failing report on stdout, and no error line
-    ("verify --in orphan.json --rules", 1, 0, '"passed": false'),
-    # an input error, JSON nested too deeply to parse: one error line
-    ("verify --in nested.json", 1, 1, "error: "),
-    # a usage error: the removed --chordal-samples
-    ("verify --in orphan.json --chordal-samples 5", 2, 0,
-     "unrecognized arguments: --chordal-samples 5"),
-], ids=["failed-check", "input-error", "usage-error"])
-def test_failing_exit_path(tmp_path, args, code, errors, mark):
+@pytest.fixture()
+def d(tmp_path):
+    """A record that fails rule 4 and JSON nested too deeply to parse."""
     (tmp_path / "orphan.json").write_text(json.dumps(orphan_record()))
     (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
-    got, out, err = launch(tmp_path, args.split())
-    assert got == code and mark in out + err
-    assert len(re.findall("^error:", err, re.M)) == errors
+    return tmp_path
+
+
+# a failing report on stdout, and no error line
+@pytest.mark.parametrize("args", ["verify --in orphan.json --rules"],
+                         ids=["null-parent"])
+def test_failed_check(d, args):
+    code, out, err = launch(d, args.split())
+    assert (code, err) == (1, "") and '"passed": false' in out
+
+
+# a fresh process has its own recursion limit: each loader turns the
+# too-deep JSON into one error line
+@pytest.mark.parametrize("args", [
+    "verify --in nested.json", "separate --in nested.json",
+], ids=["nested-verify", "nested-separate"])
+def test_input_error(d, args):
+    code, out, err = launch(d, args.split())
+    assert (code, out) == (1, "")
+    assert len(re.findall("^error:", err, re.M)) == 1, err
+
+
+@pytest.mark.parametrize("args, mark", [
+    # the removed --chordal-samples
+    ("verify --in orphan.json --chordal-samples 5",
+     "unrecognized arguments: --chordal-samples 5"),
+    # another demo's option
+    ("demo question84 --samples 3", "unrecognized arguments: --samples 3"),
+], ids=["chordal-samples", "demo-option"])
+def test_usage_error(d, args, mark):
+    code, out, err = launch(d, args.split())
+    assert (code, out) == (2, "") and mark in err
