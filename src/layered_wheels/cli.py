@@ -364,12 +364,18 @@ def cmd_demo(args):
     return 0 if report["all_certified"] else 1
 
 
+# ends the help text of every option that has a default; argparse's
+# ArgumentDefaultsHelpFormatter skips options with no help text and prints
+# "(default: None)" for required ones
+DEFAULT = "(default: %(default)s)"
+
+
 def make_parser():
     """The ``lwheel`` parser.  Each demo takes only the options it reads,
     ``--size-cap`` and ``--out`` on all three, so another demo's option is
     a usage error.  ``--ell`` defaults to 4 for question84 and
     conjecture85 and to 5 for hajebi, so every demo runs with no
-    options."""
+    options.  ``--help`` shows every default except a switch's (off)."""
     p = argparse.ArgumentParser(
         prog="lwheel",
         description="Generate and analyze finite layered-wheel prefixes.")
@@ -380,10 +386,11 @@ def make_parser():
     b.add_argument("--f", required=True, help="slow-function spec, e.g. "
                    "identity, cap:3, table:1,2,3,3, cumulative:poly:2")
     b.add_argument("--layers", type=int, required=True)
-    b.add_argument("--size-cap", type=count, default=DEFAULT_SIZE_CAP)
-    b.add_argument("--out", default="-")
+    b.add_argument("--size-cap", type=count, default=DEFAULT_SIZE_CAP,
+                   help=DEFAULT)
+    b.add_argument("--out", default="-", help=DEFAULT)
     b.add_argument("--format", choices=("json", "dot", "graph6"),
-                   default="json")
+                   default="json", help=DEFAULT)
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="check structural invariants of a prefix")
@@ -395,15 +402,16 @@ def make_parser():
     v.add_argument("--minor", action="store_true")
     # no effect; kept because the command benchmark passes it to verify
     v.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
-    v.add_argument("--out", default="-")
+    v.add_argument("--out", default="-", help=DEFAULT)
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("separate", help="balanced separation of G[X]")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--target", default="all",
-                   help="'all' or a JSON file of [layer, pos] pairs")
+                   help="'all' or a JSON file of [layer, pos] pairs "
+                   + DEFAULT)
     s.add_argument("--emit-decomposition", action="store_true")
-    s.add_argument("--out", default="-")
+    s.add_argument("--out", default="-", help=DEFAULT)
     s.set_defaults(func=cmd_separate)
 
     d = sub.add_parser("demo", help="run a counterexample demo")
@@ -411,22 +419,23 @@ def make_parser():
     demos = d.add_subparsers(dest="which", required=True)
     # every demo reads these two, and each takes only the options it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--size-cap", type=count, default=DEFAULT_SIZE_CAP)
-    common.add_argument("--out", default="-")
+    common.add_argument("--size-cap", type=count, default=DEFAULT_SIZE_CAP,
+                        help=DEFAULT)
+    common.add_argument("--out", default="-", help=DEFAULT)
     q = demos.add_parser("question84", parents=[common])
-    q.add_argument("--g", default="poly:2", help="growth target")
-    q.add_argument("--ell", type=int, default=4)
-    q.add_argument("--k-max", type=int, default=3)
+    q.add_argument("--g", default="poly:2", help="growth target " + DEFAULT)
+    q.add_argument("--ell", type=int, default=4, help=DEFAULT)
+    q.add_argument("--k-max", type=int, default=3, help=DEFAULT)
     c = demos.add_parser("conjecture85", parents=[common])
-    c.add_argument("--F", default="poly:2", help="cumulative spec")
-    c.add_argument("--ell", type=int, default=4)
-    c.add_argument("--c-max", type=int, default=2)
+    c.add_argument("--F", default="poly:2", help="cumulative spec " + DEFAULT)
+    c.add_argument("--ell", type=int, default=4, help=DEFAULT)
+    c.add_argument("--c-max", type=int, default=2, help=DEFAULT)
     h = demos.add_parser("hajebi", parents=[common])
-    h.add_argument("--c", type=int, default=2)
-    h.add_argument("--ell", type=int, default=5)
-    h.add_argument("--t", type=int, default=4)
-    h.add_argument("--samples", type=count, default=50)
-    h.add_argument("--seed", type=int, default=0)
+    h.add_argument("--c", type=int, default=2, help=DEFAULT)
+    h.add_argument("--ell", type=int, default=5, help=DEFAULT)
+    h.add_argument("--t", type=int, default=4, help=DEFAULT)
+    h.add_argument("--samples", type=count, default=50, help=DEFAULT)
+    h.add_argument("--seed", type=int, default=0, help=DEFAULT)
     return p
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import kernels
@@ -245,16 +245,24 @@ def layer_minor_check(prefix):
     """Certify that the layers form a clique minor (tw >= t-1).
 
     Each layer induces a cycle (connected); the certificate lists one
-    witness edge for every pair of layers.
+    witness edge for every pair of layers: the first ``up`` entry in id
+    order that joins them.  The scan stops after the vertex at which every
+    pair i < j has its witness.  Later entries could only add pairs that
+    are never reported, so the witnesses are those of a full scan.
     """
     t = prefix.num_layers
     layer = prefix._layers()
     witness = {}
+    need = t * (t - 1) // 2
+    found = 0
     for v, ups in enumerate(prefix.up):
         for w in ups:
             pair = (layer[w], layer[v])
             if pair not in witness:
                 witness[pair] = (w, v)
+                found += pair[0] < pair[1]
+        if found == need:
+            break
     missing = [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)
                if (i, j) not in witness]
     data = {
@@ -357,10 +365,11 @@ def build_AB(prefix, P, Q, X):
     common truncation layer of the two paths, restricted to X.
 
     X is a sorted vertex sequence; members above layer m lie on neither
-    side.  Beyond the base segment's up-closure the cost is O(|X|), not
-    O(n): layers 1..i are one slice of X, and a vertex of a later layer j
-    lies on the forward segment p_j..q_j exactly when its cyclic offset
-    from p_j is at most that of q_j.
+    side.  Beyond the base segment's up-closure no vertex is tested one by
+    one: layers 1..i are one slice of X, and in a later layer j two bisects
+    find the forward segment p_j..q_j in X.  It is one id range, or two
+    when it wraps past the layer's first vertex; A takes those slices and
+    B the rest of the layer's slice, plus p_j and q_j when they lie in X.
     """
     i = prefix.layer_of(P[0])
     if prefix.layer_of(Q[0]) != i:
@@ -378,18 +387,24 @@ def build_AB(prefix, P, Q, X):
     B = list(X[:hi])
     A = [x for x in B if x in closure]
     for j in range(i + 1, m + 1):
-        size = prefix.layer_sizes[j - 1]
-        lo, hi = hi, bisect_left(X, prefix.offsets[j - 1] + size)
+        lo, hi = hi, bisect_left(
+            X, prefix.offsets[j - 1] + prefix.layer_sizes[j - 1])
         pj = P[j - i]
         qj = Q[j - i]
-        span = (qj - pj) % size
-        for x in X[lo:hi]:
-            if (x - pj) % size <= span:
-                A.append(x)
-                if x == pj or x == qj:
-                    B.append(x)
-            else:
-                B.append(x)
+        a = bisect_left(X, pj, lo, hi)     # first member >= pj
+        b = bisect_right(X, qj, lo, hi)    # past the last member <= qj
+        if pj <= qj:
+            A += X[a:b]
+            B += X[lo:a]
+            B += X[b:hi]
+        else:                              # the segment wraps: b <= a
+            A += X[lo:b]
+            A += X[a:hi]
+            B += X[b:a]
+        if a < hi and X[a] == pj:
+            B.append(pj)
+        if b > lo and X[b - 1] == qj:
+            B.append(qj)
     return Separation(frozenset(A), frozenset(B))
 
 

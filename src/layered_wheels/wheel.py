@@ -667,7 +667,11 @@ def upward_violation(prefix):
     A pass proves every one-per-layer transversal chordal: the layer
     cycles stay inside their layers, so in a transversal a vertex's
     neighbours in earlier layers lie in its up list, which is a clique,
-    and the descending-layer order is a perfect elimination order."""
+    and the descending-layer order is a perfect elimination order.
+
+    The clique test reads the ``up`` lists alone: once an up list's
+    entries are known to lie in distinct layers, two of them are adjacent
+    exactly when one lists the other."""
     loc = prefix.loc
     layer = prefix._layers()
     up = prefix.up
@@ -688,7 +692,7 @@ def upward_violation(prefix):
                 seen.add(layer[w])
             for a, w in enumerate(upv):
                 for x in upv[a + 1:]:
-                    if not prefix.adjacent(w, x):
+                    if w not in up[x] and x not in up[w]:
                         return "vertex %s: upward neighbors %s and %s are " \
                                "not adjacent" % (loc(v), loc(w), loc(x))
     return None

@@ -407,7 +407,8 @@ def _sample_clique_bounded(prefix, adj, rng, max_omega):
     over u in S and, where the cycle successor u+ is in S too,
     2 + |up[u] & up[u+] & S|.  It is exact on a built prefix, whose layers
     have >= 4 vertices and whose upward lists are cliques of earlier
-    layers.
+    layers.  A u with an empty ``up`` list skips the intersections: its
+    cut is empty, so it gives 2 when u+ is in S and 1 otherwise.
     """
     up = prefix.up
     succ = []                   # succ[u] = u+, u's cycle successor
@@ -424,10 +425,13 @@ def _sample_clique_bounded(prefix, adj, rng, max_omega):
         nb = adj[v] & chosen
         w = 0                   # min(max_omega, omega(G[nb]))
         for u in nb:
-            cut = nb.intersection(up[u])
-            k = 1 + len(cut)
-            if succ[u] in nb:
-                k = max(k, 2 + len(cut.intersection(up[succ[u]])))
+            if not up[u]:       # cut is empty: u alone, or u and u+
+                k = 2 if succ[u] in nb else 1
+            else:
+                cut = nb.intersection(up[u])
+                k = 1 + len(cut)
+                if succ[u] in nb:
+                    k = max(k, 2 + len(cut.intersection(up[succ[u]])))
             if k > w:
                 w = k
                 if w >= max_omega:

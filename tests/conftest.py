@@ -305,6 +305,30 @@ def reference_verify_separation(prefix, sep, vertices):
                    for u, v in prefix.edges())
 
 
+def reference_layer_minor(prefix):
+    """``structure.layer_minor_check(prefix).to_dict()`` by a scan of every
+    up entry of the record: the oracle for its stop once every pair of
+    layers has a witness."""
+    t = prefix.num_layers
+    layer = prefix._layers()
+    witness = {}
+    for v, ups in enumerate(prefix.up):
+        for w in ups:
+            witness.setdefault((layer[w], layer[v]), (w, v))
+    missing = [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)
+               if (i, j) not in witness]
+    data = {
+        "num_layers": t,
+        "edges": {"%d,%d" % p: [list(prefix.loc(witness[p][0])),
+                                list(prefix.loc(witness[p][1]))]
+                  for p in sorted(witness) if p[0] < p[1]},
+    }
+    if missing:
+        data["first_missing_pair"] = list(missing[0])
+    return S.Certificate(kind="minor", data=data, verdict=not missing,
+                         bound=t - 1).to_dict()
+
+
 def masks_of(adj):
     """Neighbour sets or lists as the bitmasks that the kernels' bitset
     searches (``max_clique``, ``max_independent_set``) take: bit u of

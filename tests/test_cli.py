@@ -934,6 +934,37 @@ def test_verify_help_hides_seed():
     assert "--seed" not in text and "--chordal-samples" not in text
 
 
+_CAP_AND_OUT = {"--size-cap": "200000", "--out": "-"}
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["build"], {"--ell": None, "--f": None, "--layers": None,
+                 **_CAP_AND_OUT, "--format": "json"}),
+    (["verify"], {"--in": None, "--rules": None, "--canonical": None,
+                  "--holes": None, "--clique": None, "--minor": None,
+                  "--out": "-"}),
+    (["separate"], {"--in": None, "--target": "all",
+                    "--emit-decomposition": None, "--out": "-"}),
+    (["demo", "question84"], {**_CAP_AND_OUT, "--g": "poly:2",
+                              "--ell": "4", "--k-max": "3"}),
+    (["demo", "conjecture85"], {**_CAP_AND_OUT, "--F": "poly:2",
+                                "--ell": "4", "--c-max": "2"}),
+    (["demo", "hajebi"], {**_CAP_AND_OUT, "--c": "2", "--ell": "5",
+                          "--t": "4", "--samples": "50", "--seed": "0"}),
+], ids=lambda a: "-".join(a) if isinstance(a, list) else "")
+def test_help_shows_each_default(argv, defaults):
+    # every listed option, and no other, shows "(default: ...)" exactly
+    # when it has a value default: none on a required option or a switch
+    code, text, _ = lwheel(*argv, "--help")
+    assert code == 0
+    body = " ".join(text.split("options:", 1)[1].split())
+    shown = {}
+    for entry in re.split(r" (?=--[A-Za-z])", body)[1:]:
+        found = re.search(r"\(default: (.*?)\)", entry)
+        shown[entry.split()[0]] = found and found.group(1)
+    assert shown == {"--help": None, **defaults}
+
+
 @pytest.mark.parametrize("name, obj, where, reason", doctored_records(),
                          ids=[case[0] for case in doctored_records()])
 def test_doctored_record_fails_verify_and_separate(tmp_path, name,

@@ -11,7 +11,8 @@ from layered_wheels import structure as S
 from layered_wheels.functions import INF
 
 from conftest import (PREFIXES_300, arbitrary_records, doctored_records,
-                      masks_of, random_vertical_path, reference_spans,
+                      masks_of, orphan_record, random_vertical_path,
+                      reference_layer_minor, reference_spans,
                       reference_verify_separation, targets)
 
 
@@ -85,6 +86,41 @@ def test_induced_adjacency_of_every_vertex_is_a_copy(prefix_68):
 def test_hole_budget_rejects_small_bound(prefix_68):
     with pytest.raises(ValueError):
         S.shortest_hole_up_to(prefix_68, 3)
+
+
+def test_minor_matches_the_full_scan_on_built_prefixes(prefixes_2000):
+    for p in prefixes_2000:
+        assert S.layer_minor_check(p).to_dict() == reference_layer_minor(p)
+
+
+def _minor_records():
+    """Records whose minor scan meets entries that no built prefix has, so
+    that the stop must not count them as pairs, one param each."""
+    rows = [pytest.param(WheelPrefix.from_json(json.dumps(obj)), id=name)
+            for name, obj in [("orphan", orphan_record())]
+            + [(name, obj) for name, obj, _, _ in doctored_records()]]
+    # no edge between layers 1 and 3: the pair stays missing
+    q = build_prefix(4, parse_f_spec("cap:3"), 4)
+    for g in q.layer_range(3):
+        q.up[g] = tuple(w for w in q.up[g] if q.layer_of(w) != 1)
+    rows.append(pytest.param(q, id="missing-1-3"))
+    # layer 2's first vertex lists a layer-4 vertex, before any pair with
+    # layer 4 has a witness: the pair (4, 2) is never reported
+    d = build_prefix(4, parse_f_spec("cap:3"), 4)
+    d.up[d.offsets[1]] += (d.offsets[3],)
+    rows.append(pytest.param(d, id="downward"))
+    return rows
+
+
+@pytest.mark.parametrize("p", _minor_records())
+def test_minor_matches_the_full_scan_on_edited_records(p):
+    assert S.layer_minor_check(p).to_dict() == reference_layer_minor(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbitrary_records())
+def test_minor_matches_the_full_scan_on_arbitrary_records(p):
+    assert S.layer_minor_check(p).to_dict() == reference_layer_minor(p)
 
 
 def test_transversal_check_reads_an_up_list_edited_in_place():

@@ -647,9 +647,9 @@ _MUTANT_BASES = [build_prefix(ell, parse_f_spec(fs), t).to_json()
 def json_mutants(draw):
     """A small prefix's JSON with one to three of: a vertex re-parented
     together with its up entry, the parent and up of two vertices of one
-    layer swapped, an up entry dropped, a parent nulled, and an up entry
-    added that is from the next layer, a repeat, the vertex itself or from
-    the vertex's own layer."""
+    layer swapped, an up entry dropped, an up list reversed, a parent
+    nulled, and an up entry added that is from the next layer, a repeat,
+    the vertex itself or from the vertex's own layer."""
     obj = json.loads(draw(st.sampled_from(_MUTANT_BASES)))
     recs = obj["vertices"]
     sizes = obj["layers"]
@@ -664,7 +664,8 @@ def json_mutants(draw):
 
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["reparent", "swap", "drop-up",
-                                     "null-parent", "next-layer-up",
+                                     "reverse-up", "null-parent",
+                                     "next-layer-up",
                                      "repeat-up", "self-up",
                                      "own-layer-up"]))
         rec = draw(st.sampled_from(recs))
@@ -685,6 +686,10 @@ def json_mutants(draw):
             rec["up"], other["up"] = other["up"], rec["up"]
         elif kind == "drop-up" and rec["up"]:
             del rec["up"][draw(st.integers(0, len(rec["up"]) - 1))]
+        elif kind == "reverse-up":
+            # rule 5 puts no order on an up list: later layers may come
+            # first, so a clique test must look both ways
+            rec["up"].reverse()
         elif kind == "null-parent":
             rec["parent"] = None
         elif kind == "next-layer-up" and layer < len(sizes):
