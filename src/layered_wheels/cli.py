@@ -18,8 +18,8 @@ import sys
 from . import structure, widths
 from .functions import INF, parse_f_spec
 from .wheel import (DEFAULT_SIZE_CAP, PIECE, SizeCapError, WheelPrefix,
-                    build_prefix, canonical_violation, read_export,
-                    verify_rules)
+                    build_prefix, canonical_violation, digit_text,
+                    positions, read_export, verify_rules)
 
 
 # -- export formats -------------------------------------------------------
@@ -73,22 +73,26 @@ def dot_pieces(prefix):
     Upward neighbors must lie in earlier layers, as in a built prefix.
 
     Each piece is one join over the position strings of its vertices,
-    made once per piece: a rank piece joins them with the quoted layer
-    prefix between them, and a piece of arcs fills a list in five strides
-    (the constant tail prefix, the tail positions, the constant arrow,
-    the head positions, and the line end with the tail's upward arcs).
-    The upward arcs out of a vertex are gathered first as their heads'
+    cut by ``wheel.positions`` from one ``digit_text`` of the largest
+    layer's size, made once per export, not converted one int at a time.
+    A rank piece joins them with the quoted layer prefix between them,
+    and a piece of arcs fills a list in six strides: the constant tail
+    prefix, the tail position, the constant arrow, the head position,
+    the constant line end, and the tail's upward arcs.  The upward arcs
+    out of a vertex are gathered first as their heads'
     ``' -> "layer_pos";\\n'`` lines, and get the tail's name put in
     front of each arrow when their piece is joined.  ``lwheel build
     --format dot`` writes the pieces as they come."""
     yield "digraph wheel {\n  rankdir=TB;\n  node [shape=circle];\n"
     layers = list(enumerate(zip(prefix.offsets, prefix.layer_sizes), 1))
+    # positions up to the largest layer's size, the wrap of its last arc
+    digits = digit_text(max(prefix.layer_sizes))
     for layer, (_, size) in layers:
         q = '"%d_' % layer
         for a in range(0, size, PIECE):
+            pos = positions(digits, a, min(a + PIECE, size))
             yield ((" " if a else "  { rank=same; ") + q
-                   + ('" ' + q).join(map(str, range(a, min(a + PIECE, size))))
-                   + '"')
+                   + ('" ' + q).join(pos) + '"')
         yield " }\n"
     # arcs[g] = the heads of the upward arcs out of g, as lines without
     # their tail; a head's line is made once, for all of its tails
@@ -108,16 +112,16 @@ def dot_pieces(prefix):
         arrow = '" -> "%d_' % layer
         for a in range(0, size, PIECE):
             b = min(a + PIECE, size)
-            pos = list(map(str, range(a, b + 1)))
+            pos = positions(digits, a, b + 1)
             if b == size:      # the last vertex's arc wraps to position 0
                 pos[-1] = "0"
             out = arcs[start + a:start + b]
             for j in itertools.compress(range(b - a), out):
                 out[j] = out[j].replace(" -> ", q + pos[j] + '" -> ')
-            parts = [q, None, arrow, None, None] * (b - a)
-            parts[1::5] = pos[:-1]
-            parts[3::5] = pos[1:]
-            parts[4::5] = map('";\n'.__add__, out)
+            parts = [q, None, arrow, None, '";\n', None] * (b - a)
+            parts[1::6] = pos[:-1]
+            parts[3::6] = pos[1:]
+            parts[5::6] = out
             yield "".join(parts)
     yield "}\n"
 

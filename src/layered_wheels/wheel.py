@@ -37,6 +37,30 @@ class UnknownVertexError(ValueError):
     """A (layer, pos) location or global id outside the prefix."""
 
 
+def digit_text(top):
+    """The text "0 1 2 ... top", the position strings of an export joined
+    by spaces, from which ``positions`` cuts them.  It is joined from
+    chunks of ``PIECE`` numbers, so no list of ``top`` strings is ever
+    held."""
+    return " ".join([" ".join(map(str, range(a, min(a + PIECE, top + 1))))
+                     for a in range(0, top + 1, PIECE)])
+
+
+def _digit_offset(x):
+    # where x starts in digit_text: each of the 10^k - 10^(k-1) numbers
+    # of k < d digits takes k + 1 characters
+    d = len(str(x))
+    return (d + 1) * x - (10 ** d - 10) // 9
+
+
+def positions(text, a, b):
+    """``list(map(str, range(a, b)))`` for 0 <= a <= b <= top + 1, cut
+    from ``digit_text(top)`` by one slice and one split."""
+    if a == b:
+        return []
+    return text[_digit_offset(a):_digit_offset(b) - 1].split(" ")
+
+
 def _check_size_cap(layer, n, size_cap):
     if n > size_cap:
         raise SizeCapError("layer %d would bring the prefix to %d vertices "
@@ -258,11 +282,15 @@ class WheelPrefix:
         layer raises IndexError.
 
         A piece is one join of a list in three strides: the layer's
-        constant record head, the position strings of the piece (made
-        once, and reused for the layer's names), and the record tails.
-        The tails start as the constant tail of a record with neither a
-        parent nor an upward neighbor; only the other records are
-        formatted one by one.
+        constant record head, the position strings of the piece, and the
+        record tails.  The position strings are cut by ``positions``
+        from one ``digit_text`` of the largest layer's size, made once per
+        export, not converted one int at a time.  The same
+        strings give the piece's names, by one join and one split; the
+        names are kept back until the whole layer is written.  The tails
+        start as the constant tail of a record with neither a parent nor
+        an upward neighbor; only the other records are formatted one by
+        one.
 
         ``lwheel build`` writes the pieces as they come, so it never holds
         the whole text.  The export is lossless: ``from_json`` reads it
@@ -273,6 +301,7 @@ class WheelPrefix:
                   ", ".join(map(str, self.layer_sizes))))
         up, parent = self.up, self.parent
         n = self.n_vertices
+        digits = digit_text(max(self.layer_sizes))
         names = []                 # names[g] = "[layer, pos]" of g
         name = names.__getitem__
         for layer, (start, size) in enumerate(
@@ -283,7 +312,7 @@ class WheelPrefix:
             for a in range(start, start + size, PIECE):
                 b = min(a + PIECE, start + size)
                 k = b - a
-                pos = list(map(str, range(a - start, b - start)))
+                pos = positions(digits, a - start, b - start)
                 ups, ps = up[a:b], parent[a:b]
                 tails = [', "parent": null, "up": []}, '] * k
                 rows = compress(range(k), ups)
@@ -304,7 +333,7 @@ class WheelPrefix:
                 parts[2::3] = tails
                 yield "".join(parts)
                 if layer < self.num_layers:
-                    own += map("%s]".__mod__, map(pre.__add__, pos))
+                    own += (pre + ("]\n" + pre).join(pos) + "]").split("\n")
             names += own
         yield "]}"
 
@@ -425,18 +454,23 @@ def read_export(text):
     final newline.
 
     Only the header, the text before the vertex list, is parsed; its ell,
-    f_spec and num_layers give ``build_prefix(ell, f, t)`` at the default
-    cap, and the export is compared with the text piece by piece,
-    stopping at the first piece that differs.  A header that does not
-    build gives (None, False).  A text that is the export is that prefix,
-    which proves ``verify``'s canonical check with no list compared."""
+    f_spec and num_layers give ``build_prefix(ell, f, t)``, and the export
+    is compared with the text piece by piece, stopping at the first piece
+    that differs.  The build's cap is the default cap or the text's
+    length, the larger: no prefix has more vertices than its export has
+    bytes, so an export built past the default cap is still recognised,
+    and a short text's header cannot ask for more than the default cap.
+    A header that does not build gives (None, False).  A text that is the
+    export is that prefix, which proves ``verify``'s canonical check with
+    no list compared."""
     head, sep, _ = text.partition(', "vertices": [')
     if not sep:
         return None, False
     try:
         obj = json.loads(head + "}")
         prefix = build_prefix(obj["ell"], parse_f_spec(obj["f_spec"]),
-                              obj["num_layers"])
+                              obj["num_layers"],
+                              size_cap=max(DEFAULT_SIZE_CAP, len(text)))
     except _MALFORMED + (SizeCapError, ConstructionError):
         return None, False
     at = 0
@@ -453,8 +487,8 @@ def canonical_violation(prefix, built=None):
     and the field.
 
     ``built``, when it is ``build_prefix`` of the record's own ell, f and
-    t (say, the prefix ``read_export`` built from the file's header), is
-    the construction compared with.  Otherwise the construction grows one
+    t (say, the prefix ``read_export`` built from the file's header) and
+    within the cap below, is the construction compared with.  Otherwise the construction grows one
     layer at a time, as ``build_prefix`` grows it.  Each layer is
     compared with the record's in turn: first its size, then its up lists
     and parents as list slices.  A layer whose size differs is named at
@@ -471,10 +505,12 @@ def canonical_violation(prefix, built=None):
 
     def where(p, g):
         return p.loc(g) if g >= 0 else None
-    # every layer of ``built`` lies under the default cap, so the grown
-    # construction would reach each of them too
-    grow = built is None or (built.ell, built.f.descriptor,
-                             built.num_layers) != (ell, f.descriptor, t)
+    # a ``built`` within the cap reaches each layer the grown construction
+    # would; ``read_export`` may build past it, for a record smaller than
+    # its header's build, whose detail is then the grown one's
+    grow = (built is None or built.n_vertices > cap
+            or (built.ell, built.f.descriptor, built.num_layers)
+            != (ell, f.descriptor, t))
     ref = None if grow else built
     for layer, size in enumerate(prefix.layer_sizes, 1):
         if grow:

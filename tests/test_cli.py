@@ -15,9 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from layered_wheels import (WheelPrefix, build_prefix, parse_f_spec,
                             verify_rules)
-from layered_wheels import cli, kernels, structure, widths
+from layered_wheels import cli, kernels, structure, wheel, widths
 from layered_wheels.cli import graph6_pieces, to_dot
-from layered_wheels.wheel import PIECE, canonical_violation
+from layered_wheels.wheel import PIECE, canonical_violation, read_export
 
 from conftest import (PREFIXES_300, assert_same_text, doctored_records,
                       lwheel, masks_of, orphan_record, reference_dot,
@@ -123,7 +123,9 @@ def test_graph6_matches_prefix_edges(tmp_path, t):
 # sha256 of the `build` exports: a faster writer must not change a byte.
 # At t=10 the last layer (12,776 records) spans several pieces of the
 # JSON and DOT writers, and at n=3020 the graph6 body spans several pieces.
-# `--out -` streams the same pieces to stdout.
+# The last layer of l=6 cap:4 t=8 (n=155,022, 118,368 records) is the only
+# one whose positions pass 100,000.  `--out -` streams the same pieces to
+# stdout.
 @pytest.mark.parametrize("ell, f, t, fmt, out, digest", [
     (4, "cap:3", 8, "json", "p.out",
      "09cfb2aadb88c5537a02708d0a935c966e4f447258fb51e688a3e5cdd7ce9975"),
@@ -139,6 +141,10 @@ def test_graph6_matches_prefix_edges(tmp_path, t):
      "eedbef071a0b83e75acd512c3e26720702e7d74632d3b9f2b5dca50446e2c466"),
     (4, "cap:3", 8, "graph6", "p.out",
      "3647f661513adf9abb50b4a5f36314f1e9d7dcc1e7640b173fd9732351eada76"),
+    (6, "cap:4", 8, "json", "p.out",
+     "1034e76f1d08c9ab6ec203fb62e44e877b0a47d99fd462acaafbf67329da857b"),
+    (6, "cap:4", 8, "dot", "p.out",
+     "544c0e7ab9087181727dc472d1e4137f3526d351d18d5bf3527b438984d907dc"),
     (4, "cap:3", 10, "json", "-",
      "612132b27cc8054e13150de5edfbfa3038abfc9dd10ddc6bd2a00621f79ea0e6"),
     (4, "cap:3", 10, "dot", "-",
@@ -146,8 +152,9 @@ def test_graph6_matches_prefix_edges(tmp_path, t):
     (4, "cap:3", 8, "graph6", "-",
      "3647f661513adf9abb50b4a5f36314f1e9d7dcc1e7640b173fd9732351eada76"),
 ], ids=["n3020-json", "n3020-dot", "n2094-json", "n2094-dot",
-        "n20676-json", "n20676-dot", "n3020-graph6", "n20676-json-stdout",
-        "n20676-dot-stdout", "n3020-graph6-stdout"])
+        "n20676-json", "n20676-dot", "n3020-graph6", "n155022-json",
+        "n155022-dot", "n20676-json-stdout", "n20676-dot-stdout",
+        "n3020-graph6-stdout"])
 def test_build_export_bytes_pinned(tmp_path, ell, f, t, fmt, out, digest):
     path = "-" if out == "-" else tmp_path / out
     code, stdout, _ = lwheel("build", "--ell", ell, "--f", f, "--layers", t,
@@ -261,6 +268,37 @@ def test_writers_at_the_piece_edges(size, third):
             assert len(CYCLE_ARC.findall(piece)) <= PIECE
         else:
             assert piece.count('"') // 2 <= PIECE
+
+
+def _largest_in_the_middle():
+    """A hand-made record whose layer 2, of 1,001 vertices, is far larger
+    than its last layer, of 7; layer 2 has records at its digit band
+    edges, and layer 3 names its first and last vertices."""
+    p = WheelPrefix(4, parse_f_spec("cap:3"))
+    p.layer_sizes = [4, 1001, 7]
+    p.offsets = [0, 4, 1005]
+    p.up = [()] * 1012
+    p.parent = [-1] * 1012
+    for pos in (0, 9, 10, 99, 100, 999, 1000):
+        p.up[4 + pos] = (pos % 4,)
+        p.parent[4 + pos] = pos % 4
+    p.up[1005] = (0, 4)
+    p.parent[1005] = 4
+    p.up[1011] = (3, 1004)
+    p.parent[1011] = 1004
+    return p
+
+
+@pytest.mark.parametrize("p", [
+    _largest_in_the_middle(),
+    build_prefix(4, parse_f_spec("cap:3"), 1),
+    # the wrap of the last arc, position 10, is the first of two digits
+    build_prefix(10, parse_f_spec("identity"), 1),
+], ids=["largest-in-the-middle", "one-layer", "one-layer-ell10"])
+def test_writers_size_the_digit_text_by_the_largest_layer(p):
+    same_json = p.to_json() == reference_json(p)
+    same_dot = to_dot(p) == reference_dot(p)
+    assert same_json and same_dot
 
 
 @pytest.mark.parametrize("field", ["up", "parent"])
@@ -1181,6 +1219,44 @@ def test_the_rebuild_is_dropped_before_the_parse_unless_canonical_reads_it(
     monkeypatch.setattr(WheelPrefix, "from_json", parsing)
     lwheel(argv[0], "--in", src, *argv[1:])
     assert seen == [alive]
+
+
+def test_an_export_past_the_default_cap_reads_as_exact(tmp_path,
+                                                      monkeypatch):
+    # the header's build is capped by the text's length when that is
+    # larger than the default cap, so an export built with --size-cap
+    # above the default is recognised and never parsed
+    monkeypatch.setattr(wheel, "DEFAULT_SIZE_CAP", 1000)
+    src = tmp_path / "p.json"
+    code, _, _ = lwheel("build", "--ell", "4", "--f", "cap:3",
+                        "--layers", "8", "--size-cap", "5000", "--out", src)
+    assert code == 0
+    text = src.read_text()
+    # a record one vertex short of its header's build, which is past the
+    # record's own size, gets the detail of the construction grown to it
+    obj = json.loads(text)
+    obj["layers"][-1] -= 1
+    del obj["vertices"][-1]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(obj))
+    want = canonical_violation(WheelPrefix.from_json(short.read_text()))
+    assert "passes 3019" in want
+    code, out, _ = lwheel("verify", "--canonical", "--in", short)
+    assert code == 1
+    assert json.loads(out)["checks"]["canonical"]["detail"] == want
+
+    def refuse(text):
+        raise AssertionError("the export was parsed")
+    monkeypatch.setattr(WheelPrefix, "from_json", refuse)
+    prefix, exact = read_export(text)
+    assert exact and prefix.n_vertices == 3020
+    code, out, _ = lwheel("verify", "--in", src)
+    assert code == 0
+    assert json.loads(out)["checks"]["canonical"]["passed"]
+    # a header that asks for more vertices than its text has bytes
+    head = text[:text.index('"vertices": [')] + '"vertices": []}'
+    assert len(head) < 1000
+    assert read_export(head) == (None, False)
 
 
 @pytest.mark.parametrize("field, value, error", [

@@ -10,9 +10,10 @@ from layered_wheels import (
     parse_f_spec,
     verify_rules,
 )
-from layered_wheels.wheel import (ConstructionError, SizeCapError,
+from layered_wheels.wheel import (PIECE, ConstructionError, SizeCapError,
                                   UnknownVertexError, _tiling_violation,
-                                  canonical_violation, read_export)
+                                  canonical_violation, digit_text,
+                                  positions, read_export)
 
 from conftest import (PREFIXES_300, arbitrary_records, assert_same_text,
                       reference_extend, reference_json, reference_spans)
@@ -138,6 +139,36 @@ def test_json_round_trip_every_spec_form(spec):
     assert WheelPrefix.from_json(text).to_json() == text
     g = parse_f_spec(f.descriptor)
     assert [g(i) for i in range(1, 31)] == [f(i) for i in range(1, 31)]
+
+
+# -- position strings cut from one digit text ----------------------------
+
+# the digit band edges 10^k - 1, 10^k, 10^k + 1 and the piece edges
+# m * PIECE - 1, m * PIECE, m * PIECE + 1, with the pieces that cross
+# 100,000 and reach 10^6
+_EDGES = sorted({0} | {e + d for d in (-1, 0, 1)
+                       for e in [10 ** k for k in range(1, 7)]
+                       + [m * PIECE for m in (1, 2, 3, 24, 25, 244)]})
+
+
+def test_positions_at_every_band_and_piece_edge():
+    # every range that starts and ends at an edge, the empty ones too, up
+    # to two pieces long: the writers cut at most PIECE + 1 at a time
+    top = 10 ** 6 + 1
+    text = digit_text(top)
+    for a in _EDGES:
+        for b in _EDGES:
+            if a <= b <= a + 2 * PIECE + 2:
+                assert positions(text, a, b) == list(map(str, range(a, b))), \
+                    (a, b)
+    assert positions(text, top, top + 1) == [str(top)]
+
+
+@pytest.mark.parametrize("top", [0, 9, 10, 11, PIECE - 1, PIECE, PIECE + 1])
+def test_digit_text_at_its_chunk_edges(top):
+    text = digit_text(top)
+    assert text == " ".join(map(str, range(top + 1)))
+    assert positions(text, 0, top + 1) == text.split(" ")
 
 
 # -- reading a file that is exactly its export ---------------------------
