@@ -205,22 +205,16 @@ def _write(path, pieces):
             fh.writelines(pieces)
 
 
-def _load_prefix(path, canonical=True):
-    """The prefix in the JSON file at path, and the prefix its header
-    builds (``read_export``) or None.  They are one object when the file
-    is byte for byte its ``lwheel build`` export; any other file is
-    parsed.  Only the canonical check reads the header's build, so
-    without ``canonical`` it is dropped before the parse, and None is
-    given in its place: ``separate``, and ``verify`` without the canonical
-    check, never hold it next to the parsed record."""
+def _load_prefix(path):
+    """The prefix in the JSON file at path, and whether the file is byte
+    for byte its ``lwheel build`` export (``read_export``).  Any other
+    file is parsed."""
     with open(path) as fh:
         text = fh.read()
-    built, exact = read_export(text)
-    if exact:
-        return built, built
-    if not canonical:
-        built = None
-    return WheelPrefix.from_json(text), built
+    prefix = read_export(text)
+    if prefix is not None:
+        return prefix, True
+    return WheelPrefix.from_json(text), False
 
 
 def _load_target(prefix, path):
@@ -269,7 +263,7 @@ CHECKS = ("rules", "canonical", "holes", "clique", "minor")
 
 def cmd_verify(args):
     selected = [name for name in CHECKS if getattr(args, name)] or CHECKS
-    prefix, built = _load_prefix(args.infile, "canonical" in selected)
+    prefix, exact = _load_prefix(args.infile)
     report = {"n": prefix.n_vertices, "num_layers": prefix.num_layers,
               "checks": {}}
     ok = True
@@ -281,14 +275,13 @@ def cmd_verify(args):
     if "canonical" in selected:
         # a file equal to the export of build_prefix(ell, f, t) is that
         # prefix, a stronger proof than comparing the parsed lists; any
-        # other file is compared with its header's build, when it has one
-        detail = None if prefix is built else canonical_violation(prefix,
-                                                                   built)
+        # other record is compared with the construction grown for it
+        detail = None if exact else canonical_violation(prefix)
         report["checks"]["canonical"] = {"passed": detail is None,
                                          "detail": detail or ""}
         ok &= detail is None
     if "holes" in selected:
-        shortest = structure.shortest_hole_up_to(prefix, prefix.ell)
+        shortest = structure.shortest_hole_up_to(prefix)
         good = shortest is None or shortest >= prefix.ell
         report["checks"]["holes"] = {
             "shortest_up_to_ell": shortest, "passed": good}
@@ -317,14 +310,15 @@ def cmd_verify(args):
 
 
 def cmd_separate(args):
-    prefix = _load_prefix(args.infile, canonical=False)[0]
+    prefix = _load_prefix(args.infile)[0]
     if args.target == "all":
         X = frozenset(range(prefix.n_vertices))
     else:
         X = _load_target(prefix, args.target)
     # the clique route runs first, so a record that breaks its premise
     # never reaches the separation loop
-    k, cert = structure.induced_clique_number(prefix, X)
+    k, cert = structure.induced_clique_number(
+        prefix, None if args.target == "all" else X)
     if not cert.verdict:
         raise ValueError("no clique certificate: vertex %s: %s" % (
             tuple(cert.data["first_violation"]), cert.data["reason"]))

@@ -133,23 +133,21 @@ def clique_number_exact(prefix):
 def induced_clique_number(prefix, X):
     """omega(G[X]) by the route of ``clique_number_exact``, as (omega,
     certificate): each upward list is cut down to X, and a pair counts only
-    when v and v+ both lie in X.  X None, or a set of every vertex, stands
-    for the whole prefix."""
+    when v and v+ both lie in X.  X None stands for the whole prefix."""
     premise = _up_route_violation(prefix)
     if premise is not None:
         g, reason = premise
         return 0, Certificate(kind="clique", data={
             "clique": [], "first_violation": list(prefix.loc(g)),
             "reason": reason}, verdict=False)
-    n = prefix.n_vertices
-    X = None if X is None else frozenset(X)
     # lens[v] = |up[v] cut to X|, or -1 for v outside X
-    if X is None or len(X) == n:
+    if X is None:
         ups = prefix.up
         lens = list(map(len, ups))
     else:
+        X = frozenset(X)
         ups = {v: [w for w in prefix.up[v] if w in X] for v in X}
-        lens = [-1] * n
+        lens = [-1] * prefix.n_vertices
         for v, cut in ups.items():
             lens[v] = len(cut)
     m = max(lens, default=-1)
@@ -230,15 +228,12 @@ def max_independent_set_exact(prefix, X):
     return len(mis), cert
 
 
-def shortest_hole_up_to(prefix, bound):
-    """Shortest chordless cycle of length in [4, bound], or None.  Exact:
-    ``kernels.shortest_hole`` peels the vertices no hole shorter than
-    bound needs, scans what is left, and then looks for a hole of length
-    bound."""
-    if bound < 4:
-        raise ValueError("hole bound must be >= 4, got %d" % bound)
+def shortest_hole_up_to(prefix):
+    """Shortest chordless cycle of length in [4, ell], or None.  Exact:
+    ``kernels.shortest_hole`` peels the vertices no hole shorter than ell
+    needs, scans what is left, and then looks for a hole of length ell."""
     adj = prefix.adjacency()
-    return kernels.shortest_hole(prefix.n_vertices, adj, bound)
+    return kernels.shortest_hole(prefix.n_vertices, adj, prefix.ell)
 
 
 def layer_minor_check(prefix):
@@ -413,7 +408,7 @@ def verify_separation_on_prefix(prefix, sep, vertices):
     cover X and no edge of the record inside X joins A-only to B-only.
     Every edge is a vertex's cycle successor or one of its ``up`` entries,
     so only the A-only and B-only vertices are read, each looked up from
-    both sides.  Usable on separations from files.
+    both sides.
 
     B-only is X - A, and A and B cover X when X - A lies in B; A-only is
     then X - B.  X is copied only when it is not a set."""

@@ -449,9 +449,8 @@ def build_prefix(ell, f, t, size_cap=DEFAULT_SIZE_CAP):
 
 
 def read_export(text):
-    """The prefix that the header of the text builds, and whether the text
-    is exactly that prefix's JSON export, ``to_json`` with or without a
-    final newline.
+    """The prefix whose JSON export the text is exactly, ``to_json`` with
+    or without a final newline, or None.
 
     Only the header, the text before the vertex list, is parsed; its ell,
     f_spec and num_layers give ``build_prefix(ell, f, t)``, and the export
@@ -460,43 +459,40 @@ def read_export(text):
     length, the larger: no prefix has more vertices than its export has
     bytes, so an export built past the default cap is still recognised,
     and a short text's header cannot ask for more than the default cap.
-    A header that does not build gives (None, False).  A text that is the
-    export is that prefix, which proves ``verify``'s canonical check with
-    no list compared."""
+    A header that does not build, and one whose build is not the text,
+    give None, and the build is dropped.  A text that is the export is
+    that prefix, which proves ``verify``'s canonical check with no list
+    compared."""
     head, sep, _ = text.partition(', "vertices": [')
     if not sep:
-        return None, False
+        return None
     try:
         obj = json.loads(head + "}")
         prefix = build_prefix(obj["ell"], parse_f_spec(obj["f_spec"]),
                               obj["num_layers"],
                               size_cap=max(DEFAULT_SIZE_CAP, len(text)))
     except _MALFORMED + (SizeCapError, ConstructionError):
-        return None, False
+        return None
     at = 0
     for piece in prefix.json_pieces():
         if not text.startswith(piece, at):
-            return prefix, False
+            return None
         at += len(piece)
-    return prefix, text[at:] in ("", "\n")
+    return prefix if text[at:] in ("", "\n") else None
 
 
-def canonical_violation(prefix, built=None):
+def canonical_violation(prefix):
     """None when the record is ``build_prefix(ell, f, t)`` for its own ell,
     f and t, else the first difference, naming the vertex as (layer, pos)
     and the field.
 
-    ``built``, when it is ``build_prefix`` of the record's own ell, f and
-    t (say, the prefix ``read_export`` built from the file's header) and
-    within the cap below, is the construction compared with.  Otherwise the construction grows one
-    layer at a time, as ``build_prefix`` grows it.  Each layer is
-    compared with the record's in turn: first its size, then its up lists
-    and parents as list slices.  A layer whose size differs is named at
-    the first position only one side holds; a layer that would take the
-    construction past the record's size or the default cap, the larger,
-    counts as one.  Only a layer whose lists differ is scanned vertex by
-    vertex.  So ``verify`` of a file that is not the export, but whose
-    header builds the record's own ell, f and t, builds the prefix once.
+    The construction grows one layer at a time, as ``build_prefix`` grows
+    it, and each layer is compared with the record's in turn: first its
+    size, then its up lists and parents as list slices.  A layer whose
+    size differs is named at the first position only one side holds; a
+    layer that would take the construction past the record's size or the
+    default cap, the larger, counts as one.  Only a layer whose lists
+    differ is scanned vertex by vertex.
     """
     ell, f, t = prefix.ell, prefix.f, prefix.num_layers
     up, parent = prefix.up, prefix.parent
@@ -505,24 +501,17 @@ def canonical_violation(prefix, built=None):
 
     def where(p, g):
         return p.loc(g) if g >= 0 else None
-    # a ``built`` within the cap reaches each layer the grown construction
-    # would; ``read_export`` may build past it, for a record smaller than
-    # its header's build, whose detail is then the grown one's
-    grow = (built is None or built.n_vertices > cap
-            or (built.ell, built.f.descriptor, built.num_layers)
-            != (ell, f.descriptor, t))
-    ref = None if grow else built
+    ref = None
     for layer, size in enumerate(prefix.layer_sizes, 1):
-        if grow:
-            try:
-                if ref is None:
-                    ref = build_prefix(ell, f, 1, size_cap=cap)
-                else:
-                    ref._extend(cap)
-            except SizeCapError:
-                return "vertex %s: layer %d holds %d vertices, where the " \
-                       "layer of %s passes %d" % ((layer, size), layer, size,
-                                                  name, cap)
+        try:
+            if ref is None:
+                ref = build_prefix(ell, f, 1, size_cap=cap)
+            else:
+                ref._extend(cap)
+        except SizeCapError:
+            return "vertex %s: layer %d holds %d vertices, where the " \
+                   "layer of %s passes %d" % ((layer, size), layer, size,
+                                              name, cap)
         ref_size = ref.layer_sizes[layer - 1]
         if ref_size != size:
             return "vertex %s: layer %d holds %d vertices, where %s has " \

@@ -49,7 +49,7 @@ def test_criterion_01_construction_fidelity():
 def test_criterion_02_hole_floor(prefixes_2000):
     failed = []
     for p in prefixes_2000:
-        hole = S.shortest_hole_up_to(p, p.ell)
+        hole = S.shortest_hole_up_to(p)
         if hole != p.ell:
             failed.append((p, "shortest hole %s" % hole))
     ok = bool(prefixes_2000) and not failed

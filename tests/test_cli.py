@@ -1144,13 +1144,13 @@ def test_reports_identical_for_the_export_and_a_relaid_copy(tmp_path):
     relaid = tmp_path / "relaid.json"
     for p in PREFIXES_300:
         exact.write_text(p.to_json() + "\n")
-        prefix, built = cli._load_prefix(exact)
-        assert prefix is built
+        prefix, is_export = cli._load_prefix(exact)
+        assert is_export and prefix.to_json() == p.to_json()
         want = _reports(exact)
         text = json.dumps(json.loads(p.to_json()), indent=1)
         for copy in (text, text + "\n"):
             relaid.write_text(copy)
-            assert cli._load_prefix(relaid)[1] is None
+            assert cli._load_prefix(relaid)[1] is False
             assert _reports(relaid) == want
 
 
@@ -1162,19 +1162,21 @@ def _edited_export(p, tail=""):
     return json.dumps(obj)[:-1] + tail + "}\n"
 
 
-@pytest.mark.parametrize("tail, builds", [
-    ("", 1),
+@pytest.mark.parametrize("tail, want", [
+    ("", "vertex (6, 271): up [(1, 0)], where build_prefix(4, cap:3, 6) "
+     "has []"),
     # a later duplicate key, which json.loads keeps, gives the record
-    # another f than the header: the header's build is not handed over
-    (', "f_spec": "cap:4"', 2),
+    # another f than the header
+    (', "f_spec": "cap:4"', "vertex (4, 32): layer 4 holds 40 vertices, "
+     "where build_prefix(4, cap:4, 6) has 32"),
 ], ids=["edited", "duplicate-f_spec"])
-def test_verify_of_an_edited_export_builds_the_prefix_once(
-        tmp_path, monkeypatch, tail, builds):
-    # the prefix the header builds is handed to the canonical check, so
-    # a file that differs from the export in its last record costs one
-    # construction, and the detail is the layer-by-layer one
+def test_verify_of_an_edited_export_builds_the_header_and_grows_the_record(
+        tmp_path, monkeypatch, tail, want):
+    # the header's build only recognises the export; the canonical check
+    # grows its own construction for the parsed record, so a file that
+    # differs from the export in its last record starts two, and the
+    # detail is the layer-by-layer one
     text = _edited_export(build_prefix(4, parse_f_spec("cap:3"), 6), tail)
-    want = canonical_violation(WheelPrefix.from_json(text))
     src = tmp_path / "edited.json"
     src.write_text(text)
     grown = []
@@ -1189,36 +1191,37 @@ def test_verify_of_an_edited_export_builds_the_prefix_once(
     assert json.loads(out)["checks"]["canonical"] == {
         "passed": False, "detail": want}
     starts = [i for i, layer in enumerate(grown) if layer == 2]
-    assert len(starts) == builds
+    assert len(starts) == 2
     assert grown[:5] == [2, 3, 4, 5, 6]
 
 
-@pytest.mark.parametrize("argv, alive", [
-    (["separate", "--target", "all"], False),
-    (["verify", "--rules"], False),
-    (["verify"], True),
-], ids=["separate", "verify-rules", "verify"])
+@pytest.mark.parametrize("argv", [
+    ["separate", "--target", "all"],
+    ["verify", "--rules"],
+    ["verify", "--canonical"],
+    ["verify"],
+], ids=["separate", "verify-rules", "verify-canonical", "verify"])
 def test_the_rebuild_is_dropped_before_the_parse_unless_canonical_reads_it(
-        tmp_path, monkeypatch, argv, alive):
-    # only the canonical check reads the header's build of a file that is
-    # not the export, so without it the build is freed before the parse
+        tmp_path, monkeypatch, argv):
+    # no check reads the header's build of a file that is not the export,
+    # the canonical one included, so it is freed before the file is parsed
     src = tmp_path / "edited.json"
     src.write_text(_edited_export(build_prefix(4, parse_f_spec("cap:3"), 5)))
     refs, seen = [], []
-    read_export, from_json = cli.read_export, WheelPrefix.from_json
+    build, from_json = wheel.build_prefix, WheelPrefix.from_json
 
-    def reading(text):
-        built, exact = read_export(text)
-        refs.append(weakref.ref(built))
-        return built, exact
+    def building(*args, **kwargs):
+        prefix = build(*args, **kwargs)
+        refs.append(weakref.ref(prefix))
+        return prefix
 
     def parsing(text):
-        seen.append(refs[0]() is not None)
+        seen.append([ref() is not None for ref in refs])
         return from_json(text)
-    monkeypatch.setattr(cli, "read_export", reading)
+    monkeypatch.setattr(wheel, "build_prefix", building)
     monkeypatch.setattr(WheelPrefix, "from_json", parsing)
     lwheel(argv[0], "--in", src, *argv[1:])
-    assert seen == [alive]
+    assert seen == [[False]]
 
 
 def test_an_export_past_the_default_cap_reads_as_exact(tmp_path,
@@ -1248,15 +1251,14 @@ def test_an_export_past_the_default_cap_reads_as_exact(tmp_path,
     def refuse(text):
         raise AssertionError("the export was parsed")
     monkeypatch.setattr(WheelPrefix, "from_json", refuse)
-    prefix, exact = read_export(text)
-    assert exact and prefix.n_vertices == 3020
+    assert read_export(text).n_vertices == 3020
     code, out, _ = lwheel("verify", "--in", src)
     assert code == 0
     assert json.loads(out)["checks"]["canonical"]["passed"]
     # a header that asks for more vertices than its text has bytes
     head = text[:text.index('"vertices": [')] + '"vertices": []}'
     assert len(head) < 1000
-    assert read_export(head) == (None, False)
+    assert read_export(head) is None
 
 
 @pytest.mark.parametrize("field, value, error", [

@@ -1,7 +1,7 @@
 """``lwheel`` as a separate process, for what only a process shows: the
-commands of README's CLI block run as written, a failed check, an input
-error and a usage error end with their exit codes, and no run prints a
-traceback.  Every other behaviour of the commands is tested in-process,
+commands of README's CLI block run as written, a failed check, two input
+errors and two usage errors end with their exit codes, and no run prints
+a traceback.  Every other behaviour of the commands is tested in-process,
 in ``test_cli.py``."""
 
 import json

@@ -181,8 +181,7 @@ def test_exported_prefix_is_the_parsed_prefix():
     for p in PREFIXES_300:
         text = p.to_json()
         for exact in (text, text + "\n"):
-            q, is_export = read_export(exact)
-            assert is_export
+            q = read_export(exact)
             assert _fields(q) == _fields(WheelPrefix.from_json(exact))
 
 
@@ -222,14 +221,14 @@ def test_exported_prefix_refuses_any_edit(case):
     # prefix it gives, and an edit past the header, which fixes the
     # prefix, reads back only as the export itself
     p, edited = case
-    q, is_export = read_export(edited)
-    if is_export:
+    q = read_export(edited)
+    if q is not None:
         assert edited in (q.to_json(), q.to_json() + "\n")
         assert _fields(q) == _fields(WheelPrefix.from_json(edited))
     text = p.to_json()
     head = text[:text.index(', "vertices": [')]
     if edited.startswith(head) and edited not in (text, text + "\n"):
-        assert not is_export
+        assert q is None
 
 
 @pytest.mark.parametrize("field, value", [
@@ -243,7 +242,7 @@ def test_exported_prefix_is_none_for_a_header_that_does_not_build(field,
                                                                    value):
     obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 3).to_json())
     obj[field] = value
-    assert read_export(json.dumps(obj)) == (None, False)
+    assert read_export(json.dumps(obj)) is None
 
 
 def _lists(p):
