@@ -198,7 +198,7 @@ def _field_lines(fields, depth):
 def _write(path, pieces):
     """Write the text pieces as they come, to stdout for '-' or else to
     the file at path."""
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.writelines(pieces)
     else:
         with open(path, "w") as fh:

@@ -3,11 +3,12 @@ search), the exact bounded hole check (a peel of the vertices no short
 hole needs, then a pruned chordless-cycle scan of what is left), and
 exact treewidth on tiny graphs.
 
-No command calls ``max_clique``: omega of a prefix, of a target set and
-of each neighbourhood the hajebi sampler tests is read off the upward
-lists (``structure.clique_number_exact``).  It stays here as the tests'
-oracle for that route, and because the command benchmark's trace wraps
-it by this name.
+No command calls ``max_clique``: omega of a prefix and of a target set
+is read off the upward lists (``structure.clique_number_exact``), and
+the hajebi sampler reads omega of each neighbourhood it tests by its
+own one-vertex-per-layer rule (``widths._sample_clique_bounded``).  It
+stays here as the tests' oracle for those routes, and because the
+command benchmark's trace wraps it by this name.
 
 The two bitset searches, ``max_clique`` and ``max_independent_set``,
 take ``(n, masks)``: bit u of ``masks[v]`` is set when u and v are

@@ -471,7 +471,7 @@ def read_export(text):
         prefix = build_prefix(obj["ell"], parse_f_spec(obj["f_spec"]),
                               obj["num_layers"],
                               size_cap=max(DEFAULT_SIZE_CAP, len(text)))
-    except _MALFORMED + (SizeCapError, ConstructionError):
+    except _MALFORMED + (SizeCapError,):
         return None
     at = 0
     for piece in prefix.json_pieces():

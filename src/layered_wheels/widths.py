@@ -402,36 +402,24 @@ def _sample_clique_bounded(prefix, adj, rng, max_omega):
     lies in its last-added vertex's closed neighbourhood among the vertices
     chosen before it, so the largest value is the sample's clique number.
 
-    The clique number of a set S is read off the upward lists, by the route
-    of ``structure.clique_number_exact``: the largest of 1 + |up[u] & S|
-    over u in S and, where the cycle successor u+ is in S too,
-    2 + |up[u] & up[u+] & S|.  It is exact on a built prefix, whose layers
-    have >= 4 vertices and whose upward lists are cliques of earlier
-    layers.  A u with an empty ``up`` list skips the intersections: its
-    cut is empty, so it gives 2 when u+ is in S and 1 otherwise.
+    On a built prefix no cycle edge (u, u+) lies in a triangle
+    (``test_no_cycle_edge_lies_in_a_triangle``): layer cycles have no
+    chords, an up list holds at most one vertex of a layer, and only
+    block-firsts, ell-2 >= 2 apart on their cycle, have up lists.  So a
+    clique of nb = N(v) & chosen has one vertex per layer, its top vertex
+    u plus part of the clique up[u], and omega(G[nb]) is the largest
+    1 + |up[u] & nb| over u in nb.
     """
     up = prefix.up
-    succ = []                   # succ[u] = u+, u's cycle successor
-    for start, size in zip(prefix.offsets, prefix.layer_sizes):
-        succ += range(start + 1, start + size)
-        succ.append(start)
     order = list(range(prefix.n_vertices))
     rng.shuffle(order)
     chosen = set()
     values = {}
-    if max_omega == 0:
-        return values
     for v in order:
         nb = adj[v] & chosen
         w = 0                   # min(max_omega, omega(G[nb]))
         for u in nb:
-            if not up[u]:       # cut is empty: u alone, or u and u+
-                k = 2 if succ[u] in nb else 1
-            else:
-                cut = nb.intersection(up[u])
-                k = 1 + len(cut)
-                if succ[u] in nb:
-                    k = max(k, 2 + len(cut.intersection(up[succ[u]])))
+            k = 1 + len(nb.intersection(up[u])) if up[u] else 1
             if k > w:
                 w = k
                 if w >= max_omega:

@@ -13,7 +13,8 @@ from layered_wheels import widths as W
 from layered_wheels.functions import INF
 
 from conftest import (PREFIXES_300, masks_of, reference_decomposition,
-                      reference_elimination, reference_validate, targets)
+                      reference_elimination, reference_validate,
+                      small_prefixes, targets)
 
 # three components on l=4 cap:4 t=4: (1, 3) and (3, 2) alone, and the
 # path (2, 3), (3, 6), (4, 12); both root-chain edges merge, the second
@@ -441,24 +442,36 @@ def test_sample_clique_bounded_matches_induced_search_on_small_prefixes(
     assert max(values.values(), default=0) == k
 
 
-def test_sample_clique_bounded_counts_cycle_pairs():
-    # built prefixes put no cycle edge in a triangle, so no neighbourhood
-    # holds both u and u+; copying an up list onto its successor makes
-    # cliques {w, u, u+, ...} that only the pair term of the test counts
+def _cycle_edges_in_triangles(prefix):
+    """The cycle edges (g, g+) of the prefix's layers whose ends have a
+    common neighbour."""
+    adj = prefix.adjacency()
+    return [(g, h) for start, size in zip(prefix.offsets, prefix.layer_sizes)
+            for g, h in zip(range(start, start + size),
+                            [*range(start + 1, start + size), start])
+            if adj[g] & adj[h]]
+
+
+def test_no_cycle_edge_lies_in_a_triangle():
+    # the premise of the sampler's clique rule: no neighbourhood holds
+    # both ends of a cycle edge; on the hajebi demo's shapes (f = cap:(c+1),
+    # t+1 layers) and on the slow families up to l = 8
+    hajebi = [build_prefix(ell, parse_f_spec("cap:%d" % (c + 1)), t + 1,
+                           size_cap=10 ** 5)
+              for c in (2, 3, 4) for ell in (5, 6, 7) for t in {c, 5}]
+    slow = small_prefixes(3000, ells=range(4, 9), fspecs=(
+        "cumulative:poly:2", "cumulative:1,2,5", "question84:coeffs:3"))
+    for p in PREFIXES_300 + hajebi + slow:
+        assert not _cycle_edges_in_triangles(p), \
+            (p.ell, p.f.descriptor, p.num_layers)
+    # an up list copied onto its successor puts that cycle edge in
+    # triangles, and the check names it
     obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 4).to_json())
     recs = obj["vertices"]
     g = next(i for i, r in enumerate(recs) if len(r["up"]) == 2)
     recs[g + 1]["up"] = list(recs[g]["up"])
-    p = WheelPrefix.from_json_obj(obj)
-    adj = p.adjacency()
-    for max_omega in range(1, 5):
-        for seed in range(10):
-            values = W._sample_clique_bounded(p, adj, random.Random(seed),
-                                              max_omega)
-            chosen, k = _sample_by_induced_search(p, random.Random(seed),
-                                                  max_omega)
-            assert set(values) == chosen
-            assert max(values.values(), default=0) == k
+    doctored = WheelPrefix.from_json_obj(obj)
+    assert (g, g + 1) in _cycle_edges_in_triangles(doctored)
 
 
 def test_sample_clique_bounded_leaves_no_garbage():
