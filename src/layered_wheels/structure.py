@@ -231,7 +231,19 @@ def max_independent_set_exact(prefix, X):
 def shortest_hole_up_to(prefix):
     """Shortest chordless cycle of length in [4, ell], or None.  Exact:
     ``kernels.shortest_hole`` peels the vertices no hole shorter than ell
-    needs, scans what is left, and then looks for a hole of length ell."""
+    needs, scans what is left, and then looks for a hole of length ell.
+
+    At ell = 4 the kernel first scans G[L_1] alone, read off the record by
+    ``induced_adjacency``.  A hole of an induced subgraph is a hole of G,
+    and none is shorter than 4, so a 4-hole there is the answer on any
+    record, built or edited; layer 1 of a built ell = 4 prefix is a
+    4-cycle, so ``verify`` then builds no adjacency of the whole prefix.
+    When the probe finds none, the whole graph is scanned as above."""
+    if prefix.ell == 4:
+        size = prefix.layer_sizes[0]
+        if kernels.shortest_hole(
+                size, induced_adjacency(prefix, range(size))[1], 4):
+            return 4
     adj = prefix.adjacency()
     return kernels.shortest_hole(prefix.n_vertices, adj, prefix.ell)
 

@@ -1,12 +1,13 @@
 import json
 import operator
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layered_wheels import WheelPrefix, build_prefix, parse_f_spec
+from layered_wheels import WheelPrefix, build_prefix, kernels, parse_f_spec
 from layered_wheels import structure as S
 from layered_wheels.functions import INF
 
@@ -81,6 +82,68 @@ def test_induced_adjacency_of_every_vertex_is_a_copy(prefix_68):
     assert not any(map(operator.is_, adj, prefix_68.adjacency()))
     p5 = build_prefix(4, parse_f_spec("cap:3"), 5)
     assert S.induced_adjacency(p5, everything) == (order, adj)
+
+
+def _cycles_record(sizes):
+    """An ell=4 record of bare layer cycles: no up entries, no parents."""
+    p = WheelPrefix(4, parse_f_spec("cap:3"))
+    p.layer_sizes = list(sizes)
+    p.offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    p.up = [()] * sum(sizes)
+    p.parent = [-1] * sum(sizes)
+    return p
+
+
+def _layer_one_edits():
+    """ell=4 records whose layer 1 is not a bare 4-cycle, as (record,
+    whether G[L_1] still holds a 4-hole, the shortest hole up to 4)."""
+    rows = [(_cycles_record(sizes), False, hole) for sizes, hole in [
+        ([1], None), ([2], None), ([3], None), ([5], None),
+        # the only 4-hole lies in layer 2
+        ([3, 4], 4), ([5, 4], 4)]]
+    for pos, probe, hole in [(2, False, None), (1, True, 4), (0, True, 4)]:
+        # a chord of layer 1, which leaves no 4-hole anywhere; a repeated
+        # cycle edge; a self-loop
+        p = build_prefix(4, parse_f_spec("cap:3"), 3)
+        p.up[0] += (pos,)
+        rows.append((p, probe, hole))
+    # holes of 5 and more only: at ell=4 the check finds none
+    relabelled = build_prefix(5, parse_f_spec("cap:3"), 4)
+    relabelled.ell = 4
+    rows.append((relabelled, False, None))
+    return rows
+
+
+def test_shortest_hole_up_to_is_the_kernel_on_the_adjacency(monkeypatch):
+    # the ell=4 probe of layer 1 answers as the whole-graph scan does, and
+    # a record whose layer 1 holds no 4-hole takes the whole-graph route
+    edits = _layer_one_edits()
+    records = list(PREFIXES_300) + [p for p, _, _ in edits]
+    records += [WheelPrefix.from_json_obj(obj)
+                for _, obj, _, _ in doctored_records()]
+    for p in records:
+        want = kernels.shortest_hole(p.n_vertices, p.adjacency(), p.ell)
+        assert S.shortest_hole_up_to(p) == want, (p.ell, p.layer_sizes[:3])
+    built = []
+    adjacency = WheelPrefix.adjacency
+    monkeypatch.setattr(WheelPrefix, "adjacency",
+                        lambda self: built.append(self) or adjacency(self))
+    for p, probe, hole in edits:
+        built.clear()
+        assert S.shortest_hole_up_to(p) == hole, p.layer_sizes[:3]
+        assert built == ([] if probe else [p]), p.layer_sizes[:3]
+
+
+def test_shortest_hole_up_to_at_ell_4_holds_no_adjacency():
+    p = build_prefix(4, parse_f_spec("cap:3"), 10)
+    assert p.n_vertices == 20676
+    tracemalloc.start()
+    try:
+        assert S.shortest_hole_up_to(p) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_minor_matches_the_full_scan_on_built_prefixes(prefixes_2000):

@@ -10,6 +10,7 @@ from layered_wheels import (
     parse_f_spec,
     verify_rules,
 )
+from layered_wheels import kernels, structure
 from layered_wheels.wheel import (PIECE, ConstructionError, SizeCapError,
                                   UnknownVertexError, _tiling_violation,
                                   canonical_violation, digit_text,
@@ -758,6 +759,15 @@ def test_verify_rules_matches_references_on_json_mutants(p):
                   for rule, (name, d) in enumerate(zip(RULE_NAMES, details),
                                                    1)],
     }
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_mutants())
+def test_shortest_hole_up_to_is_the_kernel_on_json_mutants(p):
+    # at ell=4 the layer-1 probe, elsewhere the whole-graph scan: both
+    # answer as the kernel does on the adjacency of the whole record
+    assert structure.shortest_hole_up_to(p) == kernels.shortest_hole(
+        p.n_vertices, p.adjacency(), p.ell)
 
 
 def test_rule4_reference_passes_built_prefixes(prefixes_2000):
