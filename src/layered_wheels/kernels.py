@@ -209,7 +209,8 @@ def _pruned_scan(n, adj, limit, floor):
     vertex s, by a DFS over chordless paths from s through vertices that
     are above s or have degree 2 (so degree-2 vertices take any id on the
     path).  The DFS is pruned by BFS distances from s inside those
-    vertices, taken to depth limit // 2: it extends to w only while
+    vertices, taken to depth limit // 2 or until a round reaches nothing
+    new, so a huge limit costs no idle rounds: it extends to w only while
     len(path) + dist[w] <= limit, the current length cap.  A hole made
     only of degree-2 vertices is a whole cycle component; one O(n) pass
     finds those.  The depth cap keeps the scan polynomial for fixed
@@ -231,6 +232,8 @@ def _pruned_scan(n, adj, limit, floor):
                     if w not in dist and (w > s or deg[w] == 2):
                         dist[w] = d
                         reached.append(w)
+            if not reached:
+                break
             frontier = reached
         path = [s]
         on_path = {s}

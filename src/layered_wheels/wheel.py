@@ -37,13 +37,30 @@ class UnknownVertexError(ValueError):
     """A (layer, pos) location or global id outside the prefix."""
 
 
+# "000 001 ... 999", the last three digits of every number of a block
+_TAILS = " ".join(["%03d" % x for x in range(1000)])
+
+
 def digit_text(top):
     """The text "0 1 2 ... top", the position strings of an export joined
-    by spaces, from which ``positions`` cuts them.  It is joined from
-    chunks of ``PIECE`` numbers, so no list of ``top`` strings is ever
-    held."""
-    return " ".join([" ".join(map(str, range(a, min(a + PIECE, top + 1))))
-                     for a in range(0, top + 1, PIECE)])
+    by spaces, from which ``positions`` cuts them.
+
+    Every x >= 1000 prints as ``str(x // 1000)`` followed by ``x % 1000``
+    zero-padded to three digits, so the numbers 1000 L .. 1000 L + 999
+    are the block ``lead + _TAILS.replace(" ", " " + lead)``, with lead =
+    ``str(L)``.  The text is the numbers 0 .. min(top, 999) joined once,
+    then the blocks for L = 1 .. top // 1000 in order, the last made
+    from ``_TAILS`` cut after the tail of ``top`` (each tail takes three
+    characters and a space), all joined by single spaces: the plain
+    join, byte for byte.  No list of ``top`` strings is ever held, only
+    about top / 1000 blocks of at most about 7 KB each."""
+    head, last = divmod(top, 1000)
+    pieces = [" ".join(map(str, range(min(top, 999) + 1)))]
+    for k in range(1, head + 1):
+        tails = _TAILS if k < head else _TAILS[:4 * last + 3]
+        lead = str(k)
+        pieces.append(lead + tails.replace(" ", " " + lead))
+    return " ".join(pieces)
 
 
 def _digit_offset(x):

@@ -345,6 +345,15 @@ def _five_hole():
     return obj
 
 
+def _huge_ell():
+    """The l=4 cap:3 t=3 record relabelled l = 10**9: the hole check's
+    BFS must stop when its frontier empties, not after 10**9 // 2
+    rounds."""
+    obj = json.loads(build_prefix(4, parse_f_spec("cap:3"), 3).to_json())
+    obj["ell"] = 10 ** 9
+    return obj
+
+
 MUTANTS = [
     ("null-parent", orphan_record(), "rules",
      "recorded parent None but adjacency gives"),
@@ -352,6 +361,7 @@ MUTANTS = [
      "has 2 neighbors in the previous layer"),
     ("reparent", REPARENTED, "rules", "is not a child of"),
     ("5-hole", _five_hole(), "holes", '"shortest_up_to_ell": 5'),
+    ("huge-ell", _huge_ell(), "holes", '"shortest_up_to_ell": 4'),
 ]
 
 

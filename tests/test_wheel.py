@@ -165,7 +165,12 @@ def test_positions_at_every_band_and_piece_edge():
     assert positions(text, top, top + 1) == [str(top)]
 
 
-@pytest.mark.parametrize("top", [0, 9, 10, 11, PIECE - 1, PIECE, PIECE + 1])
+@pytest.mark.parametrize("top", [
+    0, 9, 10, 11, PIECE - 1, PIECE, PIECE + 1,
+    # the edges of the 1000-number blocks, and the largest layers of
+    # l=4 cap:3 t=12 and l=6 cap:4 t=8
+    999, 1000, 1001, 1998, 1999, 2000, 10 ** 5 - 1, 10 ** 5, 10 ** 5 + 1,
+    10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1, 87568, 118368])
 def test_digit_text_at_its_chunk_edges(top):
     text = digit_text(top)
     assert text == " ".join(map(str, range(top + 1)))
