@@ -345,6 +345,12 @@ def cmd_separate(args):
     print("n=%d k=%d order=%d bound=%s balanced=%s"
           % (res.n, k, res.order, bound, res.balanced),
           file=sys.stderr)
+    # the bound is the paper's only with augmenting tails; no order
+    # passes an infinite bound
+    if res.bound_applies and res.order > bound:
+        print("order %d is above order_bound %s" % (res.order, bound),
+              file=sys.stderr)
+        ok = False
     return 0 if ok else 1
 
 

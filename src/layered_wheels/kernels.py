@@ -24,8 +24,8 @@ from __future__ import annotations
 BACKEND = "py"
 
 
-def _clique_bitset(masks, cand_mask, best_size):
-    """Largest clique within cand_mask (bitset Tomita search with greedy
+def _clique_bitset(masks, best_size):
+    """Largest clique of the whole graph (bitset Tomita search with greedy
     coloring bound); returns a vertex list, or [] if none beats best_size."""
     best = []
 
@@ -62,7 +62,7 @@ def _clique_bitset(masks, cand_mask, best_size):
             r.pop()
             p &= ~(1 << v)
 
-    expand([], cand_mask)
+    expand([], (1 << len(masks)) - 1)
     return best
 
 
@@ -72,7 +72,7 @@ def max_clique(n, masks):
     is ignored.  The bitset search of ``max_independent_set``, run on the
     graph itself; meant for small graphs (a few hundred vertices)."""
     masks = [m & ~(1 << v) for v, m in enumerate(masks)]
-    return sorted(_clique_bitset(masks, (1 << n) - 1, 0))
+    return sorted(_clique_bitset(masks, 0))
 
 
 def max_independent_set(n, masks, floor):
@@ -86,7 +86,7 @@ def max_independent_set(n, masks, floor):
         return []
     full = (1 << n) - 1
     comp = [~(m | (1 << v)) & full for v, m in enumerate(masks)]
-    return sorted(_clique_bitset(comp, full, floor))
+    return sorted(_clique_bitset(comp, floor))
 
 
 def shortest_hole(n, adj, bound):
@@ -283,15 +283,16 @@ def _pruned_scan(n, adj, limit, floor):
     return best
 
 
-def _treewidth_decide(n, masks, k, memo_failed):
+def _treewidth_decide(n, masks, k):
     """Can the graph be fully eliminated with fill-degree <= k at each step?"""
     full = (1 << n) - 1
+    dead = set()
 
     def rec(remaining, cur):
         cnt = bin(remaining).count("1")
         if cnt <= k + 1:
             return True
-        if remaining in memo_failed:
+        if remaining in dead:
             return False
         live = remaining
         # safe reductions: simplicial vertices of degree <= k, and (for
@@ -353,7 +354,7 @@ def _treewidth_decide(n, masks, k, memo_failed):
                 nxt[u] = cur[u] | (nbv & ~bb)
             if rec(remaining & ~(1 << v), nxt):
                 return True
-        memo_failed.add(remaining)
+        dead.add(remaining)
         return False
 
     return rec(full, list(masks))
@@ -361,7 +362,7 @@ def _treewidth_decide(n, masks, k, memo_failed):
 
 def treewidth_exact(n, adj):
     """Exact treewidth by search over elimination orderings with memoized
-    dead states.  Only for small graphs (n <= 32)."""
+    dead states; k = n-1 always succeeds.  Only for small graphs (n <= 32)."""
     if n > 32:
         raise ValueError("treewidth_exact is limited to 32 vertices, got %d" % n)
     if n == 0:
@@ -375,6 +376,5 @@ def treewidth_exact(n, adj):
     # the first vertex eliminated keeps all its neighbours in its bag
     lb = min(bin(m).count("1") for m in masks)
     for k in range(lb, n):
-        if _treewidth_decide(n, masks, k, set()):
+        if _treewidth_decide(n, masks, k):
             return k
-    return n - 1

@@ -233,17 +233,16 @@ def shortest_hole_up_to(prefix):
     ``kernels.shortest_hole`` peels the vertices no hole shorter than ell
     needs, scans what is left, and then looks for a hole of length ell.
 
-    At ell = 4 the kernel first scans G[L_1] alone, read off the record by
-    ``induced_adjacency``.  A hole of an induced subgraph is a hole of G,
-    and none is shorter than 4, so a 4-hole there is the answer on any
-    record, built or edited; layer 1 of a built ell = 4 prefix is a
+    The kernel first scans G[L_1] alone for a 4-hole, at every ell, read
+    off the record by ``induced_adjacency``.  A hole of an induced
+    subgraph is a hole of G, and none is shorter than 4, so a 4-hole there
+    is the answer on any record; layer 1 of a built ell = 4 prefix is a
     4-cycle, so ``verify`` then builds no adjacency of the whole prefix.
     When the probe finds none, the whole graph is scanned as above."""
-    if prefix.ell == 4:
-        size = prefix.layer_sizes[0]
-        if kernels.shortest_hole(
-                size, induced_adjacency(prefix, range(size))[1], 4):
-            return 4
+    size = prefix.layer_sizes[0]
+    if kernels.shortest_hole(
+            size, induced_adjacency(prefix, range(size))[1], 4):
+        return 4
     adj = prefix.adjacency()
     return kernels.shortest_hole(prefix.n_vertices, adj, prefix.ell)
 
@@ -341,16 +340,13 @@ def augmenting_child(prefix, v, X):
                 kids[0])
 
 
-def augmenting_path(prefix, v, X, t_max, cache):
+def augmenting_path(prefix, v, X, t_max):
     """The augmenting path out of v, each vertex followed by its
     ``augmenting_child``, up to layer t_max (just [v] when v lies at or
-    above it); ``cache`` holds the augmenting children already found for
-    this X."""
+    above it); ``augmenting_child`` is deterministic, so none is kept."""
     path = [v]
     for _ in range(prefix.layer_of(v), t_max):
-        if v not in cache:
-            cache[v] = augmenting_child(prefix, v, X)
-        v = cache[v]
+        v = augmenting_child(prefix, v, X)
         path.append(v)
     return path
 
@@ -496,14 +492,13 @@ def balanced_separation(prefix, X):
         sep = Separation(frozenset(X), frozenset(X))
         return BalancedSeparationResult(sep, n, sep.order, True, True, 0)
 
-    cache = {}
     order = sorted(X)
     # the paths run to the top layer that meets X: global ids run layer by
     # layer, so the largest id lies in it
     t_max = prefix.layer_of(order[-1])
     # augmenting paths out of two non-adjacent first-layer vertices
-    P = augmenting_path(prefix, prefix.vid(1, 0), X, t_max, cache)
-    Q = augmenting_path(prefix, prefix.vid(1, 2), X, t_max, cache)
+    P = augmenting_path(prefix, prefix.vid(1, 0), X, t_max)
+    Q = augmenting_path(prefix, prefix.vid(1, 2), X, t_max)
     P, Q, sep = _fair_pair(prefix, ((P, Q), (Q, P)), order)
     i = 1              # the base layer, layer_of(P[0])
     iterations = 0
@@ -521,8 +516,7 @@ def balanced_separation(prefix, X):
             i += 1
             sep = build_AB(prefix, P, Q, order)
         else:
-            R = [prefix.parent[u]] + augmenting_path(prefix, u, X, t_max,
-                                                     cache)
+            R = [prefix.parent[u]] + augmenting_path(prefix, u, X, t_max)
             P, Q, sep = _fair_pair(prefix, ((P, R), (R, Q)), order)
     aug_ok = all(_is_augmenting(prefix, v, u, X)
                  for path in (P, Q) for v, u in zip(path[1:], path[2:]))

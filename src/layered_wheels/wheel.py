@@ -25,10 +25,6 @@ DEFAULT_SIZE_CAP = 200_000
 PIECE = 4096
 
 
-class ConstructionError(RuntimeError):
-    """Internal consistency failure while extending a prefix."""
-
-
 class SizeCapError(RuntimeError):
     """The next layer would push the prefix past the vertex budget."""
 
@@ -189,10 +185,9 @@ class WheelPrefix:
     def adjacency(self):
         """Undirected adjacency as a new list of sets, the caller's to keep;
         the prefix stores none, so an edited record is never stale.  Of the
-        commands, only ``verify``'s hole check (once per run, at ell >= 5 or
-        when G[L_1] holds no 4-hole) and the hajebi demo (once for all of
-        its samples) build it; every other check reads the record through
-        ``adjacent``."""
+        commands, only ``verify``'s hole check (once per run, when G[L_1]
+        holds no 4-hole) and the hajebi demo (once for all of its samples)
+        build it; every other check reads the record through ``adjacent``."""
         adj = [set() for _ in range(self.n_vertices)]
         for start, size in zip(self.offsets, self.layer_sizes):
             last = start + size - 1
@@ -247,7 +242,9 @@ class WheelPrefix:
         checked, before any list grows.  Then the lists grow by ell-2
         entries per block, empty tuples and -1s, and the block-first up
         tuples and their owners go in by one extended-slice assignment
-        each, at stride ell-2."""
+        each, at stride ell-2.  No up list is checked against f(i+1)-1:
+        only construction writes them, f(i)-1 long at most, and f(i) <=
+        f(i+1) for every slow f."""
         i = self.num_layers
         full = self.f(i + 1) - 1
         ell = self.ell
@@ -255,11 +252,6 @@ class WheelPrefix:
         up, parent = self.up, self.parent
         top_ups = up[top.start:top.stop]
         lens = list(map(len, top_ups))
-        if max(lens) > full:
-            j = next(j for j, m in enumerate(lens) if m > full)
-            raise ConstructionError(
-                "vertex %s has %d upward neighbors but f(%d)-1 = %d"
-                % (self.loc(top[j]), lens[j], i + 1, full))
         new_size = (len(lens) + lens.count(full) * (full - 1)) * (ell - 2)
         _check_size_cap(i + 1, self.n_vertices + new_size, size_cap)
 
@@ -588,13 +580,12 @@ def verify_rules(prefix):
     # the cycle arcs stay in their layer, so every chord (rule 2), every
     # downward arc (rule 3) and every edge between consecutive layers
     # (rule 4) is an upward entry w -> v; the cycle arc into v comes from
-    # the vertex one position before it.  prev[u] is the first neighbor of
-    # u found in the previous layer, or -1; ``twice`` gets each vertex
-    # with a second, distinct one.
+    # the vertex one position before it.  prev[u] is u's one neighbor in
+    # the previous layer, -1 while none is found, and -2 once a second,
+    # distinct one is.
     chords = [[] for _ in range(len(sizes) + 1)]
     downward = None
     prev = [-1] * n
-    twice = []
     for i, size in enumerate(sizes, 1):
         span = prefix.layer_range(i)
         for v in compress(span, up[span.start:span.stop]):
@@ -614,10 +605,10 @@ def verify_rules(prefix):
                     if lw > i + 1:
                         continue
                     u, x = w, v
-                if prev[u] < 0:
+                if prev[u] == -1:
                     prev[u] = x
                 elif prev[u] != x:
-                    twice.append(u)
+                    prev[u] = -2
 
     # rule 2: each layer induces a directed cycle of length >= ell; a chord
     # is an entry from v's own layer other than v's cycle predecessor
@@ -643,7 +634,7 @@ def verify_rules(prefix):
     # rule 4: unique parent; descendant paths tile the next layer, so every
     # vertex below the top layer has a child
     add(4, "descendant paths tile the next layer",
-        _parent_violation(prefix, prev, twice) or _tiling_violation(prefix))
+        _parent_violation(prefix, prev) or _tiling_violation(prefix))
 
     # rule 5: upward neighborhoods are small cliques, one vertex per layer
     add(5, "upward neighborhoods are per-layer cliques",
@@ -652,19 +643,18 @@ def verify_rules(prefix):
     return {"passed": all(r["passed"] for r in rules), "rules": rules}
 
 
-def _parent_violation(prefix, prev, twice):
-    """The first vertex in id order that has two neighbors in the previous
-    layer, or whose recorded parent is not ``prev``, its one neighbor
-    there (-1 for none).  The count of the first is read off the record,
-    once per vertex of the previous layer."""
+def _parent_violation(prefix, prev):
+    """The first vertex in id order whose recorded parent is not ``prev``,
+    its one neighbor in the previous layer (-1 for none, and -2, which no
+    parent is, for two or more).  A -2 vertex's neighbor count is read off
+    the record, once per vertex of the previous layer."""
     parent = prefix.parent
-    if not twice and prev == parent:
+    if prev == parent:
         return None
     loc = prefix.loc
-    u = next((g for g, (got, rec) in enumerate(zip(prev, parent))
-              if got != rec), len(prev))
-    if min(twice, default=len(prev)) <= u:
-        u = min(twice)
+    u = next(g for g, (got, rec) in enumerate(zip(prev, parent))
+             if got != rec)
+    if prev[u] == -2:
         count = sum(map(prefix.adjacent, repeat(u),
                         prefix.layer_range(prefix._layers()[u] - 1)))
         return "vertex %s has %d neighbors in the previous layer" % (

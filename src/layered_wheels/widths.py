@@ -278,7 +278,9 @@ def demo_question84(g_spec, ell, k_max, size_cap):
     Builds the profile F(k) = max(F(k-1)+1, g(k)+1), then for each k in
     3..k_max certifies omega = k and tw >= F(k)-1 >= g(k) on the
     t = F(k)-layer prefix.  The k=2 case needs an external triangle-free
-    graph and is reported out of scope.
+    graph and is reported out of scope.  F increases, so every t after
+    the first one past the size cap fails at the same layer: its row takes
+    that note, unbuilt.
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3, got %d" % k_max)
@@ -288,13 +290,17 @@ def demo_question84(g_spec, ell, k_max, size_cap):
     rows = [{"k": 2, "status": "out-of-scope",
              "note": "needs an external triangle-free graph"}]
     ok = True
+    capped = None
     for k in range(3, k_max + 1):
         t = F(k)
         row = {"k": k, "t": t, "g_k": g(k)}
-        try:
-            prefix = build_prefix(ell, f, t, size_cap=size_cap)
-        except SizeCapError as exc:
-            row.update(status="size-cap", note=str(exc))
+        if capped is None:
+            try:
+                prefix = build_prefix(ell, f, t, size_cap=size_cap)
+            except SizeCapError as exc:
+                capped = str(exc)
+        if capped is not None:
+            row.update(status="size-cap", note=capped)
             rows.append(row)
             ok = False
             continue
@@ -323,7 +329,8 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
     For each c <= c_max, takes the smallest k with F(k) >= ck, builds the
     t = F(k)-layer prefix and certifies ta >= ceil(t/k) >= c next to the
     finite formula value.  Rows with the same t share one prefix, which is
-    built and certified once, and a t past the size cap is tried once.
+    built and certified once; t never falls down the rows, so each t after
+    the first one past the size cap takes its note, unbuilt.
 
     The search for k gives up, with a FAIL row, once F(k) passes
     size_cap // ell while still below ck: every layer holds at least ell
@@ -341,9 +348,10 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
         raise ValueError("ell must be >= 4, got %d" % ell)
     rows = []
     ok = True
-    # t -> (verdict without the c test, row fields), or (None, the
-    # size-cap fields) for a t past the cap
+    # t -> (verdict without the c test, row fields)
     certified = {}
+    # (None, the size-cap fields) of the first t past the cap
+    capped = None
     # the most layers that can fit under the cap, at >= ell vertices each
     fits = size_cap // ell
     for c in range(1, c_max + 1):
@@ -359,11 +367,11 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
         t = F(k)
         row = {"c": c, "k": k, "t": t}
         rows.append(row)
-        if t not in certified:
+        if capped is None and t not in certified:
             try:
                 prefix = build_prefix(ell, f, t, size_cap=size_cap)
             except SizeCapError as exc:
-                certified[t] = (None, dict(status="size-cap", note=str(exc)))
+                capped = (None, dict(status="size-cap", note=str(exc)))
             else:
                 ta_lo, ta_cert = ta_lower_bound_certified(prefix)
                 omega = ta_cert.data["omega"]
@@ -373,7 +381,7 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
                 certified[t] = (ta_cert.verdict and tw_up != INF, dict(
                     n=prefix.n_vertices, omega=omega, ta_lower=ta_lo,
                     tw_upper=tw_up if tw_up != INF else "inf"))
-        verdict, fields = certified[t]
+        verdict, fields = capped or certified[t]
         row.update(fields)
         if verdict is None:
             ok = False

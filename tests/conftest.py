@@ -12,7 +12,7 @@ from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.cli import main
 from layered_wheels.functions import INF
-from layered_wheels.wheel import ConstructionError, SizeCapError
+from layered_wheels.wheel import SizeCapError
 from layered_wheels.widths import TreeDecomposition
 
 
@@ -115,10 +115,6 @@ def reference_extend(prefix, size_cap):
     new_size = 0
     for v in top:
         m = len(prefix.up[v])
-        if m > fi1 - 1:
-            raise ConstructionError(
-                "vertex %s has %d upward neighbors but f(%d)-1 = %d"
-                % (prefix.loc(v), m, i + 1, fi1 - 1))
         new_size += (fi1 - 1) * (ell - 2) if m == fi1 - 1 else ell - 2
     if prefix.n_vertices + new_size > size_cap:
         raise SizeCapError("layer %d would bring the prefix to %d vertices "

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -436,6 +437,7 @@ EXIT_CODES = [
     ("build --ell 4 --f cap:3 --layers 3 --size-cap -1", 2, "--size-cap"),
     ("demo conjecture85 --c-max 0", 1, "error: c_max"),
     ("demo conjecture85 --ell 0", 1, "error: ell must be >= 4, got 0\n"),
+    ("demo question84 --k-max 2", 1, "error: k_max must be >= 3, got 2\n"),
     ("demo hajebi --samples -3", 2, "--samples"),
     # the removed --chordal-samples
     ("verify --in no.json --chordal-samples 5", 2,
@@ -462,6 +464,29 @@ def test_separate_all_with_decomposition(tmp_path):
     assert rep["balanced"] and rep["verified"]
     assert rep["order"] <= 21
     assert rep["decomposition"]["valid"]
+
+
+@pytest.mark.parametrize("applies", [True, False])
+def test_separate_fails_an_order_above_an_applicable_bound(tmp_path,
+                                                           monkeypatch,
+                                                           applies):
+    # ell=5 identity t=6 has k = 6 and order_bound 48; an order of 49
+    # fails the command only when the augmenting guarantee holds
+    src = tmp_path / "p.json"
+    lwheel("build", "--ell", 5, "--f", "identity", "--layers", 6,
+           "--out", src)
+    separate = structure.balanced_separation
+    monkeypatch.setattr(structure, "balanced_separation", lambda p, X:
+                        dataclasses.replace(separate(p, X), order=49,
+                                            bound_applies=applies))
+    code, out, err = lwheel("separate", "--in", src, "--target", "all")
+    rep = json.loads(out)
+    assert (rep["order"], rep["order_bound"], rep["bound_applies"],
+            rep["balanced"], rep["verified"]) == (49, 48, applies, True, True)
+    assert code == (1 if applies else 0)
+    tail = "bound=48 balanced=True\n"
+    assert err.endswith(tail + "order 49 is above order_bound 48\n"
+                        if applies else tail), err
 
 
 # sha256 of the `separate --target all --emit-decomposition` report: a
@@ -714,6 +739,32 @@ def test_demo_conjecture85_builds_each_t_once(monkeypatch):
                         "--size-cap", "1000")
     assert code == 1
     assert built == [1, 10]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["question84", "--k-max", "12"], [10, 17]),
+    (["conjecture85", "--c-max", "9"], [1, 10, 17]),
+], ids=["question84", "conjecture85"])
+def test_demos_build_no_t_past_the_first_one_over_the_cap(monkeypatch, argv,
+                                                          want):
+    # t only grows down the rows, so every t after the first one past the
+    # 200,000 cap fails at its layer too: the rows take its note unbuilt
+    built = []
+    build = widths.build_prefix
+
+    def counted(ell, f, t, size_cap):
+        built.append(t)
+        return build(ell, f, t, size_cap=size_cap)
+
+    monkeypatch.setattr(widths, "build_prefix", counted)
+    code, out, _ = lwheel("demo", *argv)
+    assert code == 1
+    assert built == want
+    capped = [row for row in json.loads(out)["rows"]
+              if row.get("status") == "size-cap"]
+    assert capped[0]["t"] == want[-1] and len(capped) > 1
+    assert {row["note"] for row in capped} == {
+        "layer 13 would bring the prefix to 304052 vertices (cap 200000)"}
 
 
 def test_no_command_runs_the_clique_search(tmp_path, monkeypatch):

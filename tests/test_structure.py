@@ -95,8 +95,9 @@ def _cycles_record(sizes):
 
 
 def _layer_one_edits():
-    """ell=4 records whose layer 1 is not a bare 4-cycle, as (record,
-    whether G[L_1] still holds a 4-hole, the shortest hole up to 4)."""
+    """Records whose layer 1 is not the bare ell-cycle of a built prefix,
+    and one built ell = 5 prefix, as (record, whether G[L_1] holds a
+    4-hole, the shortest hole up to ell)."""
     rows = [(_cycles_record(sizes), False, hole) for sizes, hole in [
         ([1], None), ([2], None), ([3], None), ([5], None),
         # the only 4-hole lies in layer 2
@@ -111,11 +112,17 @@ def _layer_one_edits():
     relabelled = build_prefix(5, parse_f_spec("cap:3"), 4)
     relabelled.ell = 4
     rows.append((relabelled, False, None))
+    # at ell=5 the probe runs too: the built layer-1 5-cycle holds no
+    # 4-hole, and the chord 2 -> 0 leaves the 4-hole 0, 2, 3, 4
+    built = build_prefix(5, parse_f_spec("cap:3"), 3)
+    chord = build_prefix(5, parse_f_spec("cap:3"), 3)
+    chord.up[0] += (2,)
+    rows += [(built, False, 5), (chord, True, 4)]
     return rows
 
 
 def test_shortest_hole_up_to_is_the_kernel_on_the_adjacency(monkeypatch):
-    # the ell=4 probe of layer 1 answers as the whole-graph scan does, and
+    # the probe of layer 1 answers as the whole-graph scan does, and
     # a record whose layer 1 holds no 4-hole takes the whole-graph route
     edits = _layer_one_edits()
     records = list(PREFIXES_300) + [p for p, _, _ in edits]
@@ -248,8 +255,7 @@ def test_augmenting_path_vertex_count_bound(rng):
         k = len(S.induced_max_clique(p, xs))
         if F(k + 1) == INF:
             continue
-        path = S.augmenting_path(p, p.vid(1, 0), xs, p.layer_of(max(xs)),
-                                 {})
+        path = S.augmenting_path(p, p.vid(1, 0), xs, p.layer_of(max(xs)))
         if not all(S._is_augmenting(p, v, u, xs)
                    for v, u in zip(path[1:], path[2:])):
             continue
@@ -268,7 +274,7 @@ def test_augmenting_path_top_layer_matches_layer_scan(rng):
         v = rng.choice(range(p.offsets[-1]))
         top = max(p.layer_of(g) for g in xs)
         assert p.layer_of(max(xs)) == top
-        path = S.augmenting_path(p, v, xs, top, {})
+        path = S.augmenting_path(p, v, xs, top)
         assert p.layer_of(path[-1]) == max(p.layer_of(v), top)
         assert all(u in p.children(w) for w, u in zip(path, path[1:]))
 
@@ -333,13 +339,12 @@ def test_build_AB_restricted_matches_reference(case):
 
 
 def test_build_AB_rejects_mismatched_paths(prefix_68):
-    P = S.augmenting_path(prefix_68, prefix_68.vid(1, 0), frozenset(), 4,
-                          {})
+    P = S.augmenting_path(prefix_68, prefix_68.vid(1, 0), frozenset(), 4)
     for b, b_top, message in [
             ((2, 3), 4, r"paths start in different layers \(1 vs 2\)"),
             ((1, 2), 3, r"paths end in different layers \(4 vs 3\)")]:
         Q = S.augmenting_path(prefix_68, prefix_68.vid(*b), frozenset(),
-                              b_top, {})
+                              b_top)
         with pytest.raises(ValueError, match=message):
             S.build_AB(prefix_68, P, Q, range(prefix_68.n_vertices))
 
@@ -347,8 +352,8 @@ def test_build_AB_rejects_mismatched_paths(prefix_68):
 def test_verify_separation_detects_crossing_edge(prefix_68):
     p = prefix_68
     X = range(p.n_vertices)
-    P = S.augmenting_path(p, p.vid(1, 0), frozenset(), 4, {})
-    Q = S.augmenting_path(p, p.vid(1, 2), frozenset(), 4, {})
+    P = S.augmenting_path(p, p.vid(1, 0), frozenset(), 4)
+    Q = S.augmenting_path(p, p.vid(1, 2), frozenset(), 4)
     good = S.build_AB(p, P, Q, X)
     assert S.verify_separation_on_prefix(p, good, X)
     # a separator vertex dropped from B leaves its B-only neighbours
@@ -401,8 +406,8 @@ def test_verify_separation_matches_the_edge_scan(case):
 
 def test_fair_initial_separation(prefix_68):
     X = frozenset(range(prefix_68.n_vertices))
-    P = S.augmenting_path(prefix_68, prefix_68.vid(1, 0), X, 4, {})
-    Q = S.augmenting_path(prefix_68, prefix_68.vid(1, 2), X, 4, {})
+    P = S.augmenting_path(prefix_68, prefix_68.vid(1, 0), X, 4)
+    Q = S.augmenting_path(prefix_68, prefix_68.vid(1, 2), X, 4)
     first, second, sep = S._fair_pair(prefix_68, ((P, Q), (Q, P)),
                                       sorted(X))
     assert 3 * len(sep.A & X) >= len(X)

@@ -11,10 +11,9 @@ from layered_wheels import (
     verify_rules,
 )
 from layered_wheels import kernels, structure
-from layered_wheels.wheel import (PIECE, ConstructionError, SizeCapError,
-                                  UnknownVertexError, _tiling_violation,
-                                  canonical_violation, digit_text,
-                                  positions, read_export)
+from layered_wheels.wheel import (PIECE, SizeCapError, UnknownVertexError,
+                                  _tiling_violation, canonical_violation,
+                                  digit_text, positions, read_export)
 
 from conftest import (PREFIXES_300, arbitrary_records, assert_same_text,
                       reference_extend, reference_json, reference_spans)
@@ -277,25 +276,6 @@ def test_extend_matches_the_per_vertex_reference(ell, spec):
     with pytest.raises(SizeCapError) as got:
         p._extend(5000)
     assert str(got.value) == want
-    assert _lists(p) == before
-
-
-@pytest.mark.parametrize("ell", [4, 6])
-def test_extend_refuses_an_overfull_up_list_like_the_reference(ell):
-    # two top-layer vertices with f(4) > f(4)-1 upward entries: the first
-    # is named, and no list grows
-    f = parse_f_spec("cap:4")
-    p, q = build_prefix(ell, f, 3), build_prefix(ell, f, 3)
-    for r in (p, q):
-        r.up[r.offsets[-1] + 1] = (0, 1, 2, 3)
-        r.up[r.offsets[-1] + 2] = (0, 1, 2, 3, 4)
-    with pytest.raises(ConstructionError) as want:
-        reference_extend(q, 10 ** 6)
-    before = _lists(p)
-    with pytest.raises(ConstructionError) as got:
-        p._extend(10 ** 6)
-    assert str(got.value) == str(want.value)
-    assert "vertex (3, 1) has 4 upward neighbors" in str(got.value)
     assert _lists(p) == before
 
 
