@@ -5,8 +5,8 @@ exact treewidth on tiny graphs.
 
 No command calls ``max_clique``: omega of a prefix and of a target set
 is read off the upward lists (``structure.clique_number_exact``), and
-the hajebi sampler reads omega of each neighbourhood it tests by its
-own one-vertex-per-layer rule (``widths._sample_clique_bounded``).  It
+the hajebi sampler reads omega of each neighbourhood it tests off
+counters on the upward lists (``widths._sample_clique_bounded``).  It
 stays here as the tests' oracle for those routes, and because the
 command benchmark's trace wraps it by this name.
 

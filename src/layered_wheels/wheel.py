@@ -185,9 +185,9 @@ class WheelPrefix:
     def adjacency(self):
         """Undirected adjacency as a new list of sets, the caller's to keep;
         the prefix stores none, so an edited record is never stale.  Of the
-        commands, only ``verify``'s hole check (once per run, when G[L_1]
-        holds no 4-hole) and the hajebi demo (once for all of its samples)
-        build it; every other check reads the record through ``adjacent``."""
+        commands, only ``verify``'s hole check builds it, once per run and
+        only when G[L_1] holds no 4-hole; every other check and demo reads
+        the record."""
         adj = [set() for _ in range(self.n_vertices)]
         for start, size in zip(self.offsets, self.layer_sizes):
             last = start + size - 1

@@ -399,42 +399,55 @@ def demo_conjecture85(F_spec, ell, c_max, size_cap):
     }
 
 
-def _sample_clique_bounded(prefix, adj, rng, max_omega):
+def _sample_index(prefix):
+    """(down, cycle), built once for all samples: down[x] lists the v with
+    x in up[v], and cycle[v] is v's two neighbours on its layer cycle."""
+    down = [[] for _ in prefix.up]
+    for v, ups in enumerate(prefix.up):
+        for x in ups:
+            down[x].append(v)
+    cycle = []
+    for start, size in zip(prefix.offsets, prefix.layer_sizes):
+        ids = range(start, start + size)
+        cycle += zip([ids[-1], *ids[:-1]], [*ids[1:], ids[0]])
+    return down, cycle
+
+
+def _sample_clique_bounded(prefix, index, rng, max_omega):
     """A random induced subgraph with clique number <= max_omega, by a
-    greedy clique-avoiding pass over a shuffled vertex order; ``adj`` is
-    ``prefix.adjacency()``, which the caller builds once for all samples.
+    greedy clique-avoiding pass over a shuffled vertex order; ``index`` is
+    ``_sample_index(prefix)``, which the caller builds once for all samples.
 
-    Returns ``{v: 1 + omega(G[N(v) & chosen before v])}`` over the accepted
-    vertices v.  A vertex is accepted when that neighbourhood has no clique
-    of size max_omega, so every value is exact.  Every clique of the sample
-    lies in its last-added vertex's closed neighbourhood among the vertices
-    chosen before it, so the largest value is the sample's clique number.
+    Returns ``{v: 1 + omega(G[N(v) & kept before v])}`` over the kept v,
+    in the order kept.  v is kept when that neighbourhood has no clique of
+    size max_omega, so each value is exact, and the largest, taken at each
+    clique's last-kept vertex, is the sample's clique number.
 
-    On a built prefix no cycle edge (u, u+) lies in a triangle
-    (``test_no_cycle_edge_lies_in_a_triangle``): layer cycles have no
-    chords, an up list holds at most one vertex of a layer, and only
-    block-firsts, ell-2 >= 2 apart on their cycle, have up lists.  So a
-    clique of nb = N(v) & chosen has one vertex per layer, its top vertex
-    u plus part of the clique up[u], and omega(G[nb]) is the largest
-    1 + |up[u] & nb| over u in nb.
+    On a built prefix no cycle edge lies in a triangle
+    (``test_no_cycle_edge_lies_in_a_triangle``), so every clique of >= 3
+    vertices is a top vertex u plus part of the clique up[u].  With
+    cnt[x] = |up[x] & kept|, omega(G[N(v) & kept]) is the largest of
+    cnt[v], of 1 + cnt[u] over the kept u in down[v], and of 1 if a cycle
+    neighbour is kept.
     """
-    up = prefix.up
+    down, cycle = index
     order = list(range(prefix.n_vertices))
     rng.shuffle(order)
-    chosen = set()
-    values = {}
+    cnt = [0] * len(order)
+    values = {}                 # the kept vertices, in the order kept
     for v in order:
-        nb = adj[v] & chosen
-        w = 0                   # min(max_omega, omega(G[nb]))
-        for u in nb:
-            k = 1 + len(nb.intersection(up[u])) if up[u] else 1
-            if k > w:
-                w = k
-                if w >= max_omega:
-                    break
+        w = cnt[v]
+        for u in down[v]:
+            if u in values and cnt[u] >= w:
+                w = cnt[u] + 1
+        if not w:
+            a, b = cycle[v]
+            if a in values or b in values:
+                w = 1
         if w < max_omega:
-            chosen.add(v)
             values[v] = w + 1
+            for x in down[v]:
+                cnt[x] += 1
     return values
 
 
@@ -444,12 +457,14 @@ def demo_hajebi(c, ell, t, samples, size_cap, seed=0):
 
     Builds f(i) = min(i, c+1) with t+1 layers, so omega reaches c+1 only
     when t >= c and a smaller t is refused.  Certifies omega and the
-    minor bound, then runs balanced separation on ``samples`` random
+    minor bound, then runs balanced separation on ``samples`` >= 1 random
     induced subgraphs with clique number <= c-1 and checks every achieved
     order against 2F(k+1) + (ell+1)k - 2.  Each sample's k is the largest
-    value the sampler returns: every clique has a last-added vertex, whose
-    value counts it, so no clique search over the sample is needed.
+    value the sampler returns, and the sampler reads the record through
+    ``_sample_index``: neither a clique search nor the adjacency is built.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %d" % samples)
     if c < 2:
         raise ValueError("c must be >= 2, got %d" % c)
     if ell < 5:
@@ -464,11 +479,11 @@ def demo_hajebi(c, ell, t, samples, size_cap, seed=0):
     omega, cert = structure.clique_number_exact(prefix)
     tw_lo, minor = tw_lower_bound_minor(prefix)
     rng = random.Random(seed)
-    adj = prefix.adjacency()
+    index = _sample_index(prefix)
     rows = []
     ok = omega == c + 1 and cert.verdict and minor.verdict and tw_lo >= t
     for s in range(samples):
-        values = _sample_clique_bounded(prefix, adj, rng, c - 1)
+        values = _sample_clique_bounded(prefix, index, rng, c - 1)
         k = max(values.values())
         bound = structure.order_bound(ell, f, k)
         res = structure.balanced_separation(prefix, set(values))

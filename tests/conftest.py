@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import heapq
 import io
 import json
@@ -323,6 +324,50 @@ def reference_layer_minor(prefix):
         data["first_missing_pair"] = list(missing[0])
     return S.Certificate(kind="minor", data=data, verdict=not missing,
                          bound=t - 1).to_dict()
+
+
+def reference_sample_clique_bounded(prefix, adj, rng, max_omega):
+    """``widths._sample_clique_bounded`` with one set intersection per
+    kept neighbour: nb = N(v) & chosen, and omega(G[nb]) as the largest
+    1 + |up[u] & nb| over u in nb.  ``adj`` is ``prefix.adjacency()``.
+    The oracle for its counters, which must keep the same values in the
+    same order and draw the same numbers from ``rng``."""
+    up = prefix.up
+    order = list(range(prefix.n_vertices))
+    rng.shuffle(order)
+    chosen = set()
+    values = {}
+    for v in order:
+        nb = adj[v] & chosen
+        w = 0                   # min(max_omega, omega(G[nb]))
+        for u in nb:
+            k = 1 + len(nb.intersection(up[u])) if up[u] else 1
+            if k > w:
+                w = k
+                if w >= max_omega:
+                    break
+        if w < max_omega:
+            chosen.add(v)
+            values[v] = w + 1
+    return values
+
+
+@functools.cache
+def hajebi_prefixes():
+    """The hajebi demo's prefixes, f = cap:(c+1) with t+1 layers, for
+    c = 2..5, ell = 5..8 and t in {c, 5}, up to 10,000 vertices: 19 of
+    the 28, of 65 to 9,822 vertices.  Built once per session."""
+    out = []
+    for c in range(2, 6):
+        for ell in range(5, 9):
+            for t in sorted({c, 5}):
+                try:
+                    out.append(build_prefix(
+                        ell, parse_f_spec("cap:%d" % (c + 1)), t + 1,
+                        size_cap=10 ** 4))
+                except SizeCapError:
+                    pass
+    return out
 
 
 def masks_of(adj):

@@ -438,6 +438,8 @@ EXIT_CODES = [
     ("demo conjecture85 --c-max 0", 1, "error: c_max"),
     ("demo conjecture85 --ell 0", 1, "error: ell must be >= 4, got 0\n"),
     ("demo question84 --k-max 2", 1, "error: k_max must be >= 3, got 2\n"),
+    ("demo hajebi --samples 0", 1,
+     "error: samples must be >= 1, got 0\n"),
     ("demo hajebi --samples -3", 2, "--samples"),
     # the removed --chordal-samples
     ("verify --in no.json --chordal-samples 5", 2,
@@ -791,16 +793,23 @@ def test_no_command_runs_the_clique_search(tmp_path, monkeypatch):
         assert code == 0 and json.loads(out)["all_certified"], argv
 
 
-def test_demo_hajebi_report_bytes_pinned(tmp_path):
+@pytest.mark.parametrize("argv, digest", [
+    (["--c", "3", "--ell", "5", "--t", "5", "--samples", "20",
+      "--size-cap", "200000"],
+     "00d49c70b41a62262062058b97b61e425332d5268a80421cafcbf9f0ebe803e7"),
+    ([], "aa91372160502ce4fc07a1eb14e2ee87891b18d65591a276c5a6a2406b75708a"),
+    (["--c", "4", "--ell", "6", "--t", "5", "--samples", "10"],
+     "075dfec0c11e6e7751290670660610872109af821536d333a5a7df0dc37e4cb2"),
+], ids=["c3-ell5", "default-c2", "c4-ell6"])
+def test_demo_hajebi_report_bytes_pinned(tmp_path, argv, digest):
     # each row carries the sample's clique number k and its order bound;
-    # the report records --size-cap, here the default
+    # the report records --size-cap, here the default.  The digests were
+    # taken from the sampler that intersected adjacency sets, whose draws
+    # its counters must repeat
     out = tmp_path / "hajebi.json"
-    code, _, _ = lwheel("demo", "hajebi", "--c", "3", "--ell", "5",
-                        "--t", "5", "--samples", "20", "--size-cap", "200000",
-                        "--out", out)
+    code, _, _ = lwheel("demo", "hajebi", *argv, "--out", out)
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "00d49c70b41a62262062058b97b61e425332d5268a80421cafcbf9f0ebe803e7"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_separate_small_target_file(tmp_path):
@@ -901,6 +910,30 @@ def test_separate_builds_no_adjacency(tmp_path, monkeypatch):
         code, out, err = lwheel(*argv, "--out", report)
         return code, out, err, report.read_bytes()
     expected = [outcome(k, argv) for k, argv in enumerate(runs)]
+
+    def refuse(self):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(WheelPrefix, "adjacency", refuse)
+    for k, (argv, want) in enumerate(zip(runs, expected)):
+        assert outcome(k, argv) == want, argv
+
+
+def test_demos_build_no_adjacency(tmp_path, monkeypatch):
+    # hajebi's sampler reads the record through its own index, and the
+    # other two demos read it alone: with the adjacency refused, every
+    # demo gives the report and the summary it gives with it
+    runs = [["hajebi"],
+            ["hajebi", "--c", "3", "--ell", "5", "--t", "5", "--samples", "5"],
+            ["conjecture85"], ["question84"]]
+
+    def outcome(k, argv):
+        report = tmp_path / ("r%d.json" % k)
+        report.unlink(missing_ok=True)
+        code, out, err = lwheel("demo", *argv, "--out", report)
+        return code, out, err, report.read_bytes()
+    expected = [outcome(k, argv) for k, argv in enumerate(runs)]
+    assert all(code == 0 for code, _, _, _ in expected)
 
     def refuse(self):
         raise AssertionError("adjacency built")

@@ -12,8 +12,9 @@ from layered_wheels import structure as S
 from layered_wheels import widths as W
 from layered_wheels.functions import INF
 
-from conftest import (PREFIXES_300, masks_of, reference_decomposition,
-                      reference_elimination, reference_validate,
+from conftest import (PREFIXES_300, hajebi_prefixes, masks_of,
+                      reference_decomposition, reference_elimination,
+                      reference_sample_clique_bounded, reference_validate,
                       small_prefixes, targets)
 
 # three components on l=4 cap:4 t=4: (1, 3) and (3, 2) alone, and the
@@ -419,11 +420,11 @@ def test_sample_clique_bounded_matches_induced_search(c, ell, t):
     # the hajebi demo's prefix shape: f = cap:(c+1), t+1 layers
     prefix = build_prefix(ell, parse_f_spec("cap:%d" % (c + 1)), t + 1,
                           size_cap=10 ** 5)
-    adj = prefix.adjacency()
+    index = W._sample_index(prefix)
     for seed in range(4):
         rng_new, rng_old = random.Random(seed), random.Random(seed)
         for _ in range(2):          # the second draw checks the rng state
-            values = W._sample_clique_bounded(prefix, adj, rng_new, c - 1)
+            values = W._sample_clique_bounded(prefix, index, rng_new, c - 1)
             chosen, k = _sample_by_induced_search(prefix, rng_old, c - 1)
             assert set(values) == chosen
             assert max(values.values(), default=0) == k
@@ -435,11 +436,51 @@ def test_sample_clique_bounded_matches_induced_search(c, ell, t):
 def test_sample_clique_bounded_matches_induced_search_on_small_prefixes(
         prefix, max_omega, seed):
     rng_new, rng_old = random.Random(seed), random.Random(seed)
-    values = W._sample_clique_bounded(prefix, prefix.adjacency(), rng_new,
-                                      max_omega)
+    values = W._sample_clique_bounded(prefix, W._sample_index(prefix),
+                                      rng_new, max_omega)
     chosen, k = _sample_by_induced_search(prefix, rng_old, max_omega)
     assert set(values) == chosen
     assert max(values.values(), default=0) == k
+
+
+def _assert_draws_match_reference(prefix, index, adj, max_omega, seed):
+    """Two draws of the sampler and of the set-based reference from one
+    seed keep the same values in the same order and leave the same rng
+    state: the order of ``set(values)``, and through it the separation,
+    can follow the order kept."""
+    rng_new, rng_old = random.Random(seed), random.Random(seed)
+    for _ in range(2):
+        new = W._sample_clique_bounded(prefix, index, rng_new, max_omega)
+        old = reference_sample_clique_bounded(prefix, adj, rng_old,
+                                              max_omega)
+        assert list(new.items()) == list(old.items()), \
+            (prefix.ell, prefix.f.descriptor, prefix.num_layers, max_omega)
+    assert rng_new.getstate() == rng_old.getstate()
+
+
+def test_sample_clique_bounded_matches_reference_on_hajebi_shapes():
+    for prefix in hajebi_prefixes():
+        index, adj = W._sample_index(prefix), prefix.adjacency()
+        for max_omega in range(5):
+            _assert_draws_match_reference(prefix, index, adj, max_omega,
+                                          seed=max_omega)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PREFIXES_300), st.integers(0, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_sample_clique_bounded_matches_reference_on_small_prefixes(
+        prefix, max_omega, seed):
+    _assert_draws_match_reference(prefix, W._sample_index(prefix),
+                                  prefix.adjacency(), max_omega, seed)
+
+
+def test_sample_index_rebuilds_the_adjacency():
+    # down[x] and the two cycle neighbours, with up, are every edge
+    for prefix in PREFIXES_300 + hajebi_prefixes():
+        down, cycle = W._sample_index(prefix)
+        assert [set(ups).union(d, c) for ups, d, c in
+                zip(prefix.up, down, cycle)] == prefix.adjacency()
 
 
 def _cycle_edges_in_triangles(prefix):
@@ -454,8 +495,10 @@ def _cycle_edges_in_triangles(prefix):
 
 def test_no_cycle_edge_lies_in_a_triangle():
     # the premise of the sampler's clique rule: no neighbourhood holds
-    # both ends of a cycle edge; on the hajebi demo's shapes (f = cap:(c+1),
-    # t+1 layers) and on the slow families up to l = 8
+    # both ends of a cycle edge, since layer cycles have no chords and only
+    # block-firsts, ell-2 >= 2 apart, have up lists, which meet each layer
+    # once; on the hajebi demo's shapes (f = cap:(c+1), t+1 layers) and on
+    # the slow families up to l = 8
     hajebi = [build_prefix(ell, parse_f_spec("cap:%d" % (c + 1)), t + 1,
                            size_cap=10 ** 5)
               for c in (2, 3, 4) for ell in (5, 6, 7) for t in {c, 5}]
@@ -478,13 +521,13 @@ def test_sample_clique_bounded_leaves_no_garbage():
     # a sample must free what it made without the cycle collector: the
     # hajebi demo takes one per row
     prefix = build_prefix(5, parse_f_spec("cap:4"), 6)
-    adj = prefix.adjacency()
+    index = W._sample_index(prefix)
     rng = random.Random(0)
     gc.collect()
     gc.disable()
     try:
         for _ in range(20):
-            W._sample_clique_bounded(prefix, adj, rng, 2)
+            W._sample_clique_bounded(prefix, index, rng, 2)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -493,8 +536,8 @@ def test_sample_clique_bounded_leaves_no_garbage():
 @pytest.mark.parametrize("max_omega", [0, 1])
 def test_sample_clique_bounded_edge_cases(prefix_68, max_omega):
     adj = prefix_68.adjacency()
-    values = W._sample_clique_bounded(prefix_68, adj, random.Random(0),
-                                      max_omega)
+    values = W._sample_clique_bounded(prefix_68, W._sample_index(prefix_68),
+                                      random.Random(0), max_omega)
     chosen, k = _sample_by_induced_search(prefix_68, random.Random(0),
                                           max_omega)
     assert set(values) == chosen and max(values.values(), default=0) == k
@@ -546,6 +589,9 @@ def test_demo_hajebi_rejects_bad_parameters():
     # t is checked as given, not as the t + 1 layers the demo builds
     with pytest.raises(ValueError, match=r"^t must be >= 0, got -1$"):
         W.demo_hajebi(2, 5, -1, 1, 10 ** 4)
+    # no sample certifies nothing
+    with pytest.raises(ValueError, match=r"^samples must be >= 1, got 0$"):
+        W.demo_hajebi(2, 5, 3, 0, 10 ** 4)
     # omega = c+1 needs t >= c
     for c, t in [(2, 1), (3, 2)]:
         with pytest.raises(ValueError, match="c=%d t=%d" % (c, t)):
