@@ -8,7 +8,11 @@ is read off the upward lists (``structure.clique_number_exact``), and
 the hajebi sampler reads omega of each neighbourhood it tests off
 counters on the upward lists (``widths._sample_clique_bounded``).  It
 stays here as the tests' oracle for those routes, and because the
-command benchmark's trace wraps it by this name.
+command benchmark's trace wraps it by this name.  Likewise ``verify``
+answers the hole check of every built prefix from the record, by a
+layer-by-layer peel (``structure.shortest_hole_up_to``), and calls
+``shortest_hole`` on the whole graph only where that peel stalls; the
+tests hold the route to ``shortest_hole`` on the whole adjacency.
 
 The two bitset searches, ``max_clique`` and ``max_independent_set``,
 take ``(n, masks)``: bit u of ``masks[v]`` is set when u and v are

@@ -229,22 +229,86 @@ def max_independent_set_exact(prefix, X):
 
 
 def shortest_hole_up_to(prefix):
-    """Shortest chordless cycle of length in [4, ell], or None.  Exact:
-    ``kernels.shortest_hole`` peels the vertices no hole shorter than ell
-    needs, scans what is left, and then looks for a hole of length ell.
+    """Shortest chordless cycle of length in [4, ell], or None.  Exact,
+    and on every built prefix read off the record alone:
 
-    The kernel first scans G[L_1] alone for a 4-hole, at every ell, read
-    off the record by ``induced_adjacency``.  A hole of an induced
-    subgraph is a hole of G, and none is shorter than 4, so a 4-hole there
-    is the answer on any record; layer 1 of a built ell = 4 prefix is a
-    4-cycle, so ``verify`` then builds no adjacency of the whole prefix.
-    When the probe finds none, the whole graph is scanned as above."""
+    1. G[L_1], cut from the record by ``induced_adjacency``, is scanned
+       for a 4-hole.  A hole of an induced subgraph is a hole of G, and
+       none is shorter than 4, so one there is the answer on any record;
+       layer 1 of a built ell = 4 prefix is a 4-cycle.
+    2. At ell >= 5, when ``_layer_peel`` at limit ell - 1 clears the
+       record, G has no hole shorter than ell, so a hole of length ell in
+       G[L_1] is the answer; layer 1 of a built prefix is an ell-cycle.
+    3. When ``_layer_peel`` at limit ell clears the record, there is none.
+    4. Otherwise (the peel stalls on a record no construction makes) the
+       answer is ``kernels.shortest_hole`` on ``prefix.adjacency()``."""
     size = prefix.layer_sizes[0]
-    if kernels.shortest_hole(
-            size, induced_adjacency(prefix, range(size))[1], 4):
+    layer_one = induced_adjacency(prefix, range(size))[1]
+    if kernels.shortest_hole(size, layer_one, 4):
         return 4
-    adj = prefix.adjacency()
-    return kernels.shortest_hole(prefix.n_vertices, adj, prefix.ell)
+    ell = prefix.ell
+    if (ell >= 5 and _layer_peel(prefix, ell - 1)
+            and kernels.shortest_hole(size, layer_one, ell)):
+        return ell
+    if _layer_peel(prefix, ell):
+        return None
+    return kernels.shortest_hole(prefix.n_vertices, prefix.adjacency(), ell)
+
+
+def _layer_peel(prefix, limit):
+    """Whether the steps of ``kernels._peel`` at ``limit``, read off the
+    record layer by layer from the top down, remove every vertex, so that
+    no hole has length in [4, limit].  The removal of simplicial vertices
+    one by one is the elimination argument of Rose, Tarjan & Lueker
+    (SIAM J. Comput. 1976).
+
+    The premise, checked first over the whole record, is that of the
+    clique route (``_up_route_violation``): every layer has >= 4
+    vertices, and every ``up`` list holds distinct entries, all in
+    earlier layers.  Then, once the layers above layer i are gone, a
+    vertex of layer i with an empty ``up`` list has its two cycle
+    neighbours alone, and one with a non-empty list has those and its
+    list.  In layer i:
+
+    - with two or more non-empty vertices, the empty ones form runs
+      between them.  A run of k vertices whose ends are distinct and not
+      adjacent lies only on holes of >= k + 3 vertices, so every run goes
+      when each gap between consecutive non-empty vertices is >= limit - 2
+      (then no two of them are cycle neighbours);
+    - with none or one, the layer is a single cycle of its own size, or a
+      run from the one back to itself, and goes when that size is above
+      limit;
+    - each non-empty vertex then has its ``up`` list alone left, and goes
+      when that list is a clique.  The lists are tested column by column:
+      entry i against the ``up`` list of entry j > i, with
+      ``prefix.adjacent`` to confirm any pair that fails that test.
+
+    A layer that fits none of these stalls the peel, which returns False.
+    """
+    if _up_route_violation(prefix) is not None:
+        return False
+    up = prefix.up
+    for start, size in zip(reversed(prefix.offsets),
+                           reversed(prefix.layer_sizes)):
+        lists = up[start:start + size]
+        firsts = list(itertools.compress(range(start, start + size), lists))
+        if len(firsts) < 2:
+            if size <= limit:
+                return False
+        elif min(firsts[0] + size - firsts[-1],
+                 min(map(operator.sub, firsts[1:], firsts))) < limit - 1:
+            return False
+        rows = list(filter(None, lists))
+        for j in range(1, max(map(len, rows), default=0)):
+            rows = [r for r in rows if len(r) > j]
+            ups = [up[r[j]] for r in rows]
+            for i in range(j):
+                col = [r[i] for r in rows]
+                if not all(map(operator.contains, ups, col)) and not all(
+                        prefix.adjacent(w, r[j])
+                        for r, w in zip(rows, col)):
+                    return False
+    return True
 
 
 def layer_minor_check(prefix):

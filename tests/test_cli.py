@@ -850,8 +850,8 @@ def test_separate_malformed_target_file_is_an_error(tmp_path, locs,
 def test_record_checks_build_no_adjacency(tmp_path, monkeypatch):
     # the rules, the canonical check, omega, the minor and the omega and
     # minor demos read the record, and so does the hole check at ell=4
-    # when layer 1 holds a 4-hole: with the adjacency refused, every
-    # report is the one they give with it
+    # when layer 1 holds a 4-hole and on every built prefix at ell >= 5:
+    # with the adjacency refused, every report is the one they give with it
     records = [json.loads(p.to_json()) for p in PREFIXES_300]
     records += [obj for _, obj, _, _ in doctored_records()]
     records += [TWO_PARENTS, REPARENTED]
@@ -864,11 +864,14 @@ def test_record_checks_build_no_adjacency(tmp_path, monkeypatch):
         p = WheelPrefix.from_json_obj(obj)
         size = p.layer_sizes[0]
         layer_one = [{u for u in a if u < size} for a in p.adjacency()[:size]]
-        if p.ell == 4 and kernels.shortest_hole(size, layer_one, 4):
+        if (p.ell >= 5 and i < len(PREFIXES_300) or p.ell == 4
+                and kernels.shortest_hole(size, layer_one, 4)):
             runs.append(["verify", "--in", str(src), "--holes"])
-    # every ell=4 record but the one whose layer 1 is a triangle
+    # every built prefix at ell >= 5, and every ell=4 record but the one
+    # whose layer 1 is a triangle
     assert (sum("--holes" in argv for argv in runs)
-            == sum(obj["ell"] == 4 for obj in records) - 1)
+            == sum(p.ell >= 5 for p in PREFIXES_300)
+            + sum(obj["ell"] == 4 for obj in records) - 1)
     runs += [["demo", "conjecture85", "--c-max", "2"],
              ["demo", "question84", "--k-max", "3"]]
     expected = [lwheel(*argv) for argv in runs]

@@ -1,8 +1,9 @@
 """``lwheel`` as a separate process, for what only a process shows: the
 commands of README's CLI block run as written, a failed check, two input
-errors and two usage errors end with their exit codes, and no run prints
-a traceback.  Every other behaviour of the commands is tested in-process,
-in ``test_cli.py``."""
+errors and two usage errors end with their exit codes, no run prints a
+traceback, and full-cap ``verify`` stays within its peak memory.  Every
+other behaviour of the commands is tested in-process, in
+``test_cli.py``."""
 
 import json
 import os
@@ -98,3 +99,30 @@ def test_input_error(d, args):
 def test_usage_error(d, args, mark):
     code, out, err = launch(d, args.split())
     assert (code, out) == (2, "") and mark in err
+
+
+# runs the command of its arguments and prints its exit code and peak
+# RSS; a fresh wrapper has no other child, so no earlier child of the
+# test run lifts the reading
+PEAK = """
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:]).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_full_cap_verify_peak(tmp_path):
+    # l=6 cap:4 t=8 (n = 155,022): the hole check reads the record; with
+    # the adjacency of the whole prefix the reading was 85-86 MB
+    code, _, err = launch(tmp_path, "build --ell 6 --f cap:4 --layers 8 "
+                                    "--out b.json".split())
+    assert code == 0, err
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK, sys.executable, "-m",
+         "layered_wheels.cli", "verify", "--in", "b.json", "--out",
+         "v.json"], cwd=tmp_path, env=ENV, capture_output=True, text=True)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert json.loads((tmp_path / "v.json").read_text())["passed"] is True
+    # ru_maxrss counts KiB on Linux
+    assert peak < 60 * 1024, peak

@@ -12,9 +12,9 @@ from layered_wheels import structure as S
 from layered_wheels.functions import INF
 
 from conftest import (PREFIXES_300, arbitrary_records, doctored_records,
-                      masks_of, orphan_record, random_vertical_path,
-                      reference_layer_minor, reference_spans,
-                      reference_verify_separation, targets)
+                      hajebi_prefixes, masks_of, orphan_record,
+                      random_vertical_path, reference_layer_minor,
+                      reference_spans, reference_verify_separation, targets)
 
 
 # -- induced subgraphs, holes, minors, transversals -----------------------
@@ -84,31 +84,41 @@ def test_induced_adjacency_of_every_vertex_is_a_copy(prefix_68):
     assert S.induced_adjacency(p5, everything) == (order, adj)
 
 
-def _cycles_record(sizes):
-    """An ell=4 record of bare layer cycles: no up entries, no parents."""
-    p = WheelPrefix(4, parse_f_spec("cap:3"))
+def _cycles_record(sizes, ell=4, up=None):
+    """A record of bare layer cycles with no parents: every up list is
+    empty but those that ``up`` maps a vertex id to."""
+    p = WheelPrefix(ell, parse_f_spec("cap:3"))
     p.layer_sizes = list(sizes)
     p.offsets = [sum(sizes[:i]) for i in range(len(sizes))]
     p.up = [()] * sum(sizes)
+    for g, entries in (up or {}).items():
+        p.up[g] = entries
     p.parent = [-1] * sum(sizes)
     return p
 
 
 def _layer_one_edits():
     """Records whose layer 1 is not the bare ell-cycle of a built prefix,
-    and one built ell = 5 prefix, as (record, whether G[L_1] holds a
-    4-hole, the shortest hole up to ell)."""
-    rows = [(_cycles_record(sizes), False, hole) for sizes, hole in [
-        ([1], None), ([2], None), ([3], None), ([5], None),
-        # the only 4-hole lies in layer 2
-        ([3, 4], 4), ([5, 4], 4)]]
-    for pos, probe, hole in [(2, False, None), (1, True, 4), (0, True, 4)]:
-        # a chord of layer 1, which leaves no 4-hole anywhere; a repeated
-        # cycle edge; a self-loop
+    records on which the layer peel stalls, a built ell = 5 prefix and
+    edits of built prefixes, as (record, whether the hole check builds
+    the adjacency, the shortest hole up to ell).  It does when G[L_1]
+    holds no 4-hole and the layer peel stalls."""
+    rows = [(_cycles_record(sizes), stalls, hole)
+            for sizes, stalls, hole in [
+        # a layer of fewer than 4 vertices stalls the peel
+        ([1], True, None), ([2], True, None), ([3], True, None),
+        # a lone 5-cycle lies above the bound: the peel clears it
+        ([5], False, None),
+        # the only 4-hole lies in layer 2, a lone cycle within the bound
+        ([3, 4], True, 4), ([5, 4], True, 4)]]
+    for pos, stalls, hole in [(2, True, None), (1, False, 4),
+                              (0, False, 4)]:
+        # a chord of layer 1, which leaves no 4-hole anywhere but lies in
+        # its own layer; a repeated cycle edge; a self-loop
         p = build_prefix(4, parse_f_spec("cap:3"), 3)
         p.up[0] += (pos,)
-        rows.append((p, probe, hole))
-    # holes of 5 and more only: at ell=4 the check finds none
+        rows.append((p, stalls, hole))
+    # holes of 5 and more only: at ell=4 the peel clears the record
     relabelled = build_prefix(5, parse_f_spec("cap:3"), 4)
     relabelled.ell = 4
     rows.append((relabelled, False, None))
@@ -117,36 +127,76 @@ def _layer_one_edits():
     built = build_prefix(5, parse_f_spec("cap:3"), 3)
     chord = build_prefix(5, parse_f_spec("cap:3"), 3)
     chord.up[0] += (2,)
-    rows += [(built, False, 5), (chord, True, 4)]
+    rows += [(built, False, 5), (chord, False, 4)]
+    # no hole shorter than 7: the peel at limit 5 clears the record, but
+    # layer 1 holds no 6-hole, so at limit 6 it clears it again; an up
+    # list in reverse is still a clique, found by the adjacency test
+    relabelled = build_prefix(7, parse_f_spec("cap:3"), 3)
+    relabelled.ell = 6
+    reverse = build_prefix(5, parse_f_spec("cap:3"), 4)
+    g = next(g for g, ups in enumerate(reverse.up) if len(ups) > 1)
+    reverse.up[g] = reverse.up[g][::-1]
+    rows += [(relabelled, False, None), (_cycles_record([7], 6), False, None),
+             (reverse, False, 5)]
+    # at ell=6, a 6-cycle 0..5 under an 8-cycle 6..13, which the peel
+    # cannot clear: a run of ell - 4 = 2 vertices between two vertices
+    # with a common neighbour (the hole 6, 7, 8, 9, 0); two cycle
+    # neighbours with up lists (the 4-hole 6, 7, 1, 0); an up list that
+    # is not a clique (the 4-hole 6, 0, 1, 2); entries in a vertex's own
+    # layer, in a later one and repeated, and a 3-vertex layer, which
+    # leave layer 1 the shortest hole
+    for up, hole in [({6: (0,), 9: (0,)}, 5),
+                     ({6: (0,), 7: (1,)}, 4),
+                     ({6: (0, 2), 10: (3,)}, 4),
+                     ({6: (0,), 10: (3, 11)}, 6),
+                     ({0: (6,), 6: (0,), 10: (3,)}, 6),
+                     ({6: (0, 0), 10: (3,)}, 6)]:
+        rows.append((_cycles_record([6, 8], 6, up), True, hole))
+    rows.append((_cycles_record([6, 3], 6, {6: (0,)}), True, 6))
     return rows
 
 
 def test_shortest_hole_up_to_is_the_kernel_on_the_adjacency(monkeypatch):
-    # the probe of layer 1 answers as the whole-graph scan does, and
-    # a record whose layer 1 holds no 4-hole takes the whole-graph route
+    # every route answers as the kernel does on the adjacency of the
+    # whole record; a cleared peel at a limit leaves no hole up to it
     edits = _layer_one_edits()
-    records = list(PREFIXES_300) + [p for p, _, _ in edits]
+    prefixes = list(PREFIXES_300) + hajebi_prefixes()
+    records = prefixes + [p for p, _, _ in edits]
     records += [WheelPrefix.from_json_obj(obj)
                 for _, obj, _, _ in doctored_records()]
     for p in records:
-        want = kernels.shortest_hole(p.n_vertices, p.adjacency(), p.ell)
+        adj = p.adjacency()
+        want = kernels.shortest_hole(p.n_vertices, adj, p.ell)
         assert S.shortest_hole_up_to(p) == want, (p.ell, p.layer_sizes[:3])
+        for limit in (p.ell - 1, p.ell):
+            if S._layer_peel(p, limit):
+                assert kernels.shortest_hole(p.n_vertices, adj, limit) \
+                    is None, (p.ell, p.layer_sizes[:3], limit)
+    # the adjacency is built exactly when the peel stalls: never on a
+    # built prefix, and on the edited records that say so
     built = []
     adjacency = WheelPrefix.adjacency
     monkeypatch.setattr(WheelPrefix, "adjacency",
                         lambda self: built.append(self) or adjacency(self))
-    for p, probe, hole in edits:
+    for p in prefixes:
+        S.shortest_hole_up_to(p)
+    assert built == []
+    for p, stalls, hole in edits:
         built.clear()
         assert S.shortest_hole_up_to(p) == hole, p.layer_sizes[:3]
-        assert built == ([] if probe else [p]), p.layer_sizes[:3]
+        assert built == ([p] if stalls else []), p.layer_sizes[:3]
 
 
-def test_shortest_hole_up_to_at_ell_4_holds_no_adjacency():
-    p = build_prefix(4, parse_f_spec("cap:3"), 10)
-    assert p.n_vertices == 20676
+# the hole check of a built prefix reads the record; with the adjacency
+# of the whole prefix its traced peak was 3.3 MB at n = 8,718
+@pytest.mark.parametrize("ell, f, t, n", [
+    (4, "cap:3", 10, 20676), (5, "cap:4", 6, 2090), (6, "cap:4", 6, 8718)])
+def test_shortest_hole_up_to_holds_no_adjacency(ell, f, t, n):
+    p = build_prefix(ell, parse_f_spec(f), t)
+    assert p.n_vertices == n
     tracemalloc.start()
     try:
-        assert S.shortest_hole_up_to(p) == 4
+        assert S.shortest_hole_up_to(p) == ell
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -749,8 +749,8 @@ def test_verify_rules_matches_references_on_json_mutants(p):
 @settings(max_examples=200, deadline=None)
 @given(json_mutants())
 def test_shortest_hole_up_to_is_the_kernel_on_json_mutants(p):
-    # at ell=4 the layer-1 probe, elsewhere the whole-graph scan: both
-    # answer as the kernel does on the adjacency of the whole record
+    # the layer-1 probe, the layer peel and, where the peel stalls, the
+    # whole-graph scan answer as the kernel does on the whole adjacency
     assert structure.shortest_hole_up_to(p) == kernels.shortest_hole(
         p.n_vertices, p.adjacency(), p.ell)
 
