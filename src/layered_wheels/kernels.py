@@ -9,10 +9,10 @@ the hajebi sampler reads omega of each neighbourhood it tests off
 counters on the upward lists (``widths._sample_clique_bounded``).  It
 stays here as the tests' oracle for those routes, and because the
 command benchmark's trace wraps it by this name.  Likewise ``verify``
-answers the hole check of every built prefix from the record, by a
-layer-by-layer peel (``structure.shortest_hole_up_to``), and calls
-``shortest_hole`` on the whole graph only where that peel stalls; the
-tests hold the route to ``shortest_hole`` on the whole adjacency.
+answers the hole check of every built prefix from the record, by one
+layer peel at limit min(|L_1| - 1, ell) (``structure.shortest_hole_up_to``),
+and calls ``shortest_hole`` on the whole graph only where that peel
+stalls; the tests hold the route to it on the whole adjacency.
 
 The two bitset searches, ``max_clique`` and ``max_independent_set``,
 take ``(n, masks)``: bit u of ``masks[v]`` is set when u and v are

@@ -236,22 +236,19 @@ def shortest_hole_up_to(prefix):
        for a 4-hole.  A hole of an induced subgraph is a hole of G, and
        none is shorter than 4, so one there is the answer on any record;
        layer 1 of a built ell = 4 prefix is a 4-cycle.
-    2. At ell >= 5, when ``_layer_peel`` at limit ell - 1 clears the
-       record, G has no hole shorter than ell, so a hole of length ell in
-       G[L_1] is the answer; layer 1 of a built prefix is an ell-cycle.
-    3. When ``_layer_peel`` at limit ell clears the record, there is none.
-    4. Otherwise (the peel stalls on a record no construction makes) the
+    2. When ``_layer_peel`` at limit min(|L_1| - 1, ell) clears the
+       record, G has no hole up to that limit, and layer 1, whose up
+       lists the peel found empty, is a bare cycle of >= 4 vertices and
+       so a hole: the answer is |L_1| if that is at most ell, else None.
+    3. Otherwise (the peel stalls on a record no construction makes) the
        answer is ``kernels.shortest_hole`` on ``prefix.adjacency()``."""
     size = prefix.layer_sizes[0]
     layer_one = induced_adjacency(prefix, range(size))[1]
     if kernels.shortest_hole(size, layer_one, 4):
         return 4
     ell = prefix.ell
-    if (ell >= 5 and _layer_peel(prefix, ell - 1)
-            and kernels.shortest_hole(size, layer_one, ell)):
-        return ell
-    if _layer_peel(prefix, ell):
-        return None
+    if _layer_peel(prefix, min(size - 1, ell)):
+        return size if size <= ell else None
     return kernels.shortest_hole(prefix.n_vertices, prefix.adjacency(), ell)
 
 
@@ -262,13 +259,13 @@ def _layer_peel(prefix, limit):
     one by one is the elimination argument of Rose, Tarjan & Lueker
     (SIAM J. Comput. 1976).
 
-    The premise, checked first over the whole record, is that of the
-    clique route (``_up_route_violation``): every layer has >= 4
-    vertices, and every ``up`` list holds distinct entries, all in
-    earlier layers.  Then, once the layers above layer i are gone, a
-    vertex of layer i with an empty ``up`` list has its two cycle
-    neighbours alone, and one with a non-empty list has those and its
-    list.  In layer i:
+    The premise is that of the clique route (``_up_route_violation``),
+    checked layer by layer as the peel reads it: a layer of fewer than 4
+    vertices, or with an entry at or above its first id, stalls the
+    peel, and a repeated entry fails the clique test below.  Once the
+    layers above layer i are gone, a vertex of layer i with an empty
+    ``up`` list has its two cycle neighbours alone, and one with a
+    non-empty list has those and its list.  In layer i:
 
     - with two or more non-empty vertices, the empty ones form runs
       between them.  A run of k vertices whose ends are distinct and not
@@ -285,12 +282,13 @@ def _layer_peel(prefix, limit):
 
     A layer that fits none of these stalls the peel, which returns False.
     """
-    if _up_route_violation(prefix) is not None:
-        return False
     up = prefix.up
     for start, size in zip(reversed(prefix.offsets),
                            reversed(prefix.layer_sizes)):
         lists = up[start:start + size]
+        rows = list(filter(None, lists))
+        if size < 4 or max(map(max, rows), default=-1) >= start:
+            return False
         firsts = list(itertools.compress(range(start, start + size), lists))
         if len(firsts) < 2:
             if size <= limit:
@@ -298,7 +296,6 @@ def _layer_peel(prefix, limit):
         elif min(firsts[0] + size - firsts[-1],
                  min(map(operator.sub, firsts[1:], firsts))) < limit - 1:
             return False
-        rows = list(filter(None, lists))
         for j in range(1, max(map(len, rows), default=0)):
             rows = [r for r in rows if len(r) > j]
             ups = [up[r[j]] for r in rows]

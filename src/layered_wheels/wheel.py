@@ -186,7 +186,7 @@ class WheelPrefix:
         """Undirected adjacency as a new list of sets, the caller's to keep;
         the prefix stores none, so an edited record is never stale.  Of the
         commands, only ``verify``'s hole check builds it, once per run and
-        only when G[L_1] holds no 4-hole and the layer peel of
+        only when G[L_1] holds no 4-hole and the one layer peel of
         ``structure.shortest_hole_up_to`` stalls, which it does on no built
         prefix; every other check and demo reads the record."""
         adj = [set() for _ in range(self.n_vertices)]

@@ -41,7 +41,9 @@ def lwheel(*argv):
 
 def small_prefixes(max_vertices=2000, ells=(4, 5, 6),
                    fspecs=("identity", "cap:3", "cap:4")):
-    """All prefixes of the standard test families up to a vertex budget."""
+    """All prefixes of the standard test families up to a vertex budget.
+    A family ends where the budget refuses a prefix; any other error of
+    the construction propagates."""
     out = []
     for ell in ells:
         for fs in fspecs:
@@ -50,7 +52,7 @@ def small_prefixes(max_vertices=2000, ells=(4, 5, 6),
                 try:
                     p = build_prefix(ell, parse_f_spec(fs), t,
                                      size_cap=max_vertices)
-                except Exception:
+                except SizeCapError:
                     break
                 out.append(p)
                 t += 1

@@ -850,7 +850,8 @@ def test_separate_malformed_target_file_is_an_error(tmp_path, locs,
 def test_record_checks_build_no_adjacency(tmp_path, monkeypatch):
     # the rules, the canonical check, omega, the minor and the omega and
     # minor demos read the record, and so does the hole check at ell=4
-    # when layer 1 holds a 4-hole and on every built prefix at ell >= 5:
+    # when layer 1 holds a 4-hole, on every built prefix at ell >= 5 and
+    # on those prefixes relabelled to a larger ell:
     # with the adjacency refused, every report is the one they give with it
     records = [json.loads(p.to_json()) for p in PREFIXES_300]
     records += [obj for _, obj, _, _ in doctored_records()]
@@ -872,9 +873,25 @@ def test_record_checks_build_no_adjacency(tmp_path, monkeypatch):
     assert (sum("--holes" in argv for argv in runs)
             == sum(p.ell >= 5 for p in PREFIXES_300)
             + sum(obj["ell"] == 4 for obj in records) - 1)
+    # the built prefixes at ell >= 5 relabelled ell + 2: layer 1 is the
+    # shortest hole, shorter than ell, so the hole check fails
+    relabelled = []
+    for i, p in enumerate(PREFIXES_300):
+        if p.ell >= 5:
+            obj = json.loads(p.to_json())
+            obj["ell"] += 2
+            src = tmp_path / ("r%d.json" % i)
+            src.write_text(json.dumps(obj))
+            relabelled.append((p.layer_sizes[0],
+                               ["verify", "--in", str(src), "--holes"]))
+    runs += [argv for _, argv in relabelled]
     runs += [["demo", "conjecture85", "--c-max", "2"],
              ["demo", "question84", "--k-max", "3"]]
     expected = [lwheel(*argv) for argv in runs]
+    for size, argv in relabelled:
+        code, out, _ = expected[runs.index(argv)]
+        assert code == 1 and json.loads(out)["checks"]["holes"] == {
+            "shortest_up_to_ell": size, "passed": False}, argv
 
     def refuse(self):
         raise AssertionError("adjacency built")

@@ -14,7 +14,8 @@ from layered_wheels.functions import INF
 from conftest import (PREFIXES_300, arbitrary_records, doctored_records,
                       hajebi_prefixes, masks_of, orphan_record,
                       random_vertical_path, reference_layer_minor,
-                      reference_spans, reference_verify_separation, targets)
+                      reference_spans, reference_verify_separation,
+                      small_prefixes, targets)
 
 
 # -- induced subgraphs, holes, minors, transversals -----------------------
@@ -128,9 +129,9 @@ def _layer_one_edits():
     chord = build_prefix(5, parse_f_spec("cap:3"), 3)
     chord.up[0] += (2,)
     rows += [(built, False, 5), (chord, False, 4)]
-    # no hole shorter than 7: the peel at limit 5 clears the record, but
-    # layer 1 holds no 6-hole, so at limit 6 it clears it again; an up
-    # list in reverse is still a clique, found by the adjacency test
+    # no hole shorter than 7: at ell=6 the peel at limit 6 clears the
+    # record; an up list in reverse is still a clique, found by the
+    # adjacency test
     relabelled = build_prefix(7, parse_f_spec("cap:3"), 3)
     relabelled.ell = 6
     reverse = build_prefix(5, parse_f_spec("cap:3"), 4)
@@ -138,19 +139,31 @@ def _layer_one_edits():
     reverse.up[g] = reverse.up[g][::-1]
     rows += [(relabelled, False, None), (_cycles_record([7], 6), False, None),
              (reverse, False, 5)]
+    # a layer 1 shorter than ell: the peel at limit |L_1| - 1 clears the
+    # record, and layer 1 is the answer
+    for ell, f, new_ell in [(5, "cap:3", 6), (6, "cap:4", 8)]:
+        relabelled = build_prefix(ell, parse_f_spec(f), 4)
+        relabelled.ell = new_ell
+        rows.append((relabelled, False, ell))
+    # a layer-2 vertex lists a layer-3 one, the 4-hole 6, 30, 31, 32: the
+    # peel stalls at layer 2, after the layers above it went
+    downward = build_prefix(6, parse_f_spec("cap:4"), 4)
+    downward.up[downward.vid(2, 0)] += (downward.vid(3, 2),)
+    rows.append((downward, True, 4))
     # at ell=6, a 6-cycle 0..5 under an 8-cycle 6..13, which the peel
     # cannot clear: a run of ell - 4 = 2 vertices between two vertices
     # with a common neighbour (the hole 6, 7, 8, 9, 0); two cycle
     # neighbours with up lists (the 4-hole 6, 7, 1, 0); an up list that
     # is not a clique (the 4-hole 6, 0, 1, 2); entries in a vertex's own
     # layer, in a later one and repeated, and a 3-vertex layer, which
-    # leave layer 1 the shortest hole
+    # leave layer 1 the shortest hole; a lone entry that is the first
+    # vertex of its own layer, a chord of layer 2 (the hole 6, 7, 8, 9, 10)
     for up, hole in [({6: (0,), 9: (0,)}, 5),
                      ({6: (0,), 7: (1,)}, 4),
                      ({6: (0, 2), 10: (3,)}, 4),
                      ({6: (0,), 10: (3, 11)}, 6),
                      ({0: (6,), 6: (0,), 10: (3,)}, 6),
-                     ({6: (0, 0), 10: (3,)}, 6)]:
+                     ({6: (0, 0), 10: (3,)}, 6), ({10: (6,)}, 5)]:
         rows.append((_cycles_record([6, 8], 6, up), True, hole))
     rows.append((_cycles_record([6, 3], 6, {6: (0,)}), True, 6))
     return rows
@@ -158,9 +171,14 @@ def _layer_one_edits():
 
 def test_shortest_hole_up_to_is_the_kernel_on_the_adjacency(monkeypatch):
     # every route answers as the kernel does on the adjacency of the
-    # whole record; a cleared peel at a limit leaves no hole up to it
+    # whole record; a cleared peel at a limit leaves no hole up to it.
+    # The prefixes take in the slow families of <= 3,000 vertices up to
+    # ell = 8
     edits = _layer_one_edits()
-    prefixes = list(PREFIXES_300) + hajebi_prefixes()
+    slow = small_prefixes(3000, ells=range(4, 9), fspecs=(
+        "cumulative:poly:2", "cumulative:1,2,5", "question84:coeffs:3"))
+    assert len(slow) == 81
+    prefixes = list(PREFIXES_300) + hajebi_prefixes() + slow
     records = prefixes + [p for p, _, _ in edits]
     records += [WheelPrefix.from_json_obj(obj)
                 for _, obj, _, _ in doctored_records()]
@@ -168,18 +186,20 @@ def test_shortest_hole_up_to_is_the_kernel_on_the_adjacency(monkeypatch):
         adj = p.adjacency()
         want = kernels.shortest_hole(p.n_vertices, adj, p.ell)
         assert S.shortest_hole_up_to(p) == want, (p.ell, p.layer_sizes[:3])
-        for limit in (p.ell - 1, p.ell):
+        for limit in {p.ell - 1, p.ell, min(p.layer_sizes[0] - 1, p.ell)}:
             if S._layer_peel(p, limit):
                 assert kernels.shortest_hole(p.n_vertices, adj, limit) \
                     is None, (p.ell, p.layer_sizes[:3], limit)
     # the adjacency is built exactly when the peel stalls: never on a
-    # built prefix, and on the edited records that say so
+    # built prefix, whose shortest hole is ell, and on the edited records
+    # that say so
     built = []
     adjacency = WheelPrefix.adjacency
     monkeypatch.setattr(WheelPrefix, "adjacency",
                         lambda self: built.append(self) or adjacency(self))
     for p in prefixes:
-        S.shortest_hole_up_to(p)
+        assert S.shortest_hole_up_to(p) == p.ell, \
+            (p.ell, p.f.descriptor, p.num_layers)
     assert built == []
     for p, stalls, hole in edits:
         built.clear()

@@ -664,8 +664,9 @@ def json_mutants(draw):
     """A small prefix's JSON with one to three of: a vertex re-parented
     together with its up entry, the parent and up of two vertices of one
     layer swapped, an up entry dropped, an up list reversed, a parent
-    nulled, and an up entry added that is from the next layer, a repeat,
-    the vertex itself or from the vertex's own layer."""
+    nulled, an up entry added that is from the next layer, a repeat, the
+    vertex itself or from the vertex's own layer, and ell moved by 1 or 2
+    to a value of at least 4."""
     obj = json.loads(draw(st.sampled_from(_MUTANT_BASES)))
     recs = obj["vertices"]
     sizes = obj["layers"]
@@ -683,7 +684,7 @@ def json_mutants(draw):
                                      "reverse-up", "null-parent",
                                      "next-layer-up",
                                      "repeat-up", "self-up",
-                                     "own-layer-up"]))
+                                     "own-layer-up", "relabel-ell"]))
         rec = draw(st.sampled_from(recs))
         layer = rec["layer"]
         size = sizes[layer - 1]
@@ -723,6 +724,10 @@ def json_mutants(draw):
                 st.integers(0, size - 1),
                 st.sampled_from([-1, 1]).map(
                     lambda d: (rec["pos"] + d) % size)))])
+        elif kind == "relabel-ell":
+            # layer 1 keeps its size, so it is shorter or longer than ell
+            obj["ell"] += draw(st.sampled_from(
+                [d for d in (-2, -1, 1, 2) if obj["ell"] + d >= 4]))
     return WheelPrefix.from_json_obj(obj)
 
 
